@@ -8,11 +8,15 @@ fan-out points.
 
 Precision is float32 by default; a float64 mode exists for finite-difference
 gradient checks, where float32 tolerances are meaningless.
+
+The active tape and the default dtype are context variables, so a recording
+or a ``precision`` block in one thread is invisible to every other thread.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import hashlib
 import math
 from typing import Callable, Sequence
@@ -47,7 +51,7 @@ __all__ = [
     "embedding_lookup",
     "concat",
     "narrow",
-    "transpose",
+    "attention",
     "repeat_rows",
     "tile_rows",
     "tensor_sum",
@@ -64,7 +68,8 @@ class RecordError(RuntimeError):
     """Invalid use of a computation record (tape)."""
 
 
-_DEFAULT_DTYPE = np.dtype(np.float32)
+_DEFAULT_DTYPE: contextvars.ContextVar[np.dtype] = contextvars.ContextVar(
+    "flowtts_default_dtype", default=np.dtype(np.float32))
 
 _DTYPE_ALIASES = {
     "float32": np.dtype(np.float32),
@@ -74,23 +79,22 @@ _DTYPE_ALIASES = {
 
 def active_dtype() -> np.dtype:
     """Dtype used for tensors created without an explicit dtype."""
-    return _DEFAULT_DTYPE
+    return _DEFAULT_DTYPE.get()
 
 
 @contextlib.contextmanager
 def precision(dtype):
-    """Temporarily switch the default dtype ("float32" or "float64")."""
-    global _DEFAULT_DTYPE
+    """Temporarily switch the default dtype ("float32" or "float64") of the
+    calling thread."""
     if isinstance(dtype, str):
         dtype = _DTYPE_ALIASES[dtype]
     else:
         dtype = np.dtype(dtype)
-    previous = _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = dtype
+    token = _DEFAULT_DTYPE.set(dtype)
     try:
         yield
     finally:
-        _DEFAULT_DTYPE = previous
+        _DEFAULT_DTYPE.reset(token)
 
 
 class Tensor:
@@ -103,7 +107,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype if dtype is not None else _DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=dtype if dtype is not None else _DEFAULT_DTYPE.get())
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
 
@@ -146,7 +150,8 @@ def zero_grads(tensors) -> None:
 # Recording
 # --------------------------------------------------------------------------
 
-_ACTIVE_TAPE: "Tape | None" = None
+_ACTIVE_TAPE: "contextvars.ContextVar[Tape | None]" = contextvars.ContextVar(
+    "flowtts_active_tape", default=None)
 
 
 class Tape:
@@ -179,16 +184,16 @@ class Tape:
 
 @contextlib.contextmanager
 def record():
-    """Activate a fresh tape; ops applied inside are recorded on it."""
-    global _ACTIVE_TAPE
-    if _ACTIVE_TAPE is not None:
+    """Activate a fresh tape for the calling thread; ops it applies inside
+    are recorded on it."""
+    if _ACTIVE_TAPE.get() is not None:
         raise RecordError("nested recording is not supported; one record per forward pass")
     tape = Tape()
-    _ACTIVE_TAPE = tape
+    token = _ACTIVE_TAPE.set(tape)
     try:
         yield tape
     finally:
-        _ACTIVE_TAPE = None
+        _ACTIVE_TAPE.reset(token)
 
 
 def push_op(out: Tensor, adjoint: Callable[[np.ndarray], None]) -> None:
@@ -197,8 +202,10 @@ def push_op(out: Tensor, adjoint: Callable[[np.ndarray], None]) -> None:
     No-op when nothing is recording or the output does not need gradients,
     so the same ops serve inference without bookkeeping overhead.
     """
-    if _ACTIVE_TAPE is not None and out.requires_grad:
-        _ACTIVE_TAPE._entries.append((out, adjoint))
+    if out.requires_grad:
+        tape = _ACTIVE_TAPE.get()
+        if tape is not None:
+            tape._entries.append((out, adjoint))
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -222,7 +229,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _wrap(x, like: Tensor | None = None) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    dtype = like.data.dtype if like is not None else _DEFAULT_DTYPE
+    dtype = like.data.dtype if like is not None else _DEFAULT_DTYPE.get()
     return Tensor(x, requires_grad=False, dtype=dtype)
 
 
@@ -435,14 +442,66 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return out
 
 
-def transpose(x: Tensor) -> Tensor:
-    x = _wrap(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose: expected rank 2, got shape {x.data.shape}")
-    out = _from_array(x.data.T.copy(), x.requires_grad)
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None, batch: int = 1) -> Tensor:
+    """Multi-head scaled dot-product attention over ``batch`` sequences.
+
+    ``q``, ``k`` and ``v`` are (batch * T, d) row blocks holding the
+    sequences one after another; head h owns columns [h * d_h, (h + 1) * d_h)
+    with d_h = d / heads.  Per sequence and head the output is
+    softmax(q k^T * d_h^-1/2 + mask) v, and the heads are concatenated along
+    columns, so the result is (batch * T, d) like the operands.  ``mask`` is
+    an additive (T, T) constant shared by every sequence, or None for
+    bidirectional attention; it receives no gradient.
+
+    The adjoint is closed-form: with P the attention weights,
+    dS = P * (dP - rowsum(dP * P)).
+    """
+    q, k, v = _wrap(q), _wrap(k, q), _wrap(v, q)
+    shape = q.data.shape
+    if len(shape) != 2 or k.data.shape != shape or v.data.shape != shape:
+        raise ShapeError(
+            f"attention: q, k, v must share one rank-2 shape, got "
+            f"{q.data.shape}, {k.data.shape}, {v.data.shape}"
+        )
+    rows, d = shape
+    if heads < 1 or d % heads or batch < 1 or rows % batch:
+        raise ShapeError(
+            f"attention: shape {shape} does not split into {batch} sequences of {heads} heads"
+        )
+    seq = rows // batch
+    dh = d // heads
+    mask_data = None if mask is None else _wrap(mask, q).data
+    if mask_data is not None and mask_data.shape != (seq, seq):
+        raise ShapeError(f"attention: mask shape {mask_data.shape}, expected {(seq, seq)}")
+    scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.data.dtype)
+
+    def split(x: np.ndarray) -> np.ndarray:
+        # (batch * T, d) -> (batch, heads, T, d_h) view
+        return x.reshape(batch, seq, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x: np.ndarray) -> np.ndarray:
+        return x.transpose(0, 2, 1, 3).reshape(rows, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    # Same operation order as softmax(mul(q k^T, scale) + mask) @ v, in place.
+    p = qh @ kh.swapaxes(-1, -2)
+    p *= scale
+    if mask_data is not None:
+        p += mask_data
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = _from_array(merge(p @ vh), q.requires_grad or k.requires_grad or v.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
-        _accumulate(x, g.T)
+        go = split(g)
+        ds = go @ vh.swapaxes(-1, -2)  # dP, turned into dS in place
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        _accumulate(q, merge(ds @ kh))
+        _accumulate(k, merge((qh.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)))
+        _accumulate(v, merge(p.swapaxes(-1, -2) @ go))
 
     push_op(out, adjoint)
     return out
@@ -549,7 +608,7 @@ def primitive_forward_set() -> dict[str, Callable]:
         "bce_with_logits": bce_with_logits,
         # Extras used by the model; held to the same gradient contract.
         "sub": sub,
-        "transpose": transpose,
+        "attention": attention,
         "repeat_rows": repeat_rows,
         "tile_rows": tile_rows,
     }

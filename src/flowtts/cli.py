@@ -21,7 +21,6 @@ import logging
 import os
 import sys
 import tempfile
-import time
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from .pipeline import (
     TrainingDiverged,
     default_synthetic_spec,
     load_checkpoint,
+    measure_rtf,
     read_latents,
     rtf_value,
     save_checkpoint,
@@ -282,10 +282,9 @@ def cmd_eval_rtf(args) -> int:
         state = load_checkpoint(args.checkpoint)
         seed = _resolve_seed(args.seed)
         rng = rng_stream(seed, "synth")
-        start = time.perf_counter()
-        patches = synthesize(state, tokens, cfg_scale=args.cfg, steps=args.steps, rng=rng)
-        wall = time.perf_counter() - start
-        value = rtf_value(wall, patches.shape[0], state.config.frame_ms)
+        value = measure_rtf(
+            lambda toks: synthesize(state, toks, cfg_scale=args.cfg, steps=args.steps, rng=rng),
+            tokens, state.config.frame_ms)
     print(f"{value:.4f}")
     return EXIT_OK
 

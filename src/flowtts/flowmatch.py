@@ -30,7 +30,6 @@ from .model import (
     VELOCITY_LAYERS,
     embedding_lookup,
     linear,
-    pair_mask,
     transformer_stack,
 )
 
@@ -155,7 +154,7 @@ def velocity_batch(state: ModelState, z_t: np.ndarray, t_values: np.ndarray,
             )
         x = add(x, repeat_rows(cond, 2))
 
-    hidden = transformer_stack(state, "vel", x, VELOCITY_LAYERS, pair_mask(n, dtype))
+    hidden = transformer_stack(state, "vel", x, VELOCITY_LAYERS, None, batch=n)
     at_z = embedding_lookup(hidden, np.arange(1, 2 * n, 2))
     return linear(at_z, state["vel.out.w"], state["vel.out.b"])
 

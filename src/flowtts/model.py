@@ -9,7 +9,6 @@ text and acoustic segments).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .autodiff import (
     Tensor,
     active_dtype,
     add,
+    attention,
     concat,
     constant,
     embedding_lookup,
@@ -30,8 +30,6 @@ from .autodiff import (
     narrow,
     parameter,
     push_op,
-    softmax,
-    transpose,
 )
 
 __all__ = [
@@ -50,7 +48,6 @@ __all__ = [
     "stop_logits",
     "step_hiddens",
     "causal_mask",
-    "pair_mask",
     "transformer_stack",
     "linear",
 ]
@@ -187,32 +184,17 @@ def init_model_state(config: ModelConfig, seed: int = 0) -> ModelState:
 # Shared transformer machinery
 # --------------------------------------------------------------------------
 
-_MASK_CACHE: dict[tuple[str, int, str], Tensor] = {}
+_MASK_CACHE: dict[tuple[int, str], Tensor] = {}
 
 
 def causal_mask(n: int, dtype=None) -> Tensor:
     """Additive mask forbidding attention to positions > own."""
     dtype = np.dtype(dtype) if dtype is not None else active_dtype()
-    key = ("causal", n, dtype.str)
+    key = (n, dtype.str)
     cached = _MASK_CACHE.get(key)
     if cached is None:
         m = np.zeros((n, n), dtype=dtype)
         m[np.triu_indices(n, 1)] = MASK_VALUE
-        cached = constant(m, dtype=dtype)
-        _MASK_CACHE[key] = cached
-    return cached
-
-
-def pair_mask(n_pairs: int, dtype=None) -> Tensor:
-    """Additive mask isolating consecutive row pairs (bidirectional within a pair)."""
-    dtype = np.dtype(dtype) if dtype is not None else active_dtype()
-    key = ("pair", n_pairs, dtype.str)
-    cached = _MASK_CACHE.get(key)
-    if cached is None:
-        n = 2 * n_pairs
-        m = np.full((n, n), MASK_VALUE, dtype=dtype)
-        for i in range(n_pairs):
-            m[2 * i:2 * i + 2, 2 * i:2 * i + 2] = 0.0
         cached = constant(m, dtype=dtype)
         _MASK_CACHE[key] = cached
     return cached
@@ -226,35 +208,26 @@ def _ln(state: ModelState, prefix: str, x: Tensor) -> Tensor:
     return add(mul(layer_norm(x), state[f"{prefix}.g"]), state[f"{prefix}.b"])
 
 
-def _attention(state: ModelState, prefix: str, x: Tensor, mask: Tensor) -> Tensor:
-    d = state.config.d_model
-    heads = state.config.n_heads
-    dh = d // heads
+def _attention(state: ModelState, prefix: str, x: Tensor, mask: Tensor | None, batch: int) -> Tensor:
     q = linear(x, state[f"{prefix}.wq"], state[f"{prefix}.bq"])
     k = linear(x, state[f"{prefix}.wk"], state[f"{prefix}.bk"])
     v = linear(x, state[f"{prefix}.wv"], state[f"{prefix}.bv"])
-    scale = 1.0 / math.sqrt(dh)
-    outputs = []
-    for h in range(heads):
-        start = h * dh
-        qh = narrow(q, 1, start, dh)
-        kh = narrow(k, 1, start, dh)
-        vh = narrow(v, 1, start, dh)
-        scores = add(mul(matmul(qh, transpose(kh)), scale), mask)
-        outputs.append(matmul(softmax(scores), vh))
-    merged = concat(outputs, axis=1)
+    merged = attention(q, k, v, state.config.n_heads, mask, batch)
     return linear(merged, state[f"{prefix}.wo"], state[f"{prefix}.bo"])
 
 
-def _block(state: ModelState, prefix: str, x: Tensor, mask: Tensor) -> Tensor:
-    x = add(x, _attention(state, f"{prefix}.attn", _ln(state, f"{prefix}.ln1", x), mask))
+def _block(state: ModelState, prefix: str, x: Tensor, mask: Tensor | None, batch: int) -> Tensor:
+    x = add(x, _attention(state, f"{prefix}.attn", _ln(state, f"{prefix}.ln1", x), mask, batch))
     h = gelu(linear(_ln(state, f"{prefix}.ln2", x), state[f"{prefix}.mlp.w1"], state[f"{prefix}.mlp.b1"]))
     return add(x, linear(h, state[f"{prefix}.mlp.w2"], state[f"{prefix}.mlp.b2"]))
 
 
-def transformer_stack(state: ModelState, prefix: str, x: Tensor, n_layers: int, mask: Tensor) -> Tensor:
+def transformer_stack(state: ModelState, prefix: str, x: Tensor, n_layers: int,
+                      mask: Tensor | None, batch: int = 1) -> Tensor:
+    """Pre-LN blocks over ``batch`` equal-length sequences stored row-block
+    after row-block; ``mask`` is an additive (T, T) constant or None."""
     for i in range(n_layers):
-        x = _block(state, f"{prefix}.l{i}", x, mask)
+        x = _block(state, f"{prefix}.l{i}", x, mask, batch)
     return _ln(state, f"{prefix}.lnf", x)
 
 

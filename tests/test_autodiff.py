@@ -1,13 +1,19 @@
 """Substrate tests: primitive forwards, adjoint soundness against central
 finite differences (float64), determinism, and record (tape) semantics."""
 
+import math
+import threading
+
 import numpy as np
 import pytest
 
 from flowtts.autodiff import (
     RecordError,
     ShapeError,
+    Tensor,
+    active_dtype,
     add,
+    attention,
     bce_with_logits,
     concat,
     constant,
@@ -22,6 +28,7 @@ from flowtts.autodiff import (
     parameter,
     precision,
     primitive_forward_set,
+    push_op,
     record,
     repeat_rows,
     rng_stream,
@@ -30,8 +37,8 @@ from flowtts.autodiff import (
     sub,
     tensor_sum,
     tile_rows,
-    transpose,
 )
+from flowtts.model import MASK_VALUE, ModelConfig, causal_mask, init_model_state, semantic_hiddens
 
 RNG = np.random.default_rng(20240811)
 
@@ -249,19 +256,38 @@ PRIMITIVE_CASES = {
     "sum": lambda x: tensor_sum(x),
     "mse": lambda x: mse(x, constant(_FIXED["like"])),
     "bce_with_logits": lambda x: bce_with_logits(x, _FIXED["labels"]),
-    "transpose": lambda x: _scalarize(mul(transpose(x), constant(_FIXED["like_t"]))),
+    "attention": lambda x: _scalarize(mul(_attention_of_thirds(x), constant(_FIXED["like_attn"]))),
     "repeat_rows": lambda x: _scalarize(mul(repeat_rows(x, 2), constant(_FIXED["like_rep"]))),
     "tile_rows": lambda x: _scalarize(mul(tile_rows(x, 2), constant(_FIXED["like_rep"]))),
 }
 
 _FIXED: dict = {}
 
+# attention cases: x shape (3 * batch * T, heads * d_head) -> (heads, batch, causal)
+_ATTENTION_CASES = {
+    (15, 6): (2, 1, True),  # one causal sequence of 5 tokens
+    (18, 4): (2, 3, False),  # three bidirectional 2-token sequences
+    (18, 6): (3, 2, True),  # two causal 3-token sequences
+}
+
+
+def _attention_of_thirds(x):
+    # q, k and v are the three row blocks of x, so one grad_check covers all three.
+    heads, batch, causal = _FIXED["attn"]
+    n = x.data.shape[0] // 3
+    seq = n // batch
+    mask = np.triu(np.full((seq, seq), MASK_VALUE), 1) if causal else None
+    return attention(narrow(x, 0, 0, n), narrow(x, 0, n, n), narrow(x, 0, 2 * n, n),
+                     heads, mask, batch)
+
 
 def _shapes_for(name: str):
     rng = np.random.default_rng(hash(name) % 2**32)
     if name == "matmul":
         return [(int(rng.integers(1, 8)), int(rng.integers(1, 8))) for _ in range(3)]
-    if name in ("embedding_lookup", "transpose", "repeat_rows", "tile_rows"):
+    if name == "attention":
+        return list(_ATTENTION_CASES)
+    if name in ("embedding_lookup", "repeat_rows", "tile_rows"):
         return [(int(rng.integers(2, 8)), int(rng.integers(1, 8))) for _ in range(3)]
     if name == "slice":
         return [(4, int(rng.integers(1, 8))) for _ in range(3)]
@@ -287,8 +313,9 @@ def test_primitive_gradient_soundness(name):
                 _FIXED["ids"] = rng.integers(0, shape[0], size=5)
             if name == "bce_with_logits":
                 _FIXED["labels"] = rng.integers(0, 2, size=shape).astype(np.float64)
-            if name == "transpose":
-                _FIXED["like_t"] = rng.standard_normal(shape[::-1])
+            if name == "attention":
+                _FIXED["attn"] = _ATTENTION_CASES[shape]
+                _FIXED["like_attn"] = rng.standard_normal((shape[0] // 3, shape[1]))
             if name in ("repeat_rows", "tile_rows"):
                 _FIXED["like_rep"] = rng.standard_normal((shape[0] * 2, shape[1]))
             assert grad_check(PRIMITIVE_CASES[name], x) <= 1e-4, f"{name} @ {shape}"
@@ -300,6 +327,144 @@ def test_registry_contains_contract_primitives():
                 "embedding_lookup", "concat", "slice", "sum", "mse", "sigmoid",
                 "bce_with_logits"}
     assert required <= names
+
+
+# --------------------------------------------------------------------------
+# Fused attention against the per-head composition it replaced
+# --------------------------------------------------------------------------
+
+def _transpose(x):
+    # The rank-2 transpose the per-head composition used, built on push_op.
+    out = Tensor(x.data.T.copy(), requires_grad=x.requires_grad, dtype=x.data.dtype)
+
+    def adjoint(g):
+        x.grad = g.T.copy() if x.grad is None else x.grad + g.T
+
+    push_op(out, adjoint)
+    return out
+
+
+def _reference_attention(q, k, v, heads, mask, batch):
+    """Per sequence and head: narrow, k^T, scale, mask, softmax, @ v; then
+    concat.  The composition the fused primitive replaced."""
+    rows, d = q.data.shape
+    seq, dh = rows // batch, d // heads
+    sequences = []
+    for b in range(batch):
+        qb, kb, vb = (narrow(t, 0, b * seq, seq) for t in (q, k, v))
+        outputs = []
+        for h in range(heads):
+            qh, kh, vh = (narrow(t, 1, h * dh, dh) for t in (qb, kb, vb))
+            scores = mul(matmul(qh, _transpose(kh)), 1.0 / math.sqrt(dh))
+            if mask is not None:
+                scores = add(scores, mask)
+            outputs.append(matmul(softmax(scores), vh))
+        sequences.append(concat(outputs, axis=1))
+    return concat(sequences, axis=0)
+
+
+# (heads, batch, T, causal) at the default ModelConfig width (d_model 64, 4 heads):
+# a semantic/residual stack over 23 rows, and a velocity-net call of 9 pairs.
+_DEFAULT_ATTENTION_SHAPES = [(4, 1, 23, True), (4, 9, 2, False)]
+
+
+@pytest.mark.parametrize("heads,batch,seq,causal", _DEFAULT_ATTENTION_SHAPES)
+def test_attention_forward_is_bitwise_the_per_head_composition(heads, batch, seq, causal):
+    rng = np.random.default_rng(31)
+    q, k, v = (constant(rng.standard_normal((batch * seq, 64)).astype(np.float32))
+               for _ in range(3))
+    mask = causal_mask(seq, np.float32) if causal else None
+    fused = attention(q, k, v, heads, mask, batch).data
+    assert fused.dtype == np.float32
+    np.testing.assert_array_equal(fused, _reference_attention(q, k, v, heads, mask, batch).data)
+
+
+@pytest.mark.parametrize("heads,batch,seq,causal", _DEFAULT_ATTENTION_SHAPES)
+def test_attention_gradients_match_the_per_head_composition(heads, batch, seq, causal):
+    rng = np.random.default_rng(32)
+    with precision("float64"):
+        arrays = [rng.standard_normal((batch * seq, 64)) for _ in range(3)]
+        weight = constant(rng.standard_normal((batch * seq, 64)))
+        mask = causal_mask(seq) if causal else None
+        grads = []
+        for fn in (attention, _reference_attention):
+            q, k, v = (parameter(a.copy()) for a in arrays)
+            with record() as tape:
+                loss = tensor_sum(mul(fn(q, k, v, heads, mask, batch), weight))
+            tape.backward(loss)
+            grads.append([q.grad, k.grad, v.grad])
+    for fused, reference in zip(*grads):
+        assert np.max(np.abs(fused - reference)) <= 1e-6 * np.max(np.abs(reference))
+
+
+def test_attention_shape_errors():
+    x = constant(np.ones((6, 8)))
+    with pytest.raises(ShapeError, match="attention"):
+        attention(x, x, constant(np.ones((6, 4))), 2)
+    with pytest.raises(ShapeError, match="attention"):
+        attention(x, x, x, 3)  # 8 columns do not split into 3 heads
+    with pytest.raises(ShapeError, match="attention"):
+        attention(x, x, x, 2, batch=4)  # 6 rows do not split into 4 sequences
+    with pytest.raises(ShapeError, match="attention"):
+        attention(x, x, x, 2, np.zeros((6, 6)), batch=2)  # mask must be (3, 3)
+
+
+# --------------------------------------------------------------------------
+# Thread isolation of the tape and the default dtype
+# --------------------------------------------------------------------------
+
+def _run_in_thread(target):
+    errors = []
+
+    def body():
+        try:
+            target()
+        except Exception as exc:  # reported by the main thread's assertion
+            errors.append(exc)
+
+    thread = threading.Thread(target=body)
+    thread.start()
+    return thread, errors
+
+
+def test_recording_in_one_thread_ignores_ops_of_another():
+    state = init_model_state(ModelConfig(), seed=0)
+    a_recording, b_done = threading.Event(), threading.Event()
+
+    def thread_b():
+        assert a_recording.wait(timeout=30)
+        h = semantic_hiddens(state, [1, 2, 3], constant(np.zeros((0, 64), dtype=np.float32)))
+        assert h.requires_grad
+        b_done.set()
+
+    thread, errors = _run_in_thread(thread_b)
+    with record() as tape:
+        a_recording.set()
+        assert b_done.wait(timeout=60)
+        assert len(tape) == 0
+    thread.join(timeout=30)
+    assert not thread.is_alive() and not errors
+
+
+def test_precision_block_in_one_thread_leaves_another_at_float32():
+    a_in_block, b_done = threading.Event(), threading.Event()
+    seen = {}
+
+    def thread_b():
+        assert a_in_block.wait(timeout=30)
+        seen["active"] = active_dtype()
+        seen["tensor"] = constant([1.0]).data.dtype
+        b_done.set()
+
+    thread, errors = _run_in_thread(thread_b)
+    with precision("float64"):
+        a_in_block.set()
+        assert b_done.wait(timeout=30)
+        assert active_dtype() == np.float64
+    thread.join(timeout=30)
+    assert not thread.is_alive() and not errors
+    assert seen == {"active": np.float32, "tensor": np.float32}
+    assert active_dtype() == np.float32
 
 
 # --------------------------------------------------------------------------

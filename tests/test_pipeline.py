@@ -1,6 +1,7 @@
 """Pipeline tests: synthetic oracle, joint objective, training mechanics,
 synthesis termination, RTF arithmetic, and binary persistence."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from flowtts.autodiff import RngHub, ShapeError, constant, record, rng_stream, zero_grads
 from flowtts.model import ModelConfig, init_model_state, step_hiddens
+import flowtts.pipeline as pipeline
 from flowtts.pipeline import (
     CheckpointMagicError,
     CheckpointShapeError,
@@ -195,6 +197,26 @@ def test_train_nan_abort_carries_step():
     with pytest.raises(TrainingDiverged) as err:
         train(TrainConfig(train_steps=2, batch_size=1, seed=0), SPEC, state)
     assert err.value.step == 0
+
+
+def test_default_training_step_records_at_most_1500_tape_entries(monkeypatch):
+    # Fused attention: 1,472 entries for batch 8 (3,200 with the per-head loop).
+    # Each example records a fixed set of ops, so the count does not depend
+    # on the sampled prompt lengths.
+    lengths = []
+    real_record = pipeline.record
+
+    @contextlib.contextmanager
+    def counting_record():
+        with real_record() as tape:
+            yield tape
+        lengths.append(len(tape))
+
+    monkeypatch.setattr(pipeline, "record", counting_record)
+    cfg = ModelConfig()
+    train(TrainConfig(train_steps=1), default_synthetic_spec(cfg), init_model_state(cfg, seed=0))
+    assert len(lengths) == 1
+    assert lengths[0] <= 1500
 
 
 def test_dead_parameter_scan_small_model():
