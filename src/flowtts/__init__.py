@@ -48,11 +48,10 @@ from .model import (
     ModelConfig,
     ModelState,
     StepHiddens,
+    conditioning,
     encode_patches,
     fsq_quantize,
     init_model_state,
-    residual_forward,
-    semantic_forward,
     step_hiddens,
     stop_logits,
 )

@@ -17,6 +17,8 @@ from .autodiff import (
     RngHub,
     ShapeError,
     Tensor,
+    _accumulate,
+    _from_array,
     active_dtype,
     add,
     attention,
@@ -41,11 +43,10 @@ __all__ = [
     "param_layout",
     "encode_patches",
     "semantic_hiddens",
-    "semantic_forward",
     "fsq_quantize",
     "residual_hiddens",
-    "residual_forward",
     "stop_logits",
+    "conditioning",
     "step_hiddens",
     "causal_mask",
     "transformer_stack",
@@ -292,14 +293,6 @@ def semantic_hiddens(state: ModelState, text_tokens, acoustic: Tensor) -> Tensor
     return transformer_stack(state, "sem", x, cfg.n_layers_semantic, mask)
 
 
-def semantic_forward(state: ModelState, text_tokens, acoustic: Tensor) -> tuple[Tensor, Tensor]:
-    """Returns (text hiddens, next-patch prediction hidden)."""
-    ids = np.asarray(text_tokens, dtype=np.int64)
-    h = semantic_hiddens(state, text_tokens, acoustic)
-    n_total = h.data.shape[0]
-    return narrow(h, 0, 0, ids.size), narrow(h, 0, n_total - 1, 1)
-
-
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     # Fixed half-away-from-zero rounding, independent of platform default.
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
@@ -319,17 +312,10 @@ def fsq_quantize(h: Tensor, delta: float, bound: int) -> Tensor:
     if not np.all(np.isfinite(h.data)):
         raise ValueError("fsq_quantize: non-finite input")
     q = delta * np.clip(_round_half_away(h.data / delta), -bound, bound)
-    out_arr = q.astype(h.data.dtype, copy=False)
-    out = Tensor.__new__(Tensor)
-    out.data = out_arr
-    out.grad = None
-    out.requires_grad = h.requires_grad
+    out = _from_array(q.astype(h.data.dtype, copy=False), h.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
-        if h.requires_grad:
-            if h.grad is None:
-                h.grad = np.zeros_like(h.data)
-            h.grad += g
+        _accumulate(h, g)
 
     push_op(out, adjoint)
     return out
@@ -360,23 +346,41 @@ def residual_hiddens(state: ModelState, text_hiddens: Tensor,
     return transformer_stack(state, "res", x, cfg.n_layers_residual, mask)
 
 
-def residual_forward(state: ModelState, text_hiddens: Tensor,
-                     fsq_history: Tensor, acoustic_history: Tensor) -> Tensor:
-    h = residual_hiddens(state, text_hiddens, fsq_history, acoustic_history)
-    n_total = h.data.shape[0]
-    return narrow(h, 0, n_total - 1, 1)
-
-
 def stop_logits(state: ModelState, h_fsq: Tensor) -> Tensor:
     """Linear head mapping quantized skeleton rows to termination logits."""
     return linear(h_fsq, state["stop.w"], state["stop.b"])
+
+
+def conditioning(state: ModelState, text_tokens, history) -> tuple[Tensor, Tensor, Tensor]:
+    """Teacher-forced conditioning for every step 0..len(history).
+
+    Returns ``(h_final, quantized, h_residual)`` with one row per step: row i
+    conditions patch i on the text and ``history[:i]``, and
+    h_final == quantized + h_residual.  Training passes all but the last
+    ground-truth patch; synthesis reads the last row for the next patch.
+    """
+    cfg = state.config
+    history = _as_patch_matrix(history, cfg.d_patch, state.dtype)
+    k = history.shape[0]
+    if k >= cfg.max_patches:
+        raise ShapeError(f"patch history of {k} reached max_patches {cfg.max_patches}")
+    ids = _check_tokens(cfg, text_tokens)
+    n_text = ids.size
+
+    embeddings = encode_patches(state, history)
+    hiddens = semantic_hiddens(state, ids, embeddings)
+    rows = n_text - 1 + np.arange(k + 1)
+    quantized = fsq_quantize(embedding_lookup(hiddens, rows), cfg.fsq_delta, cfg.fsq_bound)
+    residual = residual_hiddens(state, narrow(hiddens, 0, 0, n_text),
+                                narrow(quantized, 0, 0, k), embeddings)
+    h_res = embedding_lookup(residual, rows)
+    return add(quantized, h_res), quantized, h_res
 
 
 @dataclass
 class StepHiddens:
     """Per-step conditioning bundle; h_final == h_quantized + h_residual."""
 
-    h_semantic: Tensor
     h_quantized: Tensor
     h_residual: Tensor
     h_final: Tensor
@@ -384,35 +388,18 @@ class StepHiddens:
 
 
 def step_hiddens(state: ModelState, text_tokens, patch_history) -> StepHiddens:
-    """Run the full conditioning pipeline for the next patch.
+    """Conditioning for the next patch: the last row of ``conditioning``.
 
-    One causal pass yields the prediction hiddens for every step up to the
-    current one, so the quantized history the residual transformer needs is
-    recomputed consistently from the patch history alone.
+    The whole prefix is recomputed, so the quantized history the residual
+    transformer needs follows from the patch history alone.
     """
-    cfg = state.config
-    history = _as_patch_matrix(patch_history, cfg.d_patch, state.dtype)
-    i = history.shape[0]
-    if i >= cfg.max_patches:
-        raise ShapeError(f"patch history of {i} reached max_patches {cfg.max_patches}")
-    ids = _check_tokens(cfg, text_tokens)
-    n_text = ids.size
-
-    embeddings = encode_patches(state, history)
-    hiddens = semantic_hiddens(state, text_tokens, embeddings)
-    pred = embedding_lookup(hiddens, n_text - 1 + np.arange(i + 1))
-    quantized = fsq_quantize(pred, cfg.fsq_delta, cfg.fsq_bound)
-
-    text_h = narrow(hiddens, 0, 0, n_text)
-    h_res = residual_forward(state, text_h, narrow(quantized, 0, 0, i), embeddings)
-    h_sem = narrow(pred, 0, i, 1)
+    h_final, quantized, h_res = conditioning(state, text_tokens, patch_history)
+    i = quantized.data.shape[0] - 1
     h_fsq = narrow(quantized, 0, i, 1)
-    h_final = add(h_fsq, h_res)
     logit = stop_logits(state, h_fsq)
     return StepHiddens(
-        h_semantic=h_sem,
         h_quantized=h_fsq,
-        h_residual=h_res,
-        h_final=h_final,
+        h_residual=narrow(h_res, 0, i, 1),
+        h_final=narrow(h_final, 0, i, 1),
         stop_logit=float(logit.data[0, 0]),
     )

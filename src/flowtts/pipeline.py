@@ -34,13 +34,8 @@ from .flowmatch import sample_patch, velocity_batch
 from .model import (
     ModelConfig,
     ModelState,
-    embedding_lookup,
-    encode_patches,
-    fsq_quantize,
-    narrow,
+    conditioning,
     param_layout,
-    residual_hiddens,
-    semantic_hiddens,
     step_hiddens,
     stop_logits,
 )
@@ -80,12 +75,12 @@ GOLDEN_FRACTION = 0.6180339887498949  # spreads speaker phases over the offset r
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization settings; the stop-loss weight comes from ModelConfig."""
+    """Optimization settings; the stop-loss weight and the guidance-dropout
+    probability come from ModelConfig."""
 
     learning_rate: float = 3e-4
     train_steps: int = 3000
     batch_size: int = 8
-    cfg_drop_prob: float = 0.1
     seed: int = 0
     prompt_min_tokens: int = 2
     prompt_max_tokens: int = 6
@@ -96,8 +91,6 @@ class TrainConfig:
             raise ValueError("TrainConfig.learning_rate must be positive")
         if self.train_steps < 0 or self.batch_size < 1:
             raise ValueError("TrainConfig: train_steps must be >= 0 and batch_size >= 1")
-        if not 0.0 <= self.cfg_drop_prob <= 1.0:
-            raise ValueError("TrainConfig.cfg_drop_prob must lie in [0, 1]")
         if not 1 <= self.prompt_min_tokens <= self.prompt_max_tokens:
             raise ValueError("TrainConfig: need 1 <= prompt_min_tokens <= prompt_max_tokens")
 
@@ -216,41 +209,21 @@ def draw_conditioning_enabled(rngs: RngHub, drop_prob: float) -> bool:
 
 
 def _teacher_forced_hiddens(state: ModelState, example: TrainingExample):
-    """Per-step conditioning tensors for all patch positions in one causal pass.
-
-    Equivalent to running step_hiddens at each position with the ground-truth
-    history (teacher forcing), but with a single pass through each stack.
-    """
-    cfg = state.config
-    patches = np.asarray(example.patches, dtype=state.dtype)
-    n = patches.shape[0]
-    n_text = len(example.text_tokens)
-
-    embeddings = encode_patches(state, patches)
-    hiddens = semantic_hiddens(state, example.text_tokens, embeddings)
-    pred_rows = n_text - 1 + np.arange(n)
-    pred = embedding_lookup(hiddens, pred_rows)
-    quantized = fsq_quantize(pred, cfg.fsq_delta, cfg.fsq_bound)
-
-    text_h = narrow(hiddens, 0, 0, n_text)
-    resid_all = residual_hiddens(state, text_h,
-                                 narrow(quantized, 0, 0, n - 1),
-                                 narrow(embeddings, 0, 0, n - 1))
-    h_res = embedding_lookup(resid_all, pred_rows)
-    h_final = add(quantized, h_res)
+    """(h_final, quantized) for every patch position of ``example``, each
+    conditioned on the ground-truth patches before it (teacher forcing)."""
+    h_final, quantized, _ = conditioning(state, example.text_tokens, example.patches[:-1])
     return h_final, quantized
 
 
 def total_loss(example: TrainingExample, state: ModelState, rngs: RngHub,
-               drop_prob: float | None = None,
                velocity_fn: Callable | None = None,
                stop_logits_fn: Callable | None = None) -> tuple[Tensor, LossParts]:
     """Joint objective for one example: flow-matching loss averaged over patch
     positions (independent t and eps per position) plus the weighted stop loss.
 
-    Conditioning is dropped for the whole sequence with probability
-    ``drop_prob`` (default: the model's cfg_drop_prob); the dropped branch
-    trains the null embedding used for guidance at inference.
+    Conditioning is dropped for the whole sequence with the model's
+    cfg_drop_prob; the dropped branch trains the null embedding used for
+    guidance at inference.
 
     ``velocity_fn(z_t, t_values, cond, z_prev) -> Tensor`` and
     ``stop_logits_fn(h_fsq) -> Tensor`` substitute the velocity net or the
@@ -258,8 +231,6 @@ def total_loss(example: TrainingExample, state: ModelState, rngs: RngHub,
     """
     cfg = state.config
     dtype = state.dtype
-    if drop_prob is None:
-        drop_prob = cfg.cfg_drop_prob
 
     h_final, quantized = _teacher_forced_hiddens(state, example)
     logits = (stop_logits_fn or (lambda q: stop_logits(state, q)))(quantized)
@@ -270,7 +241,7 @@ def total_loss(example: TrainingExample, state: ModelState, rngs: RngHub,
     z_prev = np.vstack([np.zeros((1, cfg.d_patch), dtype=dtype), z0[:-1]])
     t_values = rngs.stream("t").uniform(size=n)
     eps = rngs.stream("eps").standard_normal((n, cfg.d_patch)).astype(dtype)
-    cond_enabled = draw_conditioning_enabled(rngs, drop_prob)
+    cond_enabled = draw_conditioning_enabled(rngs, cfg.cfg_drop_prob)
 
     z_t = ((1.0 - t_values)[:, None] * z0 + t_values[:, None] * eps).astype(dtype)
     target = eps - z0
@@ -356,7 +327,7 @@ def train(config: TrainConfig, spec: SyntheticSpec,
         with record() as tape:
             acc = None
             for example in examples:
-                loss, parts = total_loss(example, state, rngs, drop_prob=config.cfg_drop_prob)
+                loss, parts = total_loss(example, state, rngs)
                 fm_sum += parts.fm
                 stop_sum += parts.stop
                 acc = loss if acc is None else add(acc, loss)
@@ -377,10 +348,6 @@ def train(config: TrainConfig, spec: SyntheticSpec,
 # Synthesis and timing
 # --------------------------------------------------------------------------
 
-def _sigmoid(x: float) -> float:
-    return 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
-
-
 def synthesize(state: ModelState, text_tokens, reference_patches=(),
                cfg_scale: float = 2.5, steps: int = 10,
                rng: np.random.Generator | None = None,
@@ -388,8 +355,9 @@ def synthesize(state: ModelState, text_tokens, reference_patches=(),
     """Autoregressive patch generation with stop detection.
 
     Reference patches seed the history (voice-cloning context) but are never
-    part of the output.  Generation ends when the stop probability exceeds
-    0.5 or the history reaches the patch cap; at least one patch is produced.
+    part of the output.  Generation ends when the stop logit is positive
+    (stop probability above one half) or the history reaches the patch cap;
+    at least one patch is produced.
     """
     cfg = state.config
     tokens = tuple(int(t) for t in np.atleast_1d(np.asarray(text_tokens, dtype=np.int64)))
@@ -420,7 +388,7 @@ def synthesize(state: ModelState, text_tokens, reference_patches=(),
                              cfg_scale=cfg_scale, rng=rng)
         history.append(patch)
         generated.append(patch)
-        if _sigmoid(hiddens.stop_logit) > 0.5:
+        if hiddens.stop_logit > 0.0:
             break
         if len(history) >= cap or len(generated) >= cap:
             break
@@ -538,6 +506,8 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> ModelSt
 
     With ``expected_config`` given, every tensor must match the shape that
     config implies; mismatches raise CheckpointShapeError naming the tensor.
+    Every config field stored in the file must then equal the expected one
+    as f32; the first that differs raises CheckpointError naming it.
     """
     with open(path, "rb") as fh:
         reader = _Reader(fh.read(), CheckpointTruncatedError)
@@ -590,6 +560,11 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> ModelSt
     extra = set(tensors) - set(expected_shapes)
     if extra:
         raise CheckpointShapeError(f"unexpected tensors in checkpoint: {sorted(extra)}")
+    for name, value in _config_entries(reference):
+        if raw[name] != value:
+            key = name[len(_CONFIG_PREFIX):]
+            raise CheckpointError(f"config field {key!r}: checkpoint has {getattr(config, key)}, "
+                                  f"expected_config has {getattr(reference, key)}")
 
     dtype = active_dtype()
     params = {name: parameter(tensors[name].astype(dtype), dtype=dtype)

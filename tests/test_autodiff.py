@@ -3,6 +3,7 @@ finite differences (float64), determinism, and record (tape) semantics."""
 
 import math
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -282,7 +283,7 @@ def _attention_of_thirds(x):
 
 
 def _shapes_for(name: str):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     if name == "matmul":
         return [(int(rng.integers(1, 8)), int(rng.integers(1, 8))) for _ in range(3)]
     if name == "attention":
@@ -302,7 +303,7 @@ def _shapes_for(name: str):
 def test_primitive_gradient_soundness(name):
     if name not in PRIMITIVE_CASES:
         pytest.fail(f"no gradient-soundness case for registered primitive {name!r}")
-    rng = np.random.default_rng(abs(hash("grad" + name)) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(("grad" + name).encode()))
     with precision("float64"):
         for shape in _shapes_for(name):
             x = parameter(rng.standard_normal(shape))

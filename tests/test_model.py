@@ -14,6 +14,7 @@ from flowtts.autodiff import (
     constant,
     grad_check,
     mul,
+    narrow,
     parameter,
     precision,
     record,
@@ -22,11 +23,11 @@ from flowtts.autodiff import (
 )
 from flowtts.model import (
     ModelConfig,
+    conditioning,
     encode_patches,
     fsq_quantize,
     init_model_state,
-    residual_forward,
-    semantic_forward,
+    residual_hiddens,
     semantic_hiddens,
     step_hiddens,
     stop_logits,
@@ -92,15 +93,18 @@ def test_encode_wrong_patch_length():
 
 def test_semantic_requires_text():
     with pytest.raises(ValueError):
-        semantic_forward(STATE, [], encode_patches(STATE, np.zeros((0, CFG.d_patch))))
+        semantic_hiddens(STATE, [], encode_patches(STATE, np.zeros((0, CFG.d_patch))))
 
 
 def test_semantic_first_patch_prediction_from_text_alone():
     empty = encode_patches(STATE, np.zeros((0, CFG.d_patch)))
-    text_h, h_next = semantic_forward(STATE, [1, 2, 3], empty)
+    text_h = semantic_hiddens(STATE, [1, 2, 3], empty)
     assert text_h.data.shape == (3, CFG.d_model)
-    assert h_next.data.shape == (1, CFG.d_model)
-    np.testing.assert_array_equal(h_next.data[0], text_h.data[-1])
+    # The last text row is the prediction hidden for patch 0.
+    _, quantized, _ = conditioning(STATE, [1, 2, 3], np.zeros((0, CFG.d_patch)))
+    assert quantized.data.shape == (1, CFG.d_model)
+    expected = fsq_quantize(narrow(text_h, 0, 2, 1), CFG.fsq_delta, CFG.fsq_bound)
+    np.testing.assert_array_equal(quantized.data, expected.data)
 
 
 def test_semantic_causality_appending_acoustic_leaves_text_hiddens():
@@ -135,7 +139,7 @@ def test_semantic_bitwise_stable():
 def test_semantic_rejects_bad_tokens():
     empty = encode_patches(STATE, np.zeros((0, CFG.d_patch)))
     with pytest.raises(ValueError):
-        semantic_forward(STATE, [CFG.vocab_size], empty)
+        semantic_hiddens(STATE, [CFG.vocab_size], empty)
 
 
 # --------------------------------------------------------------------------
@@ -225,7 +229,7 @@ def test_fsq_straight_through_gradient():
 
 def _text_hiddens(tokens, patches):
     emb = encode_patches(STATE, patches)
-    text_h, _ = semantic_forward(STATE, tokens, emb)
+    text_h = narrow(semantic_hiddens(STATE, tokens, emb), 0, 0, len(tokens))
     return text_h, emb
 
 
@@ -233,8 +237,11 @@ def test_residual_empty_history():
     text_h, _ = _text_hiddens([3, 1], np.zeros((0, CFG.d_patch)))
     empty = encode_patches(STATE, np.zeros((0, CFG.d_patch)))
     empty_fsq = fsq_quantize(empty, CFG.fsq_delta, CFG.fsq_bound)
-    out = residual_forward(STATE, text_h, empty_fsq, empty)
-    assert out.data.shape == (1, CFG.d_model)
+    out = residual_hiddens(STATE, text_h, empty_fsq, empty)
+    assert out.data.shape == (2, CFG.d_model)
+    # The last text row is the residual hidden for step 0.
+    _, _, h_res = conditioning(STATE, [3, 1], np.zeros((0, CFG.d_patch)))
+    np.testing.assert_array_equal(h_res.data, out.data[-1:])
 
 
 def test_residual_history_length_mismatch():
@@ -242,7 +249,7 @@ def test_residual_history_length_mismatch():
     fsq_hist = fsq_quantize(emb, CFG.fsq_delta, CFG.fsq_bound)
     short = encode_patches(STATE, RNG.standard_normal((1, CFG.d_patch)))
     with pytest.raises(ShapeError):
-        residual_forward(STATE, text_h, fsq_hist, short)
+        residual_hiddens(STATE, text_h, fsq_hist, short)
 
 
 def test_residual_causality_at_final_position():

@@ -11,6 +11,7 @@ from flowtts.autodiff import RngHub, ShapeError, constant, record, rng_stream, z
 from flowtts.model import ModelConfig, init_model_state, step_hiddens
 import flowtts.pipeline as pipeline
 from flowtts.pipeline import (
+    CheckpointError,
     CheckpointMagicError,
     CheckpointShapeError,
     CheckpointTruncatedError,
@@ -219,6 +220,20 @@ def test_default_training_step_records_at_most_1500_tape_entries(monkeypatch):
     assert lengths[0] <= 1500
 
 
+def test_train_drops_conditioning_at_model_cfg_drop_prob(monkeypatch):
+    seen = []
+    real_draw = pipeline.draw_conditioning_enabled
+
+    def recording_draw(rngs, drop_prob):
+        seen.append(drop_prob)
+        return real_draw(rngs, drop_prob)
+
+    monkeypatch.setattr(pipeline, "draw_conditioning_enabled", recording_draw)
+    cfg = ModelConfig(**{**CFG.__dict__, "cfg_drop_prob": 0.3})
+    train(TrainConfig(train_steps=1, batch_size=2), SPEC, init_model_state(cfg, seed=0))
+    assert seen and set(seen) == {0.3}
+
+
 def test_dead_parameter_scan_small_model():
     # Every parameter must receive a nonzero gradient on some batch,
     # including the semantic stack behind the quantizer (straight-through).
@@ -274,6 +289,15 @@ def test_synthesize_forced_stop_gives_exactly_one_patch():
     state = init_model_state(CFG, seed=6)
     state.params["stop.w"].data[:] = 0.0
     state.params["stop.b"].data[:] = 1e9
+    out = synthesize(state, [1, 2, 3], rng=rng_stream(0, "synth"))
+    assert out.shape[0] == 1
+
+
+def test_synthesize_stops_on_any_positive_stop_logit():
+    # A float64 sigmoid of a logit in (0, ~1.1e-16] rounds to exactly 0.5.
+    state = init_model_state(CFG, seed=6)
+    state.params["stop.w"].data[:] = 0.0
+    state.params["stop.b"].data[:] = 1e-20
     out = synthesize(state, [1, 2, 3], rng=rng_stream(0, "synth"))
     assert out.shape[0] == 1
 
@@ -385,6 +409,23 @@ def test_checkpoint_shape_mismatch_names_tensor(tmp_path):
     other = ModelConfig(**{**CFG.__dict__, "d_model": 32})
     with pytest.raises(CheckpointShapeError, match="enc.w1"):
         load_checkpoint(path, expected_config=other)
+
+
+def test_checkpoint_config_mismatch_names_field(tmp_path):
+    path = tmp_path / "model.ckpt"
+    trained = ModelConfig(**{**CFG.__dict__, "fsq_delta": 0.25, "fsq_bound": 2})
+    save_checkpoint(init_model_state(trained, seed=1), path)
+    with pytest.raises(CheckpointError, match="fsq_delta") as err:
+        load_checkpoint(path, expected_config=CFG)
+    assert not isinstance(err.value, CheckpointShapeError)
+
+
+def test_checkpoint_loads_with_its_own_default_config(tmp_path):
+    # lambda_stop 0.1 is stored as the f32 0.10000000149...; that must match.
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_model_state(ModelConfig(), seed=1), path)
+    loaded = load_checkpoint(path, expected_config=ModelConfig())
+    assert loaded.config == ModelConfig()
 
 
 def test_latents_round_trip_and_errors(tmp_path):
