@@ -36,7 +36,6 @@ from .evaluation import (
     score_pair,
 )
 from .flowmatch import (
-    DiffusionSample,
     cfg_combine,
     fm_loss,
     noise,

@@ -42,7 +42,6 @@ __all__ = [
     "primitive_forward_set",
     "matmul",
     "add",
-    "sub",
     "mul",
     "gelu",
     "layer_norm",
@@ -263,23 +262,6 @@ def add(a: Tensor, b) -> Tensor:
     def adjoint(g: np.ndarray) -> None:
         _accumulate(a, _unbroadcast(g, a.data.shape))
         _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    push_op(out, adjoint)
-    return out
-
-
-def sub(a: Tensor, b) -> Tensor:
-    a = _wrap(a)
-    b = _wrap(b, a)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
-    out = _from_array(data, a.requires_grad or b.requires_grad)
-
-    def adjoint(g: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
 
     push_op(out, adjoint)
     return out
@@ -607,7 +589,6 @@ def primitive_forward_set() -> dict[str, Callable]:
         "sigmoid": sigmoid,
         "bce_with_logits": bce_with_logits,
         # Extras used by the model; held to the same gradient contract.
-        "sub": sub,
         "attention": attention,
         "repeat_rows": repeat_rows,
         "tile_rows": tile_rows,

@@ -20,7 +20,6 @@ import dataclasses
 import logging
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -34,6 +33,8 @@ from .evaluation import (
     read_embedding,
     read_votes_csv,
 )
+from .fileio import write_atomic
+from .flowmatch import DEFAULT_CFG_SCALE, DEFAULT_STEPS
 from .model import ModelConfig, init_model_state
 from .pipeline import (
     CheckpointError,
@@ -74,20 +75,6 @@ class MalformedRowError(Exception):
 
 class EmptyTokenList(Exception):
     """A subcommand received no token ids."""
-
-
-def _atomic_write(path: str, write_fn) -> None:
-    # Write to a temp sibling, rename on success; never leave partial output.
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
-    os.close(fd)
-    try:
-        write_fn(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(ModelConfig)}
@@ -188,8 +175,8 @@ def cmd_train(args) -> int:
         logger.error("training aborted: %s", exc)
         return EXIT_MODEL
 
-    _atomic_write(args.out_checkpoint, lambda tmp: save_checkpoint(state, tmp))
-    _atomic_write(args.loss_csv, lambda tmp: write_loss_csv(tmp, history))
+    save_checkpoint(state, args.out_checkpoint)
+    write_loss_csv(args.loss_csv, history)
     if history:
         first = history[: min(100, len(history))]
         last = history[-min(100, len(history)):]
@@ -221,7 +208,7 @@ def cmd_synth(args) -> int:
     rng = rng_stream(seed, "synth")
     patches = synthesize(state, tokens, references, cfg_scale=args.cfg,
                          steps=args.steps, rng=rng, max_patches=args.max_patches)
-    _atomic_write(args.out, lambda tmp: write_latents(tmp, patches, config.frame_ms))
+    write_latents(args.out, patches, config.frame_ms)
     seconds = patches.shape[0] * config.frame_ms / 1000.0
     print(f"patches={patches.shape[0]} seconds={seconds:.3f}")
     return EXIT_OK
@@ -318,10 +305,7 @@ def cmd_eval_tally(args) -> int:
 def _emit(path: str | None, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
     if path:
-        def write(tmp):
-            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        _atomic_write(path, write)
+        write_atomic(path, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
 
@@ -350,8 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--checkpoint", required=True)
     p_synth.add_argument("--tokens", required=True, help="comma-separated integer token ids")
     p_synth.add_argument("--ref-latents", help="JLAT file with voice-cloning reference patches")
-    p_synth.add_argument("--cfg", type=float, default=2.5, help="guidance scale (default 2.5)")
-    p_synth.add_argument("--steps", type=int, default=10, help="sampler steps (default 10)")
+    p_synth.add_argument("--cfg", type=float, default=DEFAULT_CFG_SCALE,
+                         help=f"guidance scale (default {DEFAULT_CFG_SCALE:g})")
+    p_synth.add_argument("--steps", type=int, default=DEFAULT_STEPS,
+                         help=f"sampler steps (default {DEFAULT_STEPS})")
     p_synth.add_argument("--max-patches", type=int, help="override generation cap")
     p_synth.add_argument("--out", required=True, help="output JLAT path")
     p_synth.add_argument("--seed", type=int)
@@ -376,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rtf.add_argument("--wall-seconds", type=float, help="known wall-clock synthesis seconds")
     p_rtf.add_argument("--checkpoint", help="measure live: checkpoint to synthesize with")
     p_rtf.add_argument("--tokens", help="measure live: comma-separated token ids")
-    p_rtf.add_argument("--cfg", type=float, default=2.5)
-    p_rtf.add_argument("--steps", type=int, default=10)
+    p_rtf.add_argument("--cfg", type=float, default=DEFAULT_CFG_SCALE)
+    p_rtf.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     p_rtf.add_argument("--seed", type=int)
     p_rtf.set_defaults(fn=cmd_eval_rtf)
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import write_atomic
 from .thai_text import NormalizationConfig, normalize
 
 __all__ = [
@@ -202,10 +203,7 @@ class EmbeddingFileError(Exception):
 def write_embedding(path, vector) -> None:
     """Write an embedding: magic "JEMB", dim u32 LE, f32 LE values."""
     arr = np.asarray(vector, dtype="<f4").reshape(-1)
-    with open(path, "wb") as fh:
-        fh.write(EMBEDDING_MAGIC)
-        fh.write(struct.pack("<I", arr.size))
-        fh.write(arr.tobytes())
+    write_atomic(path, EMBEDDING_MAGIC + struct.pack("<I", arr.size) + arr.tobytes())
 
 
 def read_embedding(path) -> np.ndarray:

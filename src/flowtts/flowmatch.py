@@ -10,7 +10,7 @@ with uniform Euler steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -34,11 +34,12 @@ from .model import (
 )
 
 __all__ = [
+    "DEFAULT_STEPS",
+    "DEFAULT_CFG_SCALE",
     "alpha",
     "sigma",
     "noise",
     "target_velocity",
-    "DiffusionSample",
     "timestep_embedding",
     "velocity",
     "velocity_batch",
@@ -48,6 +49,8 @@ __all__ = [
 ]
 
 TIME_SCALE = 1000.0  # t is in [0, 1]; scaling spreads the sinusoid frequencies
+DEFAULT_STEPS = 10  # Euler steps per patch at inference
+DEFAULT_CFG_SCALE = 2.5  # classifier-free guidance scale at inference
 
 
 def alpha(t: float) -> float:
@@ -60,20 +63,28 @@ def sigma(t: float) -> float:
     return t
 
 
-def _check_t(t: float) -> float:
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
+def _check_t(t) -> np.ndarray:
+    """``t`` as float64 (a scalar or an array of times), each in [0, 1]."""
+    t = np.asarray(t, dtype=np.float64)
+    if not all(0.0 <= x <= 1.0 for x in t.ravel().tolist()):  # false for NaN too
         raise ValueError(f"t must lie in [0, 1], got {t}")
     return t
 
 
-def noise(z0: np.ndarray, t: float, eps: np.ndarray) -> np.ndarray:
-    """Interpolate z_t = alpha(t) * z0 + sigma(t) * eps."""
+def noise(z0: np.ndarray, t, eps: np.ndarray) -> np.ndarray:
+    """Interpolate z_t = alpha(t) * z0 + sigma(t) * eps.
+
+    ``t`` is one time, or one time per row of (n, d) ``z0`` and ``eps``.
+    """
     t = _check_t(t)
     z0 = np.asarray(z0)
     eps = np.asarray(eps)
     if z0.shape != eps.shape:
         raise ShapeError(f"noise: shapes {z0.shape} and {eps.shape} differ")
+    if t.ndim:
+        if z0.ndim != 2 or t.shape != (z0.shape[0],):
+            raise ShapeError(f"noise: {t.shape} times for rows of shape {z0.shape}")
+        t = t[:, None]
     return alpha(t) * z0 + sigma(t) * eps
 
 
@@ -84,21 +95,6 @@ def target_velocity(z0: np.ndarray, eps: np.ndarray) -> np.ndarray:
     if z0.shape != eps.shape:
         raise ShapeError(f"target_velocity: shapes {z0.shape} and {eps.shape} differ")
     return eps - z0
-
-
-@dataclass(frozen=True)
-class DiffusionSample:
-    """One realized interpolation point: (z0, t, eps) with z_t derived."""
-
-    z0: np.ndarray
-    t: float
-    eps: np.ndarray
-    z_t: np.ndarray
-
-    @classmethod
-    def draw(cls, z0: np.ndarray, t: float, eps: np.ndarray) -> "DiffusionSample":
-        return cls(z0=np.asarray(z0), t=float(t), eps=np.asarray(eps),
-                   z_t=noise(z0, t, eps))
 
 
 def timestep_embedding(t_values: np.ndarray, dim: int, dtype) -> np.ndarray:
@@ -132,11 +128,9 @@ def velocity_batch(state: ModelState, z_t: np.ndarray, t_values: np.ndarray,
     if z_prev.shape != z_t.shape:
         raise ShapeError(f"velocity: z_prev shape {z_prev.shape} != z_t shape {z_t.shape}")
     n = z_t.shape[0]
-    t_values = np.atleast_1d(np.asarray(t_values, dtype=np.float64))
+    t_values = np.atleast_1d(_check_t(t_values))
     if t_values.shape != (n,):
         raise ShapeError(f"velocity: expected {n} time values, got shape {t_values.shape}")
-    for t in t_values:
-        _check_t(t)
 
     interleaved = np.empty((2 * n, cfg.d_patch), dtype=dtype)
     interleaved[0::2] = z_prev
@@ -159,51 +153,58 @@ def velocity_batch(state: ModelState, z_t: np.ndarray, t_values: np.ndarray,
     return linear(at_z, state["vel.out.w"], state["vel.out.b"])
 
 
-def velocity(state: ModelState, z_t: np.ndarray, t: float, h_final,
+def velocity(state: ModelState, z_t: np.ndarray, t, h_final,
              z_prev: np.ndarray, cond_enabled: bool) -> Tensor:
-    """Single-pair velocity prediction; returns a (1, d_patch) tensor.
+    """Velocity predictions for one pair or for n pairs; a (n, d_patch) tensor.
 
-    With ``cond_enabled`` false the learned null embedding replaces
+    ``z_t`` and ``z_prev`` are one patch or (n, d_patch) rows, ``t`` one time
+    or n times, and ``h_final`` one conditioning row or n of them (array or
+    tensor).  With ``cond_enabled`` false the learned null embedding replaces
     ``h_final``, so the output is invariant to its value.
+
+    ``partial(velocity, state)`` is the model's ``velocity_fn`` hook, which
+    ``fm_loss``, ``pipeline.total_loss`` and ``sample_patch`` accept.
     """
-    cfg = state.config
-    z_t = np.asarray(z_t, dtype=state.dtype).reshape(1, -1)
-    z_prev = np.asarray(z_prev, dtype=state.dtype).reshape(1, -1)
-    if cond_enabled:
-        if isinstance(h_final, Tensor):
-            cond = h_final if h_final.data.ndim == 2 else None
-            if cond is None:
-                raise ShapeError(f"velocity: h_final must be a (1, {cfg.d_model}) row")
-        else:
-            cond = constant(np.asarray(h_final, dtype=state.dtype).reshape(1, -1),
-                            dtype=state.dtype)
-    else:
+    dtype = state.dtype
+    if not cond_enabled:
         cond = None
-    return velocity_batch(state, z_t, np.array([_check_t(t)]), cond, z_prev)
+    elif isinstance(h_final, Tensor):
+        cond = h_final
+    else:
+        cond = constant(_as_rows(h_final, dtype), dtype=dtype)
+    return velocity_batch(state, _as_rows(z_t, dtype), t, cond, _as_rows(z_prev, dtype))
+
+
+def _as_rows(x, dtype) -> np.ndarray:
+    return np.atleast_2d(np.asarray(x, dtype=dtype))
+
+
+def _velocity_hook(state: ModelState, velocity_fn: Callable | None) -> Callable:
+    return velocity_fn or partial(velocity, state)
 
 
 def fm_loss(state: ModelState, z0: np.ndarray, z_prev: np.ndarray, h_final,
-            t: float, eps: np.ndarray, cond_enabled: bool,
+            t, eps: np.ndarray, cond_enabled: bool,
             velocity_fn: Callable | None = None) -> Tensor:
-    """Flow-matching loss for one patch: MSE between the predicted velocity at
+    """Flow-matching loss: MSE between the predicted velocity at
     z_t = alpha(t) z0 + sigma(t) eps and the schedule derivative eps - z0,
-    averaged over the patch coordinates.
+    averaged over every coordinate.
 
-    ``velocity_fn(z_t, t, h_final, z_prev, cond_enabled)`` may replace the
-    model's velocity net; tests use this to substitute exact oracles.
+    ``z0``, ``eps`` and ``z_prev`` are one patch or (n, d_patch) rows with one
+    time per row in ``t``; z_t is formed in float64 and then rounded to the
+    model dtype.  ``velocity_fn(z_t, t, h_final, z_prev, cond_enabled)``
+    replaces the model's velocity net (tests substitute exact oracles).
     """
-    t = _check_t(t)
-    z0 = np.asarray(z0, dtype=state.dtype)
-    eps = np.asarray(eps, dtype=state.dtype)
-    z_t = noise(z0, t, eps)
+    dtype = state.dtype
+    z0 = _as_rows(z0, dtype)
+    eps = _as_rows(eps, dtype)
+    t = np.atleast_1d(_check_t(t))
+    z_t = noise(z0, t, eps).astype(dtype)
     target = target_velocity(z0, eps)
-    if velocity_fn is None:
-        v = velocity(state, z_t, t, h_final, z_prev, cond_enabled)
-    else:
-        v = velocity_fn(z_t, t, h_final, z_prev, cond_enabled)
-        if not isinstance(v, Tensor):
-            v = constant(np.asarray(v, dtype=state.dtype), dtype=state.dtype)
-    return mse(v, constant(target.reshape(v.data.shape), dtype=state.dtype))
+    v = _velocity_hook(state, velocity_fn)(z_t, t, h_final, z_prev, cond_enabled)
+    if not isinstance(v, Tensor):
+        v = constant(np.asarray(v, dtype=dtype), dtype=dtype)
+    return mse(v, constant(target.reshape(v.data.shape), dtype=dtype))
 
 
 def cfg_combine(v_cond: np.ndarray, v_uncond: np.ndarray, scale: float) -> np.ndarray:
@@ -224,8 +225,12 @@ def cfg_combine(v_cond: np.ndarray, v_uncond: np.ndarray, scale: float) -> np.nd
     return v_uncond + scale * (v_cond - v_uncond)
 
 
-def sample_patch(state: ModelState, h_final, z_prev: np.ndarray, steps: int = 10,
-                 cfg_scale: float = 2.5, rng: np.random.Generator | None = None,
+def _values(v) -> np.ndarray:
+    return v.data if isinstance(v, Tensor) else np.asarray(v)
+
+
+def sample_patch(state: ModelState, h_final, z_prev: np.ndarray, steps: int = DEFAULT_STEPS,
+                 cfg_scale: float = DEFAULT_CFG_SCALE, rng: np.random.Generator | None = None,
                  velocity_fn: Callable | None = None) -> np.ndarray:
     """Decode one patch by Euler integration from t = 1 to t = 0.
 
@@ -239,17 +244,14 @@ def sample_patch(state: ModelState, h_final, z_prev: np.ndarray, steps: int = 10
     cfg = state.config
     if rng is None:
         rng = rng_stream(0, "sample")
+    velocity_fn = _velocity_hook(state, velocity_fn)
     z = rng.standard_normal(cfg.d_patch).astype(state.dtype)
     z_prev = np.asarray(z_prev, dtype=state.dtype).reshape(cfg.d_patch)
     dt = 1.0 / steps
     for k in range(steps):
         t = 1.0 - k * dt
-        if velocity_fn is None:
-            v_cond = velocity(state, z, t, h_final, z_prev, True).data[0]
-            v_uncond = velocity(state, z, t, h_final, z_prev, False).data[0]
-        else:
-            v_cond = np.asarray(velocity_fn(z, t, h_final, z_prev, True)).reshape(cfg.d_patch)
-            v_uncond = np.asarray(velocity_fn(z, t, h_final, z_prev, False)).reshape(cfg.d_patch)
+        v_cond = _values(velocity_fn(z, t, h_final, z_prev, True)).reshape(cfg.d_patch)
+        v_uncond = _values(velocity_fn(z, t, h_final, z_prev, False)).reshape(cfg.d_patch)
         v = cfg_combine(v_cond, v_uncond, cfg_scale)
         z = (z - dt * v).astype(state.dtype, copy=False)
     return z

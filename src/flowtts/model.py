@@ -9,6 +9,7 @@ text and acoustic segments).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +85,10 @@ class ModelConfig:
                 raise ValueError(f"ModelConfig.{name} must be positive")
         if self.d_model % self.n_heads != 0:
             raise ValueError("ModelConfig.d_model must be divisible by n_heads")
-        if self.fsq_delta <= 0:
-            raise ValueError("ModelConfig.fsq_delta must be > 0")
+        if not (math.isfinite(self.fsq_delta) and self.fsq_delta > 0):
+            raise ValueError("ModelConfig.fsq_delta must be finite and > 0")
+        if not (math.isfinite(self.lambda_stop) and self.lambda_stop >= 0):
+            raise ValueError("ModelConfig.lambda_stop must be finite and >= 0")
         if self.fsq_bound < 1:
             raise ValueError("ModelConfig.fsq_bound must be a positive integer")
         if not 0.0 <= self.cfg_drop_prob <= 1.0:

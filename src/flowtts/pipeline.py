@@ -1,7 +1,7 @@
 """End-to-end training and inference: the synthetic latent oracle, the joint
 objective, Adam-smoothed SGD, autoregressive synthesis with stop detection,
 real-time-factor measurement, and binary persistence (checkpoints, latent
-trajectory files, loss CSVs).
+trajectory files, loss CSVs; every writer is atomic).
 """
 
 from __future__ import annotations
@@ -22,18 +22,18 @@ from .autodiff import (
     active_dtype,
     add,
     bce_with_logits,
-    constant,
-    mse,
     mul,
     parameter,
     record,
     rng_stream,
     zero_grads,
 )
-from .flowmatch import sample_patch, velocity_batch
+from .fileio import write_atomic
+from .flowmatch import DEFAULT_CFG_SCALE, DEFAULT_STEPS, fm_loss, sample_patch
 from .model import (
     ModelConfig,
     ModelState,
+    _as_patch_matrix,
     conditioning,
     param_layout,
     step_hiddens,
@@ -225,9 +225,9 @@ def total_loss(example: TrainingExample, state: ModelState, rngs: RngHub,
     cfg_drop_prob; the dropped branch trains the null embedding used for
     guidance at inference.
 
-    ``velocity_fn(z_t, t_values, cond, z_prev) -> Tensor`` and
-    ``stop_logits_fn(h_fsq) -> Tensor`` substitute the velocity net or the
-    stop head; tests use them to plug in exact oracles.
+    ``velocity_fn`` (the hook of ``fm_loss``) and ``stop_logits_fn(h_fsq)``
+    substitute the velocity net or the stop head; tests use them to plug in
+    exact oracles.
     """
     cfg = state.config
     dtype = state.dtype
@@ -243,16 +243,7 @@ def total_loss(example: TrainingExample, state: ModelState, rngs: RngHub,
     eps = rngs.stream("eps").standard_normal((n, cfg.d_patch)).astype(dtype)
     cond_enabled = draw_conditioning_enabled(rngs, cfg.cfg_drop_prob)
 
-    z_t = ((1.0 - t_values)[:, None] * z0 + t_values[:, None] * eps).astype(dtype)
-    target = eps - z0
-    cond = h_final if cond_enabled else None
-    if velocity_fn is None:
-        v = velocity_batch(state, z_t, t_values, cond, z_prev)
-    else:
-        v = velocity_fn(z_t, t_values, cond, z_prev)
-        if not isinstance(v, Tensor):
-            v = constant(np.asarray(v, dtype=dtype), dtype=dtype)
-    l_fm = mse(v, constant(target, dtype=dtype))
+    l_fm = fm_loss(state, z0, z_prev, h_final, t_values, eps, cond_enabled, velocity_fn)
 
     total = add(l_fm, mul(l_stop, cfg.lambda_stop))
     return total, LossParts(fm=l_fm.item(), stop=l_stop.item(), cond_enabled=cond_enabled)
@@ -349,7 +340,7 @@ def train(config: TrainConfig, spec: SyntheticSpec,
 # --------------------------------------------------------------------------
 
 def synthesize(state: ModelState, text_tokens, reference_patches=(),
-               cfg_scale: float = 2.5, steps: int = 10,
+               cfg_scale: float = DEFAULT_CFG_SCALE, steps: int = DEFAULT_STEPS,
                rng: np.random.Generator | None = None,
                max_patches: int | None = None) -> np.ndarray:
     """Autoregressive patch generation with stop detection.
@@ -366,14 +357,7 @@ def synthesize(state: ModelState, text_tokens, reference_patches=(),
     cap = cfg.max_patches if max_patches is None else int(max_patches)
     if not 1 <= cap <= cfg.max_patches:
         raise ValueError(f"synthesize: max_patches must lie in [1, {cfg.max_patches}]")
-    refs = np.asarray(reference_patches, dtype=state.dtype)
-    if refs.size == 0:
-        refs = np.zeros((0, cfg.d_patch), dtype=state.dtype)
-    elif refs.ndim == 1:
-        refs = refs.reshape(1, -1)
-    if refs.ndim != 2 or refs.shape[1] != cfg.d_patch:
-        raise ShapeError(f"synthesize: reference patches must be (n, {cfg.d_patch}), "
-                         f"got shape {np.asarray(reference_patches).shape}")
+    refs = _as_patch_matrix(reference_patches, cfg.d_patch, state.dtype)
     if refs.shape[0] >= cap:
         raise ValueError("synthesize: reference context already fills the patch cap")
     if rng is None:
@@ -491,8 +475,7 @@ def save_checkpoint(state: ModelState, path) -> None:
         for dim in arr.shape:
             out += struct.pack("<Q", dim)
         out += np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(out))
+    write_atomic(path, bytes(out))
 
 
 def _coerce_config_value(field_obj, raw: float):
@@ -581,8 +564,7 @@ def write_latents(path, patches: np.ndarray, frame_ms: int) -> None:
     out += LATENT_MAGIC
     out += struct.pack("<III", arr.shape[1], arr.shape[0], int(frame_ms))
     out += np.ascontiguousarray(arr).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(out))
+    write_atomic(path, bytes(out))
 
 
 def read_latents(path) -> tuple[np.ndarray, int]:
@@ -602,5 +584,4 @@ def read_latents(path) -> tuple[np.ndarray, int]:
 def write_loss_csv(path, history: list[LossRecord]) -> None:
     lines = ["step,total,fm,stop"]
     lines += [f"{r.step},{r.total:.10g},{r.fm:.10g},{r.stop:.10g}" for r in history]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -35,7 +35,6 @@ from flowtts.autodiff import (
     rng_stream,
     sigmoid,
     softmax,
-    sub,
     tensor_sum,
     tile_rows,
 )
@@ -246,7 +245,6 @@ PRIMITIVE_CASES = {
     "matmul": lambda x: _scalarize(matmul(x, constant(_FIXED["mat_b"]))),
     "add": lambda x: _scalarize(add(x, constant(_FIXED["like"]))),
     "mul": lambda x: _scalarize(mul(x, constant(_FIXED["like"]))),
-    "sub": lambda x: _scalarize(sub(x, constant(_FIXED["like"]))),
     "gelu": lambda x: _scalarize(gelu(x)),
     "layer_norm": lambda x: _scalarize(mul(layer_norm(x), constant(_FIXED["like"]))),
     "softmax": lambda x: _scalarize(mul(softmax(x), constant(_FIXED["like"]))),

@@ -15,11 +15,13 @@ from flowtts.cli import (
     EXIT_MODEL,
     EXIT_OK,
     build_configs,
+    build_parser,
     main,
     parse_config_file,
 )
 from flowtts.cli import ConfigError
 from flowtts.evaluation import write_embedding
+from flowtts.flowmatch import DEFAULT_CFG_SCALE, DEFAULT_STEPS
 from flowtts.model import ModelConfig, init_model_state
 from flowtts.pipeline import load_checkpoint, read_latents, save_checkpoint
 
@@ -92,6 +94,15 @@ def test_train_zero_steps_writes_initialized_state(tmp_path, tiny_config_path, c
         np.testing.assert_array_equal(p.data, loaded[name].data)
 
 
+def test_train_nan_fsq_delta_is_config_error(tmp_path):
+    config = tmp_path / "nan.cfg"
+    config.write_text(TINY_CONFIG + "fsq_delta=nan\n", encoding="utf-8")
+    code = main(["train", "--config", str(config), "--out-checkpoint", str(tmp_path / "m.ckpt"),
+                 "--loss-csv", str(tmp_path / "loss.csv")])
+    assert code == EXIT_IO
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_train_same_seed_identical_loss_csv(tmp_path, tiny_config_path):
     outputs = []
     for tag in ("a", "b"):
@@ -141,6 +152,14 @@ def test_synth_fixed_seed_byte_identical(tmp_path, tiny_checkpoint, capsys):
     assert blobs[0] == blobs[1]
     stdout = capsys.readouterr().out
     assert "patches=" in stdout and "seconds=" in stdout
+
+
+def test_sampler_flag_defaults_are_the_library_defaults():
+    parser = build_parser()
+    for argv in (["synth", "--checkpoint", "c", "--tokens", "1", "--out", "o"],
+                 ["eval", "rtf"]):
+        args = parser.parse_args(argv)
+        assert (args.cfg, args.steps) == (DEFAULT_CFG_SCALE, DEFAULT_STEPS)
 
 
 def test_synth_header_echoes_defaults(tmp_path, tiny_checkpoint, capsys):

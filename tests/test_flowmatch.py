@@ -6,7 +6,7 @@ import inspect
 import numpy as np
 import pytest
 
-from flowtts.autodiff import constant, grad_check, precision
+from flowtts.autodiff import ShapeError, constant, grad_check, parameter, precision
 from flowtts.flowmatch import (
     alpha,
     cfg_combine,
@@ -56,13 +56,17 @@ def test_noise_rejects_t_out_of_range():
         noise(z, 1.1, z)
 
 
-def test_diffusion_sample_invariant():
-    from flowtts.flowmatch import DiffusionSample
-    z0 = RNG.standard_normal(5)
-    eps = RNG.standard_normal(5)
-    sample = DiffusionSample.draw(z0, 0.3, eps)
-    np.testing.assert_array_equal(sample.z_t, 0.7 * z0 + 0.3 * eps)
-    assert sample.t == 0.3
+def test_noise_one_time_per_row():
+    z0 = RNG.standard_normal((3, 4))
+    eps = RNG.standard_normal((3, 4))
+    t = np.array([0.0, 0.25, 1.0])
+    out = noise(z0, t, eps)
+    for i in range(3):
+        np.testing.assert_array_equal(out[i], (1.0 - t[i]) * z0[i] + t[i] * eps[i])
+    with pytest.raises(ValueError):
+        noise(z0, np.array([0.1, 1.5, 0.2]), eps)
+    with pytest.raises(ShapeError):
+        noise(z0, t[:2], eps)
 
 
 def test_target_velocity():
@@ -183,6 +187,40 @@ def test_fm_loss_gradients_match_finite_differences():
         for name in ("vel.in.w", "vel.out.w", "vel.l0.attn.wq", "vel.l1.mlp.w1",
                      "vel.pos", "vel.out.b", "vel.l0.ln1.g"):
             assert grad_check(loss_fn, state[name]) <= 1e-4, name
+
+
+def test_fm_loss_batched_is_mean_of_single_patch_losses():
+    n = 3
+    z0 = RNG.standard_normal((n, CFG.d_patch))
+    eps = RNG.standard_normal((n, CFG.d_patch))
+    z_prev = RNG.standard_normal((n, CFG.d_patch))
+    h = RNG.standard_normal((n, CFG.d_model))
+    t = np.array([0.15, 0.5, 0.85])
+    for cond_enabled in (True, False):
+        batched = fm_loss(STATE, z0, z_prev, h, t, eps, cond_enabled).item()
+        singles = [fm_loss(STATE, z0[i], z_prev[i], h[i], t[i], eps[i], cond_enabled).item()
+                   for i in range(n)]
+        assert batched == pytest.approx(np.mean(singles), rel=1e-6)
+
+
+def test_fm_loss_batched_gradients_match_finite_differences():
+    with precision("float64"):
+        state = init_model_state(ModelConfig(
+            d_model=8, n_layers_semantic=1, n_layers_residual=1, n_heads=2,
+            d_patch=3, vocab_size=8, max_patches=8, max_text_len=8), seed=8)
+        rng = np.random.default_rng(33)
+        for name, p in state.parameters():
+            if name.startswith("vel.") and p.data.ndim == 2:
+                p.data *= 25.0
+        z0, eps, z_prev = (rng.standard_normal((3, 3)) for _ in range(3))
+        h = parameter(rng.standard_normal((3, 8)))
+        t = np.array([0.1, 0.55, 0.9])
+
+        def loss_fn(_):
+            return fm_loss(state, z0, z_prev, h, t, eps, True)
+
+        assert grad_check(loss_fn, state["vel.pos"]) <= 1e-4
+        assert grad_check(loss_fn, h) <= 1e-4
 
 
 def test_fm_loss_null_branch_gradient_reaches_null_embedding():

@@ -50,6 +50,11 @@ def test_config_validation():
         ModelConfig(fsq_delta=0.0)
     with pytest.raises(ValueError):
         ModelConfig(cfg_drop_prob=1.5)
+    for field, value in (("fsq_delta", math.nan), ("fsq_delta", math.inf),
+                         ("lambda_stop", math.nan), ("lambda_stop", math.inf),
+                         ("lambda_stop", -0.1)):
+        with pytest.raises(ValueError, match=field):
+            ModelConfig(**{field: value})
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@ synthesis termination, RTF arithmetic, and binary persistence."""
 
 import contextlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -125,7 +126,7 @@ def test_total_loss_oracle_velocity_and_perfect_stop_head():
     z0 = example.patches.astype(dtype)
     hub = RngHub(123)
 
-    def oracle_velocity(z_t, t_values, cond, z_prev):
+    def oracle_velocity(z_t, t_values, h_final, z_prev, cond_enabled):
         # Reconstruct the target from the same draws total_loss made.
         eps = (z_t - (1.0 - t_values)[:, None] * z0)
         # z_t = (1-t) z0 + t eps  =>  eps = (z_t - (1-t) z0) / t
@@ -315,6 +316,11 @@ def test_synthesize_excludes_reference_patches():
     assert out.shape[0] <= 8 - refs.shape[0] or out.shape[0] <= 8
 
 
+def test_synthesize_rejects_reference_of_wrong_width():
+    with pytest.raises(ShapeError):
+        synthesize(STATE, [4, 5], np.zeros((2, CFG.d_patch + 1)), rng=rng_stream(1, "synth"))
+
+
 def test_synthesize_seed_reproducible():
     a = synthesize(STATE, [1, 2], rng=rng_stream(3, "synth"), max_patches=6)
     b = synthesize(STATE, [1, 2], rng=rng_stream(3, "synth"), max_patches=6)
@@ -372,6 +378,20 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     path2 = tmp_path / "model2.ckpt"
     save_checkpoint(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_save_checkpoint_failed_rename_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(b"previous checkpoint")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(STATE, path)
+    assert path.read_bytes() == b"previous checkpoint"
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")] == []
 
 
 def test_checkpoint_corrupt_magic(tmp_path):
