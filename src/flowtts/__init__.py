@@ -44,6 +44,7 @@ from .flowmatch import (
     velocity,
 )
 from .model import (
+    ConditioningCache,
     ModelConfig,
     ModelState,
     StepHiddens,

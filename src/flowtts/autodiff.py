@@ -391,13 +391,15 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
             f"concat: shapes {[p.data.shape for p in parts]} do not align on axis {axis}"
         ) from None
     out = _from_array(data, any(p.requires_grad for p in parts))
-    offsets = np.cumsum([0] + [p.data.shape[axis] for p in parts])
 
     def adjoint(g: np.ndarray) -> None:
-        for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
+        start = 0
+        for p in parts:
+            stop = start + p.data.shape[axis]
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(start, stop)
             _accumulate(p, g[tuple(sl)])
+            start = stop
 
     push_op(out, adjoint)
     return out
@@ -427,42 +429,47 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None, batch: int = 1) -> Tensor:
     """Multi-head scaled dot-product attention over ``batch`` sequences.
 
-    ``q``, ``k`` and ``v`` are (batch * T, d) row blocks holding the
-    sequences one after another; head h owns columns [h * d_h, (h + 1) * d_h)
-    with d_h = d / heads.  Per sequence and head the output is
-    softmax(q k^T * d_h^-1/2 + mask) v, and the heads are concatenated along
-    columns, so the result is (batch * T, d) like the operands.  ``mask`` is
-    an additive (T, T) constant shared by every sequence, or None for
-    bidirectional attention; it receives no gradient.
+    ``q`` is a (batch * Tq, d) row block and ``k``, ``v`` are (batch * Tk, d)
+    row blocks with Tk >= Tq, holding the sequences one after another; the
+    queries are the last Tq of each sequence's Tk positions (Tk > Tq when
+    earlier keys and values come from a cache).  Head h owns columns
+    [h * d_h, (h + 1) * d_h) with d_h = d / heads.  Per sequence and head the
+    output is softmax(q k^T * d_h^-1/2 + mask) v, and the heads are
+    concatenated along columns, so the result is shaped like ``q``.
+    ``mask`` is an additive (Tq, Tk) constant shared by every sequence, or
+    None for unmasked attention; it receives no gradient.
 
     The adjoint is closed-form: with P the attention weights,
     dS = P * (dP - rowsum(dP * P)).
     """
     q, k, v = _wrap(q), _wrap(k, q), _wrap(v, q)
-    shape = q.data.shape
-    if len(shape) != 2 or k.data.shape != shape or v.data.shape != shape:
+    if q.data.ndim != 2 or k.data.shape != v.data.shape or k.data.ndim != 2 \
+            or k.data.shape[1] != q.data.shape[1]:
         raise ShapeError(
-            f"attention: q, k, v must share one rank-2 shape, got "
+            f"attention: q must be (rows, d) and k, v (key rows, d), got "
             f"{q.data.shape}, {k.data.shape}, {v.data.shape}"
         )
-    rows, d = shape
-    if heads < 1 or d % heads or batch < 1 or rows % batch:
+    rows, d = q.data.shape
+    key_rows = k.data.shape[0]
+    if heads < 1 or d % heads or batch < 1 or rows % batch or key_rows % batch \
+            or key_rows // batch < rows // batch:
         raise ShapeError(
-            f"attention: shape {shape} does not split into {batch} sequences of {heads} heads"
+            f"attention: shapes {q.data.shape} and {k.data.shape} do not split into "
+            f"{batch} sequences of {heads} heads with at least as many keys as queries"
         )
-    seq = rows // batch
+    seq, key_seq = rows // batch, key_rows // batch
     dh = d // heads
     mask_data = None if mask is None else _wrap(mask, q).data
-    if mask_data is not None and mask_data.shape != (seq, seq):
-        raise ShapeError(f"attention: mask shape {mask_data.shape}, expected {(seq, seq)}")
+    if mask_data is not None and mask_data.shape != (seq, key_seq):
+        raise ShapeError(f"attention: mask shape {mask_data.shape}, expected {(seq, key_seq)}")
     scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.data.dtype)
 
     def split(x: np.ndarray) -> np.ndarray:
         # (batch * T, d) -> (batch, heads, T, d_h) view
-        return x.reshape(batch, seq, heads, dh).transpose(0, 2, 1, 3)
+        return x.reshape(batch, -1, heads, dh).transpose(0, 2, 1, 3)
 
     def merge(x: np.ndarray) -> np.ndarray:
-        return x.transpose(0, 2, 1, 3).reshape(rows, d)
+        return x.transpose(0, 2, 1, 3).reshape(-1, d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     # Same operation order as softmax(mul(q k^T, scale) + mask) @ v, in place.

@@ -19,6 +19,7 @@ from .autodiff import (
     ShapeError,
     Tensor,
     add,
+    concat,
     constant,
     mse,
     repeat_rows,
@@ -154,25 +155,33 @@ def velocity_batch(state: ModelState, z_t: np.ndarray, t_values: np.ndarray,
 
 
 def velocity(state: ModelState, z_t: np.ndarray, t, h_final,
-             z_prev: np.ndarray, cond_enabled: bool) -> Tensor:
+             z_prev: np.ndarray, cond_enabled) -> Tensor:
     """Velocity predictions for one pair or for n pairs; a (n, d_patch) tensor.
 
     ``z_t`` and ``z_prev`` are one patch or (n, d_patch) rows, ``t`` one time
-    or n times, and ``h_final`` one conditioning row or n of them (array or
-    tensor).  With ``cond_enabled`` false the learned null embedding replaces
-    ``h_final``, so the output is invariant to its value.
+    or n times, and ``h_final`` one conditioning row, which serves every row,
+    or n of them (array or tensor).  ``cond_enabled`` is one flag for all
+    rows or one flag per row; where it is false the learned null embedding
+    replaces ``h_final``, so that row's output is invariant to its value.
 
     ``partial(velocity, state)`` is the model's ``velocity_fn`` hook, which
     ``fm_loss``, ``pipeline.total_loss`` and ``sample_patch`` accept.
     """
     dtype = state.dtype
-    if not cond_enabled:
-        cond = None
-    elif isinstance(h_final, Tensor):
-        cond = h_final
-    else:
-        cond = constant(_as_rows(h_final, dtype), dtype=dtype)
-    return velocity_batch(state, _as_rows(z_t, dtype), t, cond, _as_rows(z_prev, dtype))
+    z_t = _as_rows(z_t, dtype)
+    n = z_t.shape[0]
+    enabled = np.broadcast_to(np.asarray(cond_enabled, dtype=bool), (n,))
+    cond = None
+    if enabled.any():
+        cond = h_final if isinstance(h_final, Tensor) else constant(_as_rows(h_final, dtype),
+                                                                     dtype=dtype)
+        given = cond.data.shape[0]
+        if given in (1, n) and not (given == n and enabled.all()):
+            # Row i reads its own h_final row (or the only one) or the null row.
+            own = np.arange(n) if given == n else np.zeros(n, dtype=np.int64)
+            cond = embedding_lookup(concat([cond, state["vel.null"]], axis=0),
+                                    np.where(enabled, own, given))
+    return velocity_batch(state, z_t, t, cond, _as_rows(z_prev, dtype))
 
 
 def _as_rows(x, dtype) -> np.ndarray:
@@ -236,7 +245,10 @@ def sample_patch(state: ModelState, h_final, z_prev: np.ndarray, steps: int = DE
 
     z starts as a standard-normal draw; each of the ``steps`` uniform steps
     combines the conditional and unconditional velocities with ``cfg_scale``
-    and updates z <- z - v / steps (the velocity is dz/dt).
+    and updates z <- z - v / steps (the velocity is dz/dt).  Both branches
+    come from one ``velocity_fn`` call with rows [cond, uncond]; at scale 1
+    or 0 the call has only the row of the branch that scale reads.  The
+    hook's return broadcasts to (rows, d_patch).
     """
     if int(steps) < 1:
         raise ValueError(f"sample_patch: steps must be >= 1, got {steps}")
@@ -245,13 +257,18 @@ def sample_patch(state: ModelState, h_final, z_prev: np.ndarray, steps: int = DE
     if rng is None:
         rng = rng_stream(0, "sample")
     velocity_fn = _velocity_hook(state, velocity_fn)
+    if cfg_scale == 1.0 or cfg_scale == 0.0:
+        enabled = np.array([cfg_scale == 1.0])
+    else:
+        enabled = np.array([True, False])
+    n = enabled.size
     z = rng.standard_normal(cfg.d_patch).astype(state.dtype)
-    z_prev = np.asarray(z_prev, dtype=state.dtype).reshape(cfg.d_patch)
+    z_prev = np.tile(np.asarray(z_prev, dtype=state.dtype).reshape(1, cfg.d_patch), (n, 1))
     dt = 1.0 / steps
     for k in range(steps):
         t = 1.0 - k * dt
-        v_cond = _values(velocity_fn(z, t, h_final, z_prev, True)).reshape(cfg.d_patch)
-        v_uncond = _values(velocity_fn(z, t, h_final, z_prev, False)).reshape(cfg.d_patch)
-        v = cfg_combine(v_cond, v_uncond, cfg_scale)
+        v = _values(velocity_fn(np.tile(z, (n, 1)), np.full(n, t), h_final, z_prev, enabled))
+        v = np.broadcast_to(v, (n, cfg.d_patch))
+        v = v[0] if n == 1 else cfg_combine(v[0], v[1], cfg_scale)
         z = (z - dt * v).astype(state.dtype, copy=False)
     return z

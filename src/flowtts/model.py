@@ -39,6 +39,7 @@ __all__ = [
     "ModelConfig",
     "ModelState",
     "StepHiddens",
+    "ConditioningCache",
     "VELOCITY_LAYERS",
     "init_model_state",
     "param_layout",
@@ -188,17 +189,18 @@ def init_model_state(config: ModelConfig, seed: int = 0) -> ModelState:
 # Shared transformer machinery
 # --------------------------------------------------------------------------
 
-_MASK_CACHE: dict[tuple[int, str], Tensor] = {}
+_MASK_CACHE: dict[tuple[int, int, str], Tensor] = {}
 
 
-def causal_mask(n: int, dtype=None) -> Tensor:
-    """Additive mask forbidding attention to positions > own."""
+def causal_mask(n: int, dtype=None, past: int = 0) -> Tensor:
+    """Additive (n, past + n) mask forbidding attention to positions > own,
+    for n query rows that follow ``past`` cached key rows."""
     dtype = np.dtype(dtype) if dtype is not None else active_dtype()
-    key = (n, dtype.str)
+    key = (n, past, dtype.str)
     cached = _MASK_CACHE.get(key)
     if cached is None:
-        m = np.zeros((n, n), dtype=dtype)
-        m[np.triu_indices(n, 1)] = MASK_VALUE
+        m = np.zeros((n, past + n), dtype=dtype)
+        m[np.triu_indices(n, past + 1, past + n)] = MASK_VALUE
         cached = constant(m, dtype=dtype)
         _MASK_CACHE[key] = cached
     return cached
@@ -212,26 +214,51 @@ def _ln(state: ModelState, prefix: str, x: Tensor) -> Tensor:
     return add(mul(layer_norm(x), state[f"{prefix}.g"]), state[f"{prefix}.b"])
 
 
-def _attention(state: ModelState, prefix: str, x: Tensor, mask: Tensor | None, batch: int) -> Tensor:
+def _attention(state: ModelState, prefix: str, x: Tensor, mask: Tensor | None, batch: int,
+               past: list | None, layer: int) -> Tensor:
     q = linear(x, state[f"{prefix}.wq"], state[f"{prefix}.bq"])
     k = linear(x, state[f"{prefix}.wk"], state[f"{prefix}.bk"])
     v = linear(x, state[f"{prefix}.wv"], state[f"{prefix}.bv"])
+    if past is not None:
+        if layer < len(past):
+            k_past, v_past = past[layer]
+            k = concat([constant(k_past, dtype=k_past.dtype), k], axis=0)
+            v = concat([constant(v_past, dtype=v_past.dtype), v], axis=0)
+            past[layer] = (k.data, v.data)
+        else:
+            past.append((k.data, v.data))
     merged = attention(q, k, v, state.config.n_heads, mask, batch)
     return linear(merged, state[f"{prefix}.wo"], state[f"{prefix}.bo"])
 
 
-def _block(state: ModelState, prefix: str, x: Tensor, mask: Tensor | None, batch: int) -> Tensor:
-    x = add(x, _attention(state, f"{prefix}.attn", _ln(state, f"{prefix}.ln1", x), mask, batch))
+def _block(state: ModelState, prefix: str, x: Tensor, mask: Tensor | None, batch: int,
+           past: list | None, layer: int) -> Tensor:
+    x = add(x, _attention(state, f"{prefix}.attn", _ln(state, f"{prefix}.ln1", x), mask, batch,
+                          past, layer))
     h = gelu(linear(_ln(state, f"{prefix}.ln2", x), state[f"{prefix}.mlp.w1"], state[f"{prefix}.mlp.b1"]))
     return add(x, linear(h, state[f"{prefix}.mlp.w2"], state[f"{prefix}.mlp.b2"]))
 
 
+def _past_rows(past: list | None) -> int:
+    """Number of sequence rows whose keys and values ``past`` holds."""
+    return past[0][0].shape[0] if past else 0
+
+
 def transformer_stack(state: ModelState, prefix: str, x: Tensor, n_layers: int,
-                      mask: Tensor | None, batch: int = 1) -> Tensor:
+                      mask: Tensor | None, batch: int = 1, past: list | None = None) -> Tensor:
     """Pre-LN blocks over ``batch`` equal-length sequences stored row-block
-    after row-block; ``mask`` is an additive (T, T) constant or None."""
+    after row-block; ``mask`` is an additive (T, T) constant or None.
+
+    ``past`` is a list of per-layer (keys, values) arrays of one sequence's
+    earlier rows.  The rows of ``x`` follow them and attend to them (``mask``
+    is then (T, past rows + T)), and the list is extended with the keys and
+    values of ``x``; an empty list only captures them, recording the same
+    ops as no list.
+    """
+    if past is not None and batch != 1:
+        raise ShapeError("transformer_stack: cached keys and values need batch == 1")
     for i in range(n_layers):
-        x = _block(state, f"{prefix}.l{i}", x, mask, batch)
+        x = _block(state, f"{prefix}.l{i}", x, mask, batch, past, i)
     return _ln(state, f"{prefix}.lnf", x)
 
 
@@ -273,27 +300,42 @@ def _check_tokens(config: ModelConfig, text_tokens) -> np.ndarray:
     return ids
 
 
-def semantic_hiddens(state: ModelState, text_tokens, acoustic: Tensor) -> Tensor:
+def _join_rows(parts: list[Tensor]) -> Tensor:
+    # One sequence from its row blocks; no blocks is a ShapeError from concat.
+    return parts[0] if len(parts) == 1 else concat(parts, axis=0)
+
+
+def semantic_hiddens(state: ModelState, text_tokens, acoustic: Tensor,
+                     past: list | None = None) -> Tensor:
     """Causal hidden states over [embedded text] ++ [acoustic embeddings].
 
     Row (n_text - 1 + i) is the prediction hidden for patch i: it has seen
     the full text plus acoustic context strictly before patch i.
+
+    With a non-empty ``past`` (the stack's keys and values of an earlier call
+    over the same text and the first h patches), the text is not recomputed:
+    ``acoustic`` holds the embeddings of patches h, h+1, ... and the result
+    has one row per embedding.
     """
     cfg = state.config
     ids = _check_tokens(cfg, text_tokens)
     n_text = ids.size
+    done = _past_rows(past)
+    first = max(done - n_text, 0)
     n_ac = acoustic.data.shape[0]
-    if n_ac > cfg.max_patches:
-        raise ShapeError(f"acoustic context of {n_ac} patches exceeds max_patches {cfg.max_patches}")
-    tx = add(embedding_lookup(state["sem.tok"], ids),
-             embedding_lookup(state["sem.pos_text"], np.arange(n_text)))
+    if first + n_ac > cfg.max_patches:
+        raise ShapeError(
+            f"acoustic context of {first + n_ac} patches exceeds max_patches {cfg.max_patches}")
+    parts = []
+    if not done:
+        parts.append(add(embedding_lookup(state["sem.tok"], ids),
+                         embedding_lookup(state["sem.pos_text"], np.arange(n_text))))
     if n_ac:
-        ac = add(acoustic, embedding_lookup(state["sem.pos_ac"], np.arange(n_ac)))
-        x = concat([tx, ac], axis=0)
-    else:
-        x = tx
-    mask = causal_mask(n_text + n_ac, state.dtype)
-    return transformer_stack(state, "sem", x, cfg.n_layers_semantic, mask)
+        parts.append(add(acoustic,
+                         embedding_lookup(state["sem.pos_ac"], np.arange(first, first + n_ac))))
+    x = _join_rows(parts)
+    mask = causal_mask(x.data.shape[0], state.dtype, done)
+    return transformer_stack(state, "sem", x, cfg.n_layers_semantic, mask, past=past)
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -325,10 +367,16 @@ def fsq_quantize(h: Tensor, delta: float, bound: int) -> Tensor:
 
 
 def residual_hiddens(state: ModelState, text_hiddens: Tensor,
-                     fsq_history: Tensor, acoustic_history: Tensor) -> Tensor:
+                     fsq_history: Tensor, acoustic_history: Tensor,
+                     past: list | None = None) -> Tensor:
     """Causal hidden states over [text hiddens] ++ [proj(skeleton ⊕ acoustic)].
 
     Row (n_text - 1 + i) is the residual hidden for step i.
+
+    With a non-empty ``past`` (the stack's keys and values of an earlier call
+    over the same text hiddens and the first h history steps), the text rows
+    are not recomputed: the histories hold steps h, h+1, ... and the result
+    has one row per step.
     """
     cfg = state.config
     k = fsq_history.data.shape[0]
@@ -337,16 +385,18 @@ def residual_hiddens(state: ModelState, text_hiddens: Tensor,
             f"history length mismatch: {k} quantized vs {acoustic_history.data.shape[0]} acoustic"
         )
     n_text = text_hiddens.data.shape[0]
-    tx = add(text_hiddens, embedding_lookup(state["res.pos_text"], np.arange(n_text)))
+    done = _past_rows(past)
+    first = max(done - n_text, 0)
+    parts = []
+    if not done:
+        parts.append(add(text_hiddens, embedding_lookup(state["res.pos_text"], np.arange(n_text))))
     if k:
         hist = linear(concat([fsq_history, acoustic_history], axis=1),
                       state["res.proj.w"], state["res.proj.b"])
-        hist = add(hist, embedding_lookup(state["res.pos_hist"], np.arange(k)))
-        x = concat([tx, hist], axis=0)
-    else:
-        x = tx
-    mask = causal_mask(n_text + k, state.dtype)
-    return transformer_stack(state, "res", x, cfg.n_layers_residual, mask)
+        parts.append(add(hist, embedding_lookup(state["res.pos_hist"], np.arange(first, first + k))))
+    x = _join_rows(parts)
+    mask = causal_mask(x.data.shape[0], state.dtype, done)
+    return transformer_stack(state, "res", x, cfg.n_layers_residual, mask, past=past)
 
 
 def stop_logits(state: ModelState, h_fsq: Tensor) -> Tensor:
@@ -354,13 +404,39 @@ def stop_logits(state: ModelState, h_fsq: Tensor) -> Tensor:
     return linear(h_fsq, state["stop.w"], state["stop.b"])
 
 
-def conditioning(state: ModelState, text_tokens, history) -> tuple[Tensor, Tensor, Tensor]:
+class ConditioningCache:
+    """What ``conditioning`` keeps between the calls of one synthesis: the
+    text and the patch history it has consumed, the semantic text rows, the
+    last quantized row (the residual stack reads it with the next patch) and
+    both stacks' per-layer keys and values.
+
+    A cache belongs to one caller and one utterance; the ModelState it is
+    used with stays read-only.  A call that raises leaves it unchanged.
+    """
+
+    def __init__(self):
+        self.tokens: np.ndarray | None = None
+        self.history: np.ndarray | None = None
+        self.text_hiddens: Tensor | None = None
+        self.last_quantized: np.ndarray | None = None
+        self.semantic: list = []
+        self.residual: list = []
+
+
+def conditioning(state: ModelState, text_tokens, history,
+                 cache: ConditioningCache | None = None) -> tuple[Tensor, Tensor, Tensor]:
     """Teacher-forced conditioning for every step 0..len(history).
 
     Returns ``(h_final, quantized, h_residual)`` with one row per step: row i
     conditions patch i on the text and ``history[:i]``, and
     h_final == quantized + h_residual.  Training passes all but the last
     ground-truth patch; synthesis reads the last row for the next patch.
+
+    With a ``cache``, the first call (prefill) also keeps what later calls
+    need, and each later call (decode) runs only the patches ``history`` adds
+    to the cached one, against the cached keys and values, and returns rows
+    for the new steps only.  The text must be the same and ``history`` must
+    extend the cached history by at least one patch, else ValueError.
     """
     cfg = state.config
     history = _as_patch_matrix(history, cfg.d_patch, state.dtype)
@@ -369,14 +445,39 @@ def conditioning(state: ModelState, text_tokens, history) -> tuple[Tensor, Tenso
         raise ShapeError(f"patch history of {k} reached max_patches {cfg.max_patches}")
     ids = _check_tokens(cfg, text_tokens)
     n_text = ids.size
+    fresh = cache is None or cache.tokens is None
+    done = 0
+    if not fresh:
+        done = cache.history.shape[0]
+        if not np.array_equal(ids, cache.tokens):
+            raise ValueError("conditioning: the cache was filled for other text tokens")
+        if k <= done or not np.array_equal(history[:done], cache.history, equal_nan=True):
+            raise ValueError("conditioning: history does not extend the cached history")
+    semantic_past = None if cache is None else list(cache.semantic)
+    residual_past = None if cache is None else list(cache.residual)
 
-    embeddings = encode_patches(state, history)
-    hiddens = semantic_hiddens(state, ids, embeddings)
-    rows = n_text - 1 + np.arange(k + 1)
+    embeddings = encode_patches(state, history[done:])
+    hiddens = semantic_hiddens(state, ids, embeddings, semantic_past)
+    # Prefill returns steps 0..k; decode returns steps done+1..k, because the
+    # previous call returned step done.
+    steps = k - done + int(fresh)
+    rows = hiddens.data.shape[0] - steps + np.arange(steps)
     quantized = fsq_quantize(embedding_lookup(hiddens, rows), cfg.fsq_delta, cfg.fsq_bound)
-    residual = residual_hiddens(state, narrow(hiddens, 0, 0, n_text),
-                                narrow(quantized, 0, 0, k), embeddings)
+    text_hiddens = narrow(hiddens, 0, 0, n_text) if fresh else cache.text_hiddens
+    # History step i pairs patch i with the skeleton of step i; decode's
+    # first one is the last skeleton of the previous call.
+    skeletons = quantized if fresh else concat([constant(cache.last_quantized), quantized], axis=0)
+    residual = residual_hiddens(state, text_hiddens, narrow(skeletons, 0, 0, k - done),
+                                embeddings, residual_past)
     h_res = embedding_lookup(residual, rows)
+
+    if cache is not None:
+        cache.tokens = ids
+        cache.history = history.copy()
+        cache.text_hiddens = text_hiddens
+        cache.last_quantized = quantized.data[steps - 1:]
+        cache.semantic = semantic_past
+        cache.residual = residual_past
     return add(quantized, h_res), quantized, h_res
 
 
@@ -390,13 +491,15 @@ class StepHiddens:
     stop_logit: float
 
 
-def step_hiddens(state: ModelState, text_tokens, patch_history) -> StepHiddens:
+def step_hiddens(state: ModelState, text_tokens, patch_history,
+                 cache: ConditioningCache | None = None) -> StepHiddens:
     """Conditioning for the next patch: the last row of ``conditioning``.
 
-    The whole prefix is recomputed, so the quantized history the residual
-    transformer needs follows from the patch history alone.
+    Without a ``cache`` the whole prefix is computed.  Synthesis passes one
+    cache for all its steps, so each step after the first computes only the
+    patch it adds to ``patch_history``.
     """
-    h_final, quantized, h_res = conditioning(state, text_tokens, patch_history)
+    h_final, quantized, h_res = conditioning(state, text_tokens, patch_history, cache)
     i = quantized.data.shape[0] - 1
     h_fsq = narrow(quantized, 0, i, 1)
     logit = stop_logits(state, h_fsq)

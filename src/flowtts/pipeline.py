@@ -7,6 +7,7 @@ trajectory files, loss CSVs; every writer is atomic).
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import struct
 import time
@@ -31,6 +32,7 @@ from .autodiff import (
 from .fileio import write_atomic
 from .flowmatch import DEFAULT_CFG_SCALE, DEFAULT_STEPS, fm_loss, sample_patch
 from .model import (
+    ConditioningCache,
     ModelConfig,
     ModelState,
     _as_patch_matrix,
@@ -349,6 +351,10 @@ def synthesize(state: ModelState, text_tokens, reference_patches=(),
     part of the output.  Generation ends when the stop logit is positive
     (stop probability above one half) or the history reaches the patch cap;
     at least one patch is produced.
+
+    The first step runs the conditioning stacks over the text and the
+    reference (prefill); every later step runs them over the one new patch
+    against keys and values cached by this call (decode).
     """
     cfg = state.config
     tokens = tuple(int(t) for t in np.atleast_1d(np.asarray(text_tokens, dtype=np.int64)))
@@ -363,20 +369,19 @@ def synthesize(state: ModelState, text_tokens, reference_patches=(),
     if rng is None:
         rng = rng_stream(0, "synth")
 
-    history = list(refs)
-    generated: list[np.ndarray] = []
+    history = np.empty((cap, cfg.d_patch), dtype=state.dtype)
+    history[:len(refs)] = refs
+    n = len(refs)
+    cache = ConditioningCache()
     while True:
-        hiddens = step_hiddens(state, tokens, np.asarray(history, dtype=state.dtype))
-        z_prev = history[-1] if history else np.zeros(cfg.d_patch, dtype=state.dtype)
-        patch = sample_patch(state, hiddens.h_final, z_prev, steps=steps,
-                             cfg_scale=cfg_scale, rng=rng)
-        history.append(patch)
-        generated.append(patch)
-        if hiddens.stop_logit > 0.0:
+        hiddens = step_hiddens(state, tokens, history[:n], cache)
+        z_prev = history[n - 1] if n else np.zeros(cfg.d_patch, dtype=state.dtype)
+        history[n] = sample_patch(state, hiddens.h_final, z_prev, steps=steps,
+                                  cfg_scale=cfg_scale, rng=rng)
+        n += 1
+        if hiddens.stop_logit > 0.0 or n >= cap:
             break
-        if len(history) >= cap or len(generated) >= cap:
-            break
-    return np.asarray(generated)
+    return history[len(refs):n].copy()
 
 
 def rtf_value(wall_seconds: float, n_patches: int, frame_ms: float) -> float:
@@ -400,7 +405,7 @@ def measure_rtf(synthesis_fn: Callable, text_tokens, frame_ms: float) -> float:
 # --------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"JTV1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 LATENT_MAGIC = b"JLAT"
 
 
@@ -447,25 +452,38 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-_CONFIG_PREFIX = "config."
+_CONFIG_PREFIX = "config."  # version 1 stored each config field as a rank-0 f32 entry
 
 
-def _config_entries(config: ModelConfig):
-    for f in dataclasses.fields(ModelConfig):
-        yield _CONFIG_PREFIX + f.name, np.asarray(getattr(config, f.name), dtype="<f4")
+def _config_value(field_obj, value):
+    """A config field's value as its declared type; None if it is not one."""
+    if field_obj.type in ("int", int):
+        return value if isinstance(value, int) and not isinstance(value, bool) else None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    return None
+
+
+def _config_json(config: ModelConfig) -> bytes:
+    values = {f.name: _config_value(f, getattr(config, f.name))
+              for f in dataclasses.fields(ModelConfig)}
+    return json.dumps(values, separators=(",", ":")).encode("utf-8")
 
 
 def save_checkpoint(state: ModelState, path) -> None:
     """Write the state in the versioned binary tensor format.
 
-    The config snapshot rides along as rank-0 entries named "config.<field>";
-    parameter tensors follow in layout order.  Values are little-endian f32.
+    Version 2: magic, version, the config as a UTF-8 JSON object (exact:
+    floats are written in their shortest round-trip form, integers in full),
+    then the parameter tensors in layout order as little-endian f32.
     """
-    entries = list(_config_entries(state.config))
-    entries += [(name, p.data) for name, p in state.parameters()]
+    config = _config_json(state.config)
+    entries = [(name, p.data) for name, p in state.parameters()]
     out = bytearray()
     out += CHECKPOINT_MAGIC
     out += struct.pack("<I", CHECKPOINT_VERSION)
+    out += struct.pack("<I", len(config))
+    out += config
     out += struct.pack("<I", len(entries))
     for name, arr in entries:
         encoded = name.encode("utf-8")
@@ -478,28 +496,18 @@ def save_checkpoint(state: ModelState, path) -> None:
     write_atomic(path, bytes(out))
 
 
-def _coerce_config_value(field_obj, raw: float):
-    if field_obj.type in ("int", int):
-        return int(round(raw))
-    return float(raw)
+def _read_config_block(reader: _Reader) -> dict:
+    (length,) = reader.unpack("<I")
+    try:
+        values = json.loads(reader.take(length).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"unreadable config block: {exc}") from None
+    if not isinstance(values, dict):
+        raise CheckpointError("config block is not a JSON object")
+    return values
 
 
-def load_checkpoint(path, expected_config: ModelConfig | None = None) -> ModelState:
-    """Read a checkpoint back into a ModelState (bitwise round trip).
-
-    With ``expected_config`` given, every tensor must match the shape that
-    config implies; mismatches raise CheckpointShapeError naming the tensor.
-    Every config field stored in the file must then equal the expected one
-    as f32; the first that differs raises CheckpointError naming it.
-    """
-    with open(path, "rb") as fh:
-        reader = _Reader(fh.read(), CheckpointTruncatedError)
-    magic = reader.take(4)
-    if magic != CHECKPOINT_MAGIC:
-        raise CheckpointMagicError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-    (version,) = reader.unpack("<I")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(f"unsupported format version {version}")
+def _read_tensors(reader: _Reader) -> dict[str, np.ndarray]:
     (count,) = reader.unpack("<I")
     raw: dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -514,22 +522,55 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> ModelSt
         raw[name] = values
     if reader.pos != len(reader.blob):
         raise CheckpointError(f"{len(reader.blob) - reader.pos} trailing bytes after tensor data")
+    return raw
+
+
+def _same_as_stored(version: int, a, b) -> bool:
+    # Version 1 kept config fields as f32, so it can only be compared as f32.
+    return np.float32(a) == np.float32(b) if version == 1 else a == b
+
+
+def load_checkpoint(path, expected_config: ModelConfig | None = None) -> ModelState:
+    """Read a checkpoint (format version 1 or 2) back into a ModelState;
+    parameters round-trip bitwise, and so does a version 2 config.
+
+    With ``expected_config`` given, every tensor must match the shape that
+    config implies; mismatches raise CheckpointShapeError naming the tensor.
+    Every config field stored in the file must then equal the expected one
+    (as f32 for version 1 files, whose fields are f32); the first that
+    differs raises CheckpointError naming it.
+    """
+    with open(path, "rb") as fh:
+        reader = _Reader(fh.read(), CheckpointTruncatedError)
+    magic = reader.take(4)
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointMagicError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
+    (version,) = reader.unpack("<I")
+    if version not in (1, CHECKPOINT_VERSION):
+        raise CheckpointVersionError(f"unsupported format version {version}")
+    stored = _read_config_block(reader) if version == CHECKPOINT_VERSION else {}
+    tensors = _read_tensors(reader)
+    if version == 1:
+        for name in [n for n in tensors if n.startswith(_CONFIG_PREFIX)]:
+            stored[name[len(_CONFIG_PREFIX):]] = float(tensors.pop(name))
 
     config_fields = {f.name: f for f in dataclasses.fields(ModelConfig)}
     config_kwargs = {}
-    tensors = {}
-    for name, values in raw.items():
-        if name.startswith(_CONFIG_PREFIX):
-            key = name[len(_CONFIG_PREFIX):]
-            if key not in config_fields:
-                raise CheckpointError(f"unknown config field {key!r} in checkpoint")
-            config_kwargs[key] = _coerce_config_value(config_fields[key], float(values))
-        else:
-            tensors[name] = values
+    for key, value in stored.items():
+        if key not in config_fields:
+            raise CheckpointError(f"unknown config field {key!r} in checkpoint")
+        if version == 1 and config_fields[key].type in ("int", int):
+            value = int(round(value))
+        config_kwargs[key] = _config_value(config_fields[key], value)
+        if config_kwargs[key] is None:
+            raise CheckpointError(f"config field {key!r}: {value!r} is not a {config_fields[key].type}")
     missing_cfg = set(config_fields) - set(config_kwargs)
     if missing_cfg:
         raise CheckpointError(f"checkpoint lacks config fields: {sorted(missing_cfg)}")
-    config = ModelConfig(**config_kwargs)
+    try:
+        config = ModelConfig(**config_kwargs)
+    except ValueError as exc:
+        raise CheckpointError(f"invalid config in checkpoint: {exc}") from None
 
     reference = expected_config if expected_config is not None else config
     expected_shapes = {name: shape for name, shape, _ in param_layout(reference)}
@@ -543,9 +584,8 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> ModelSt
     extra = set(tensors) - set(expected_shapes)
     if extra:
         raise CheckpointShapeError(f"unexpected tensors in checkpoint: {sorted(extra)}")
-    for name, value in _config_entries(reference):
-        if raw[name] != value:
-            key = name[len(_CONFIG_PREFIX):]
+    for key in config_fields:
+        if not _same_as_stored(version, getattr(config, key), getattr(reference, key)):
             raise CheckpointError(f"config field {key!r}: checkpoint has {getattr(config, key)}, "
                                   f"expected_config has {getattr(reference, key)}")
 

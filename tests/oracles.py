@@ -7,6 +7,10 @@ must not share its implementation strategy.
 
 import functools
 
+import numpy as np
+
+from flowtts.flowmatch import cfg_combine, velocity
+
 # Thai readings written out by hand from the normative grammar: digit words,
 # place words sip/roi/phan/muen/saen, recursive lan grouping, and the three
 # irregulars (final 1 -> et after a higher place, tens 2 -> yi sip,
@@ -80,3 +84,16 @@ def brute_force_levenshtein(a: str, b: str) -> int:
         )
 
     return rec(len(a), len(b))
+
+
+def two_call_sample_patch(state, h_final, z_prev, steps, cfg_scale, rng):
+    """The guided Euler sampler written out with one velocity call per branch
+    and step: the reference the one-call sampler is checked against."""
+    z = rng.standard_normal(state.config.d_patch).astype(state.dtype)
+    dt = 1.0 / steps
+    for k in range(steps):
+        t = 1.0 - k * dt
+        v_cond = velocity(state, z, t, h_final, z_prev, True).data[0]
+        v_uncond = velocity(state, z, t, h_final, z_prev, False).data[0]
+        z = (z - dt * cfg_combine(v_cond, v_uncond, cfg_scale)).astype(state.dtype)
+    return np.asarray(z)

@@ -255,28 +255,29 @@ PRIMITIVE_CASES = {
     "sum": lambda x: tensor_sum(x),
     "mse": lambda x: mse(x, constant(_FIXED["like"])),
     "bce_with_logits": lambda x: bce_with_logits(x, _FIXED["labels"]),
-    "attention": lambda x: _scalarize(mul(_attention_of_thirds(x), constant(_FIXED["like_attn"]))),
+    "attention": lambda x: _scalarize(mul(_attention_of_blocks(x), constant(_FIXED["like_attn"]))),
     "repeat_rows": lambda x: _scalarize(mul(repeat_rows(x, 2), constant(_FIXED["like_rep"]))),
     "tile_rows": lambda x: _scalarize(mul(tile_rows(x, 2), constant(_FIXED["like_rep"]))),
 }
 
 _FIXED: dict = {}
 
-# attention cases: x shape (3 * batch * T, heads * d_head) -> (heads, batch, causal)
+# attention cases: x shape (batch * (Tq + 2 * Tk), heads * d_head)
+# -> (heads, batch, causal, Tq, Tk)
 _ATTENTION_CASES = {
-    (15, 6): (2, 1, True),  # one causal sequence of 5 tokens
-    (18, 4): (2, 3, False),  # three bidirectional 2-token sequences
-    (18, 6): (3, 2, True),  # two causal 3-token sequences
+    (15, 6): (2, 1, True, 5, 5),  # one causal sequence of 5 tokens
+    (18, 4): (2, 3, False, 2, 2),  # three bidirectional 2-token sequences
+    (18, 6): (3, 2, True, 3, 3),  # two causal 3-token sequences
+    (24, 6): (3, 2, True, 2, 5),  # two sequences: 2 queries after 3 cached positions
 }
 
 
-def _attention_of_thirds(x):
+def _attention_of_blocks(x):
     # q, k and v are the three row blocks of x, so one grad_check covers all three.
-    heads, batch, causal = _FIXED["attn"]
-    n = x.data.shape[0] // 3
-    seq = n // batch
-    mask = np.triu(np.full((seq, seq), MASK_VALUE), 1) if causal else None
-    return attention(narrow(x, 0, 0, n), narrow(x, 0, n, n), narrow(x, 0, 2 * n, n),
+    heads, batch, causal, tq, tk = _FIXED["attn"]
+    nq, nk = batch * tq, batch * tk
+    mask = np.triu(np.full((tq, tk), MASK_VALUE), tk - tq + 1) if causal else None
+    return attention(narrow(x, 0, 0, nq), narrow(x, 0, nq, nk), narrow(x, 0, nq + nk, nk),
                      heads, mask, batch)
 
 
@@ -314,7 +315,8 @@ def test_primitive_gradient_soundness(name):
                 _FIXED["labels"] = rng.integers(0, 2, size=shape).astype(np.float64)
             if name == "attention":
                 _FIXED["attn"] = _ATTENTION_CASES[shape]
-                _FIXED["like_attn"] = rng.standard_normal((shape[0] // 3, shape[1]))
+                heads, batch, _, tq, _ = _FIXED["attn"]
+                _FIXED["like_attn"] = rng.standard_normal((batch * tq, shape[1]))
             if name in ("repeat_rows", "tile_rows"):
                 _FIXED["like_rep"] = rng.standard_normal((shape[0] * 2, shape[1]))
             assert grad_check(PRIMITIVE_CASES[name], x) <= 1e-4, f"{name} @ {shape}"
@@ -406,6 +408,29 @@ def test_attention_shape_errors():
         attention(x, x, x, 2, batch=4)  # 6 rows do not split into 4 sequences
     with pytest.raises(ShapeError, match="attention"):
         attention(x, x, x, 2, np.zeros((6, 6)), batch=2)  # mask must be (3, 3)
+    keys = constant(np.ones((4, 8)))
+    with pytest.raises(ShapeError, match="attention"):
+        attention(x, keys, keys, 2)  # fewer keys than queries
+    with pytest.raises(ShapeError, match="attention"):
+        attention(narrow(x, 0, 0, 2), x, x, 2, np.zeros((2, 2)))  # mask must be (2, 6)
+
+
+@pytest.mark.parametrize("queries", [1, 3, 23])
+def test_attention_with_cached_keys_matches_the_last_rows_of_the_full_call(queries):
+    # A decode step's queries are the last rows of a causal sequence whose
+    # earlier keys and values are cached: its output must be the last rows of
+    # the full causal call.  With every row a query (the training shape) the
+    # call is the full call, bitwise.
+    rng = np.random.default_rng(33)
+    seq = 23
+    q, k, v = (constant(rng.standard_normal((seq, 64)).astype(np.float32)) for _ in range(3))
+    full = attention(q, k, v, 4, causal_mask(seq, np.float32)).data
+    past = seq - queries
+    tail = attention(narrow(q, 0, past, queries), k, v, 4,
+                     causal_mask(queries, np.float32, past)).data
+    if queries == seq:
+        np.testing.assert_array_equal(tail, full)
+    np.testing.assert_allclose(tail, full[past:], rtol=0, atol=1e-6)
 
 
 # --------------------------------------------------------------------------

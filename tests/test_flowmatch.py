@@ -20,6 +20,7 @@ from flowtts.flowmatch import (
 )
 from flowtts.model import ModelConfig, init_model_state
 from flowtts.autodiff import rng_stream
+from oracles import two_call_sample_patch
 
 CFG = ModelConfig(d_model=16, n_layers_semantic=1, n_layers_residual=1, n_heads=2,
                   d_patch=4, vocab_size=12, max_patches=32, max_text_len=16)
@@ -314,3 +315,71 @@ def test_sampler_scale_one_equals_conditional_only_bitwise():
         v = velocity(STATE, z, t, h, z_prev, True).data[0]
         z = (z - dt * v).astype(STATE.dtype)
     np.testing.assert_array_equal(guided, z)
+
+
+def test_sampler_scale_zero_equals_unconditional_only_bitwise():
+    h = constant(RNG.standard_normal((1, CFG.d_model)).astype(np.float32))
+    z_prev = RNG.standard_normal(CFG.d_patch).astype(np.float32)
+    steps = 10
+
+    guided = sample_patch(STATE, h, z_prev, steps=steps, cfg_scale=0.0,
+                          rng=rng_stream(12, "s"))
+
+    rng = rng_stream(12, "s")
+    z = rng.standard_normal(CFG.d_patch).astype(STATE.dtype)
+    dt = 1.0 / steps
+    for k in range(steps):
+        t = 1.0 - k * dt
+        v = velocity(STATE, z, t, h, z_prev, False).data[0]
+        z = (z - dt * v).astype(STATE.dtype)
+    np.testing.assert_array_equal(guided, z)
+
+
+@pytest.mark.parametrize("state", [STATE, init_model_state(ModelConfig(), seed=21)],
+                         ids=["small", "default"])
+def test_one_call_sampler_matches_the_two_call_reference(state):
+    cfg = state.config
+    rng = np.random.default_rng(78)
+    for i in range(5):
+        h = constant(rng.standard_normal((1, cfg.d_model)).astype(np.float32))
+        z_prev = rng.standard_normal(cfg.d_patch).astype(np.float32)
+        for scale in (2.5, 1.0, 0.0):
+            got = sample_patch(state, h, z_prev, cfg_scale=scale, rng=rng_stream(i, "s"))
+            want = two_call_sample_patch(state, h, z_prev, 10, scale, rng_stream(i, "s"))
+            if scale in (1.0, 0.0):
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-6
+
+
+@pytest.mark.parametrize("scale,rows", [(2.5, [True, False]), (1.0, [True]), (0.0, [False])])
+def test_sampler_makes_one_velocity_call_per_step(scale, rows):
+    calls = []
+
+    def hook(z_t, t, h_final, z_prev, cond_enabled):
+        calls.append((z_t.shape, np.shape(t), z_prev.shape, list(cond_enabled)))
+        return np.zeros(CFG.d_patch, dtype=np.float32)
+
+    sample_patch(STATE, np.zeros(CFG.d_model), np.zeros(CFG.d_patch), steps=7,
+                 cfg_scale=scale, velocity_fn=hook)
+    n = len(rows)
+    assert calls == [((n, CFG.d_patch), (n,), (n, CFG.d_patch), rows)] * 7
+
+
+def test_velocity_with_one_flag_per_row():
+    z_t = RNG.standard_normal((2, CFG.d_patch))
+    z_prev = RNG.standard_normal((2, CFG.d_patch))
+    t = np.array([0.3, 0.7])
+    h = RNG.standard_normal((1, CFG.d_model))
+    both = velocity(STATE, z_t, t, h, z_prev, [True, False]).data
+    cond = velocity(STATE, z_t[0], t[0], h, z_prev[0], True).data
+    uncond = velocity(STATE, z_t[1], t[1], h, z_prev[1], False).data
+    np.testing.assert_allclose(both, np.vstack([cond, uncond]), rtol=0, atol=1e-6)
+    # The unconditional row never reads h_final; one h_final row serves every row.
+    other = velocity(STATE, z_t, t, h + 1.0, z_prev, [True, False]).data
+    np.testing.assert_array_equal(other[1], both[1])
+    assert np.any(other[0] != both[0])
+    np.testing.assert_array_equal(
+        velocity(STATE, z_t, t, np.vstack([h, h]), z_prev, [True, False]).data, both)
+    with pytest.raises(ShapeError):
+        velocity(STATE, z_t, t, np.vstack([h, h, h]), z_prev, [True, False])

@@ -22,6 +22,7 @@ from flowtts.autodiff import (
     zero_grads,
 )
 from flowtts.model import (
+    ConditioningCache,
     ModelConfig,
     conditioning,
     encode_patches,
@@ -31,11 +32,14 @@ from flowtts.model import (
     semantic_hiddens,
     step_hiddens,
     stop_logits,
+    transformer_stack,
 )
 
 CFG = ModelConfig(d_model=16, n_layers_semantic=1, n_layers_residual=1, n_heads=2,
                   d_patch=4, vocab_size=12, max_patches=32, max_text_len=16)
 STATE = init_model_state(CFG, seed=3)
+with precision("float64"):
+    STATE64 = init_model_state(CFG, seed=3)
 RNG = np.random.default_rng(5)
 
 
@@ -314,3 +318,84 @@ def test_step_hiddens_rejects_full_history():
     history = RNG.standard_normal((CFG.max_patches, CFG.d_patch))
     with pytest.raises(ShapeError):
         step_hiddens(STATE, [1], history)
+
+
+# --------------------------------------------------------------------------
+# Incremental conditioning: prefill once, then only the new patches
+# --------------------------------------------------------------------------
+
+def _cached_conditioning(state, tokens, history, prefill, chunk=1):
+    """Rows of ``conditioning`` for every step, from one prefill over
+    ``history[:prefill]`` and decode calls adding ``chunk`` patches each."""
+    cache = ConditioningCache()
+    parts = [conditioning(state, tokens, history[:prefill], cache)]
+    for end in range(prefill + chunk, history.shape[0] + 1, chunk):
+        parts.append(conditioning(state, tokens, history[:end], cache))
+    return [np.concatenate([part[i].data for part in parts]) for i in range(3)]
+
+
+@pytest.mark.parametrize("dtype,rtol", [("float64", 1e-12), ("float32", 1e-5)])
+def test_cached_decode_matches_full_recompute(dtype, rtol):
+    # The cloning shape: 48 tokens, 200 reference patches, 48 decode steps,
+    # at the default width.  float32 is not bitwise: numpy computes the
+    # 1-row decode matmuls with gemv, the full call with gemm.
+    rng = np.random.default_rng(41)
+    with precision(dtype):
+        state = init_model_state(ModelConfig(), seed=4)
+        tokens = rng.integers(0, 64, 48)
+        history = rng.standard_normal((248, 16))
+        full = conditioning(state, tokens, history)
+        cached = _cached_conditioning(state, tokens, history, 200)
+    for name, got, want in zip(("h_final", "quantized", "h_residual"), cached, full):
+        assert got.shape == want.data.shape == (249, 64)
+        assert got.dtype == np.dtype(dtype)
+        err = np.max(np.abs(got - want.data)) / np.max(np.abs(want.data))
+        assert err <= rtol, (name, err)
+
+
+def test_decode_of_several_patches_per_call_matches_full_recompute():
+    with precision("float64"):
+        history = RNG.standard_normal((13, CFG.d_patch))
+        full = conditioning(STATE64, [4, 1, 7], history)
+        cached = _cached_conditioning(STATE64, [4, 1, 7], history, 1, chunk=3)
+    for got, want in zip(cached, full):
+        np.testing.assert_allclose(got, want.data, rtol=1e-12, atol=1e-14)
+
+
+def test_prefill_records_the_ops_of_an_uncached_call():
+    history = RNG.standard_normal((5, CFG.d_patch))
+    with record() as plain:
+        expected = conditioning(STATE, [1, 2, 3], history)
+    cache = ConditioningCache()
+    with record() as cached:
+        got = conditioning(STATE, [1, 2, 3], history, cache)
+    assert len(cached) == len(plain)
+    for a, b in zip(got, expected):
+        np.testing.assert_array_equal(a.data, b.data)
+    for stack, layers in ((cache.semantic, CFG.n_layers_semantic),
+                          (cache.residual, CFG.n_layers_residual)):
+        assert len(stack) == layers
+        assert all(k.shape == v.shape == (3 + 5, CFG.d_model) for k, v in stack)
+
+
+def test_cache_rejects_other_tokens_and_histories_that_do_not_extend_it():
+    history = RNG.standard_normal((4, CFG.d_patch))
+    cache = ConditioningCache()
+    conditioning(STATE, [1, 2], history[:2], cache)
+    with pytest.raises(ValueError, match="other text tokens"):
+        conditioning(STATE, [1, 3], history[:3], cache)
+    changed = history[:3].copy()
+    changed[1] += 1.0
+    for bad in (changed, history[:2], history[:1]):
+        with pytest.raises(ValueError, match="does not extend"):
+            conditioning(STATE, [1, 2], bad, cache)
+    # A rejected call leaves the cache as it was.
+    got = conditioning(STATE, [1, 2], history[:3], cache)[0].data
+    np.testing.assert_allclose(got, conditioning(STATE, [1, 2], history[:3])[0].data[-1:],
+                               rtol=1e-5, atol=1e-6)
+
+
+def test_cached_keys_need_a_single_sequence():
+    x = constant(RNG.standard_normal((4, CFG.d_model)).astype(np.float32))
+    with pytest.raises(ShapeError, match="batch"):
+        transformer_stack(STATE, "sem", x, 1, None, batch=2, past=[])

@@ -2,14 +2,29 @@
 synthesis termination, RTF arithmetic, and binary persistence."""
 
 import contextlib
+import dataclasses
+import json
 import math
 import os
+import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from flowtts.autodiff import RngHub, ShapeError, constant, record, rng_stream, zero_grads
+import flowtts.model as model
+from flowtts.autodiff import (
+    RngHub,
+    ShapeError,
+    constant,
+    precision,
+    record,
+    rng_stream,
+    zero_grads,
+)
 from flowtts.model import ModelConfig, init_model_state, step_hiddens
+from oracles import two_call_sample_patch
 import flowtts.pipeline as pipeline
 from flowtts.pipeline import (
     CheckpointError,
@@ -308,12 +323,91 @@ def test_synthesize_requires_text():
         synthesize(STATE, [], rng=rng_stream(0, "synth"))
 
 
+def _never_stopping_state(seed=17, dtype="float32"):
+    with precision(dtype):
+        state = init_model_state(CFG, seed=seed)
+    state.params["stop.b"].data[:] = -1e4
+    return state
+
+
 def test_synthesize_excludes_reference_patches():
+    # The references count against the cap but are not part of the output.
     refs = RNG.standard_normal((3, CFG.d_patch)).astype(np.float32)
-    out = synthesize(STATE, [4, 5], refs, rng=rng_stream(1, "synth"), max_patches=8)
+    out = synthesize(_never_stopping_state(), [4, 5], refs, rng=rng_stream(1, "synth"),
+                     max_patches=8)
     for ref_row in refs:
         assert not any(np.array_equal(ref_row, row) for row in out)
-    assert out.shape[0] <= 8 - refs.shape[0] or out.shape[0] <= 8
+    assert out.shape[0] == 8 - refs.shape[0]
+
+
+def test_synthesize_runs_the_stacks_over_one_new_patch_per_step(monkeypatch):
+    rows = {"semantic_hiddens": [], "residual_hiddens": []}
+    for name, seen in rows.items():
+        def counting(*args, _real=getattr(model, name), _seen=seen, **kwargs):
+            out = _real(*args, **kwargs)
+            _seen.append(out.data.shape[0])
+            return out
+        monkeypatch.setattr(model, name, counting)
+    refs = RNG.standard_normal((3, CFG.d_patch)).astype(np.float32)
+    out = synthesize(_never_stopping_state(), [4, 5], refs, rng=rng_stream(1, "synth"),
+                     max_patches=8)
+    assert out.shape[0] == 5
+    # Prefill: 2 text rows + 3 reference rows; then one row per new patch.
+    assert rows == {"semantic_hiddens": [5, 1, 1, 1, 1], "residual_hiddens": [5, 1, 1, 1, 1]}
+
+
+def test_synthesize_matches_a_full_recompute_two_call_reference():
+    # float64, so cached decode and the one-call sampler agree with the
+    # reference to rounding, even fed back through 7 autoregressive steps.
+    state = _never_stopping_state(seed=8, dtype="float64")
+    tokens = [3, 9, 1]
+    refs = RNG.standard_normal((3, CFG.d_patch))
+    with precision("float64"):
+        out = synthesize(state, tokens, refs, rng=rng_stream(5, "synth"), max_patches=10)
+        rng = rng_stream(5, "synth")
+        history = list(refs)
+        while len(history) < 10:
+            h = step_hiddens(state, tokens, np.asarray(history)).h_final
+            history.append(two_call_sample_patch(state, h, history[-1], 10, 2.5, rng))
+    np.testing.assert_allclose(out, np.asarray(history[3:]), rtol=1e-9, atol=1e-12)
+
+
+def test_concurrent_synthesis_gives_the_sequential_outputs():
+    state = _never_stopping_state()
+    refs = RNG.standard_normal((4, CFG.d_patch)).astype(np.float32)
+    jobs = [([1, 2, 3], ()), ([4, 5], refs), ([7], refs[:1]), ([2, 2, 8, 9], ())]
+
+    def run(job, i):
+        return synthesize(state, job[0], job[1], rng=rng_stream(i, "synth"), max_patches=20)
+
+    sequential = [run(job, i) for i, job in enumerate(jobs)]
+    start = threading.Barrier(2)
+    results, errors = {}, []
+
+    def worker(offset):
+        try:
+            start.wait(timeout=30)
+            for _ in range(3):
+                for i in range(offset, len(jobs), 2):
+                    results.setdefault(i, []).append(run(jobs[i], i))
+        except Exception as exc:  # reported by the main thread's assertion
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads often
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(thread.is_alive() for thread in threads)
+    for i, expected in enumerate(sequential):
+        assert len(results[i]) == 3
+        for got in results[i]:
+            np.testing.assert_array_equal(got, expected)
 
 
 def test_synthesize_rejects_reference_of_wrong_width():
@@ -446,6 +540,72 @@ def test_checkpoint_loads_with_its_own_default_config(tmp_path):
     save_checkpoint(init_model_state(ModelConfig(), seed=1), path)
     loaded = load_checkpoint(path, expected_config=ModelConfig())
     assert loaded.config == ModelConfig()
+
+
+def test_checkpoint_config_round_trips_exactly(tmp_path):
+    path = tmp_path / "model.ckpt"
+    config = ModelConfig(**{**CFG.__dict__, "lambda_stop": 0.1, "fsq_delta": 0.3,
+                            "cfg_drop_prob": 0.15, "frame_ms": 2 ** 24 + 1,
+                            "fsq_bound": 2 ** 25 + 1})
+    save_checkpoint(init_model_state(config, seed=2), path)
+    loaded = load_checkpoint(path)
+    assert loaded.config == config
+    assert loaded.config.frame_ms == 2 ** 24 + 1 and loaded.config.fsq_bound == 2 ** 25 + 1
+    assert load_checkpoint(path, expected_config=config).config == config
+    # Exact comparison: the f32 rounding of a field is another value now.
+    rounded = dataclasses.replace(config, lambda_stop=float(np.float32(0.1)))
+    with pytest.raises(CheckpointError, match="lambda_stop"):
+        load_checkpoint(path, expected_config=rounded)
+    off_by_one = dataclasses.replace(config, frame_ms=2 ** 24)
+    with pytest.raises(CheckpointError, match="frame_ms"):
+        load_checkpoint(path, expected_config=off_by_one)
+
+
+def _write_version_1_checkpoint(state, path):
+    # The version 1 layout: every config field as a rank-0 f32 entry named
+    # "config.<field>", then the parameters, all in one entry list.
+    entries = [("config." + f.name, np.asarray(getattr(state.config, f.name), dtype="<f4"))
+               for f in dataclasses.fields(ModelConfig)]
+    entries += [(name, p.data) for name, p in state.parameters()]
+    out = bytearray(b"JTV1" + struct.pack("<II", 1, len(entries)))
+    for name, arr in entries:
+        out += struct.pack("<H", len(name)) + name.encode("utf-8") + struct.pack("<B", arr.ndim)
+        out += b"".join(struct.pack("<Q", dim) for dim in arr.shape)
+        out += np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    path.write_bytes(bytes(out))
+
+
+def test_checkpoint_reads_version_1_files(tmp_path):
+    path = tmp_path / "v1.ckpt"
+    config = ModelConfig(**{**CFG.__dict__, "lambda_stop": 0.1})
+    state = init_model_state(config, seed=2)
+    _write_version_1_checkpoint(state, path)
+    loaded = load_checkpoint(path)
+    as_f32 = {k: float(np.float32(v)) if isinstance(v, float) else v
+              for k, v in config.__dict__.items()}
+    assert loaded.config == ModelConfig(**as_f32) != config
+    for name, p in state.parameters():
+        np.testing.assert_array_equal(p.data, loaded[name].data)
+    # Version 1 fields are f32, so they are compared as f32.
+    assert load_checkpoint(path, expected_config=config).config == config
+    with pytest.raises(CheckpointError, match="fsq_delta"):
+        load_checkpoint(path, expected_config=dataclasses.replace(config, fsq_delta=0.25))
+    # Saving again writes the current version.
+    save_checkpoint(loaded, tmp_path / "v2.ckpt")
+    assert (tmp_path / "v2.ckpt").read_bytes()[4:8] == struct.pack("<I", 2)
+
+
+def test_checkpoint_rejects_a_bad_config_block(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(STATE, path)
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<I", blob[8:12])
+    config = json.loads(blob[12:12 + length])
+    for change in ({"d_model": 16.0}, {"surprise": 1}, {"fsq_delta": -1.0}):
+        text = json.dumps({**config, **change}).encode("utf-8")
+        path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + length:])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
 
 
 def test_latents_round_trip_and_errors(tmp_path):
