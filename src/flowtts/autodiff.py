@@ -309,16 +309,19 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     denominator, so constant inputs cannot produce NaN.
     """
     x = _wrap(x)
-    mean = x.data.mean(axis=-1, keepdims=True)
+    # Row means as np.add.reduce(...) / d: bitwise what np.mean gives, without
+    # its Python-level wrapper, which dominates on the small rows used here.
+    d = x.data.shape[-1]
+    mean = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     centered = x.data - mean
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (centered * inv).astype(x.data.dtype, copy=False)
     out = _from_array(xhat, x.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
-        gm = g.mean(axis=-1, keepdims=True)
-        gx = (g * xhat).mean(axis=-1, keepdims=True)
+        gm = np.add.reduce(g, axis=-1, keepdims=True) / d
+        gx = np.add.reduce(g * xhat, axis=-1, keepdims=True) / d
         _accumulate(x, (inv * (g - gm - xhat * gx)).astype(x.data.dtype, copy=False))
 
     push_op(out, adjoint)

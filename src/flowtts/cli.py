@@ -82,9 +82,9 @@ _TRAIN_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Parse a flat key=value UTF-8 config file with '#' comments."""
+    """Parse a flat key=value UTF-8 config file (BOM allowed) with '#' comments."""
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -233,7 +233,7 @@ def cmd_eval_cer(args) -> int:
 
 def cmd_eval_sim(args) -> int:
     results = []
-    with open(args.pairs, "r", encoding="utf-8") as fh:
+    with open(args.pairs, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

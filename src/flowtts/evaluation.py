@@ -35,20 +35,42 @@ __all__ = [
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Edit distance over Unicode scalar values with unit costs."""
+    """Edit distance over Unicode scalar values with unit costs.
+
+    Myers' bit-vector algorithm (1999) in Hyyrö's global-distance form
+    (2001): one DP column over the shorter string is held as two Python-int
+    bitsets of vertical +1/-1 deltas, and each character of the longer string
+    advances the whole column with a fixed handful of word operations, so the
+    cost is O(ceil(m/w) * n) machine-word operations rather than m * n
+    interpreted cell updates.  The result is exact.
+    """
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(min(
-                previous[j] + 1,          # deletion
-                current[j - 1] + 1,       # insertion
-                previous[j - 1] + (ca != cb),  # substitution
-            ))
-        previous = current
-    return previous[-1]
+    m = len(b)
+    if not m:
+        return len(a)
+    masks: dict[str, int] = {}
+    bit = 1
+    for c in b:
+        masks[c] = masks.get(c, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv, score = mask, 0, m  # column 0 of the DP: every vertical delta is +1
+    for c in a:
+        eq = masks.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1  # row 0 of the DP grows by 1 per column (global form)
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def cer(reference: str, hypothesis: str) -> float:
@@ -172,9 +194,9 @@ VOTES_HEADER = ("model_a", "model_b", "outcome")
 
 
 def read_votes_csv(path) -> list[PairwiseVote]:
-    """Read votes from UTF-8 CSV `model_a,model_b,outcome`; header optional."""
+    """Read votes from UTF-8 CSV `model_a,model_b,outcome` (BOM allowed); header optional."""
     votes: list[PairwiseVote] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -223,9 +245,9 @@ def read_embedding(path) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def read_cer_batch(path) -> list[tuple[str, str, str]]:
-    """Read `id<TAB>reference<TAB>hypothesis` rows from a UTF-8 TSV file."""
+    """Read `id<TAB>reference<TAB>hypothesis` rows from a UTF-8 TSV file (BOM allowed)."""
     rows: list[tuple[str, str, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

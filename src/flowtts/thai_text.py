@@ -141,9 +141,9 @@ class NormalizationConfig:
 
 
 def load_lexicon(path) -> dict[str, str]:
-    """Load a transliteration lexicon: UTF-8 TSV `latin<TAB>thai`, '#' comments."""
+    """Load a transliteration lexicon: UTF-8 TSV `latin<TAB>thai` (BOM allowed), '#' comments."""
     lexicon: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

@@ -1,8 +1,8 @@
 """Independent oracles shared by the unit and acceptance suites.
 
-These stay deliberately naive: the hand-written numeral table and the
-memoized recursive edit distance exist to check the production code, so they
-must not share its implementation strategy.
+These stay deliberately naive: the hand-written numeral table, the memoized
+recursive edit distance and the row-by-row DP exist to check the production
+code, so they must not share its implementation strategy.
 """
 
 import functools
@@ -84,6 +84,23 @@ def brute_force_levenshtein(a: str, b: str) -> int:
         )
 
     return rec(len(a), len(b))
+
+
+def dp_levenshtein(a: str, b: str) -> int:
+    """The row-by-row Wagner-Fischer DP that `levenshtein` replaced."""
+    if len(a) < len(b):
+        a, b = b, a
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(min(
+                previous[j] + 1,          # deletion
+                current[j - 1] + 1,       # insertion
+                previous[j - 1] + (ca != cb),  # substitution
+            ))
+        previous = current
+    return previous[-1]
 
 
 def two_call_sample_patch(state, h_final, z_prev, steps, cfg_scale, rng):

@@ -72,6 +72,36 @@ def test_layer_norm_constant_vector_is_zero():
     np.testing.assert_array_equal(y, np.zeros(4, dtype=np.float32))
 
 
+def _np_mean_layer_norm(x, g, eps=1e-5):
+    """layer_norm's forward and adjoint with every row mean taken by np.mean."""
+    mean = x.mean(axis=-1, keepdims=True)
+    centered = x - mean
+    var = np.mean(centered * centered, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (centered * inv).astype(x.dtype, copy=False)
+    gm = g.mean(axis=-1, keepdims=True)
+    gx = (g * xhat).mean(axis=-1, keepdims=True)
+    return xhat, (inv * (g - gm - xhat * gx)).astype(x.dtype, copy=False)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_layer_norm_is_bitwise_the_np_mean_formulation(dtype):
+    rng = np.random.default_rng(41)
+    with precision(dtype):
+        for rows, width in [(1, 64), (2, 64), (23, 64), (192, 64), (5, 16), (7, 48), (3, 10)]:
+            scale, shift = rng.uniform(0.01, 100.0), rng.uniform(-10.0, 10.0)
+            x = parameter(rng.standard_normal((rows, width)) * scale + shift)
+            g = rng.standard_normal((rows, width)).astype(dtype)
+            with record() as tape:
+                y = layer_norm(x)
+                loss = tensor_sum(mul(y, constant(g)))
+            tape.backward(loss)
+            y_ref, grad_ref = _np_mean_layer_norm(x.data, g)
+            assert y.data.dtype == x.grad.dtype == np.dtype(dtype)
+            np.testing.assert_array_equal(y.data, y_ref)
+            np.testing.assert_array_equal(x.grad, grad_ref)
+
+
 def test_sum_and_item():
     x = constant([[1.0, 2.0], [3.0, 4.0]])
     assert tensor_sum(x).item() == 10.0

@@ -77,6 +77,14 @@ def test_config_flags_override_file(tmp_path):
     assert train_cfg.seed == 9
 
 
+def test_config_with_bom_parses_as_without(tmp_path):
+    text = "# tiny\nd_model=32\nseed=7\n"
+    plain, marked = tmp_path / "c.cfg", tmp_path / "bom.cfg"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert parse_config_file(marked) == parse_config_file(plain) == {"d_model": "32", "seed": "7"}
+
+
 # --------------------------------------------------------------------------
 # train
 # --------------------------------------------------------------------------
@@ -235,6 +243,31 @@ def test_eval_sim_pairs(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[1] == "p1,1.000000"
     assert out[2] == "mean,1.000000"
+
+
+def test_eval_sim_pairs_with_bom_read_as_without(tmp_path, capsys):
+    a = tmp_path / "a.jemb"
+    b = tmp_path / "b.jemb"
+    write_embedding(a, np.array([1.0, 0.0, 0.0]))
+    write_embedding(b, np.array([0.0, 1.0, 0.0]))
+    text = f"p1\t{a}\t{b}\n"
+    outputs = []
+    for name, prefix in (("pairs.tsv", b""), ("bom.tsv", b"\xef\xbb\xbf")):
+        (tmp_path / name).write_bytes(prefix + text.encode("utf-8"))
+        assert main(["eval", "sim", "--pairs", str(tmp_path / name)]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[1] == "p1,0.000000"
+
+
+def test_eval_cer_with_bom_lexicon_and_rows(tmp_path, capsys):
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_bytes(b"\xef\xbb\xbf" + "# latin\tthai\nok\tโอเค\n".encode("utf-8"))
+    rows = tmp_path / "rows.tsv"
+    rows.write_bytes(b"\xef\xbb\xbf" + "r1\tok ดี\tโอเคดี\n".encode("utf-8"))
+    code = main(["eval", "cer", "--input", str(rows), "--lexicon", str(lexicon)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[:2] == ["id,cer", "r1,0.000000"]
 
 
 def test_eval_rtf_arithmetic(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Thai normalization and evaluation tests: numeral grammar against a hand
 oracle, repetition-marker expansion, pipeline idempotence, edit distance
-against a brute-force recursive oracle, cosine properties, and vote tallies."""
+against a brute-force recursive oracle and the row-by-row DP, cosine
+properties, vote tallies, and byte-order marks in the text readers."""
 
 import logging
 import unicodedata
@@ -17,7 +18,9 @@ from flowtts.evaluation import (
     cosine_sim,
     evaluate_cer_rows,
     levenshtein,
+    read_cer_batch,
     read_embedding,
+    read_votes_csv,
     write_embedding,
 )
 from flowtts.thai_text import (
@@ -29,7 +32,7 @@ from flowtts.thai_text import (
     numerals_to_thai,
 )
 
-from oracles import NUMERAL_ORACLE, brute_force_levenshtein
+from oracles import NUMERAL_ORACLE, brute_force_levenshtein, dp_levenshtein
 
 # --------------------------------------------------------------------------
 # Numeral grammar: hand-written oracle table
@@ -230,6 +233,71 @@ def test_levenshtein_matches_brute_force_sampled_len8():
         assert levenshtein(a, b) == brute_force_levenshtein(a, b), (a, b)
 
 
+EDIT_ALPHABET = "กขคงจนมยรสอะาิีเแ่้" + MAI_YAMOK + "0123456789" + "abcXYZ"
+
+
+@st.composite
+def _edit_pairs(draw):
+    """A string and either an unrelated string or an edited copy of it, so
+    that both distant and near pairs (the CER case) come up."""
+    def text():
+        # Lengths drawn uniformly, so pairs wider than one 64-bit word are common.
+        length = draw(st.integers(0, 250))
+        return draw(st.text(alphabet=EDIT_ALPHABET, min_size=length, max_size=length))
+
+    a = text()
+    if draw(st.booleans()):
+        return a, text()
+    b = list(a)
+    edits = st.tuples(st.sampled_from(("substitute", "insert", "delete")),
+                      st.integers(0, 250), st.sampled_from(EDIT_ALPHABET))
+    for op, position, char in draw(st.lists(edits, max_size=12)):
+        at = min(position, len(b))
+        if op == "insert":
+            b.insert(at, char)
+        elif op == "delete":
+            del b[at:at + 1]
+        else:
+            b[at:at + 1] = [char]
+    return a, "".join(b)[:250]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edit_pairs())
+def test_levenshtein_matches_dp_oracle(pair):
+    a, b = pair
+    assert levenshtein(a, b) == dp_levenshtein(a, b) == levenshtein(b, a)
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 127, 128, 129])
+def test_levenshtein_at_bitset_width_edges(m):
+    # m is the length of the shorter string, whose characters index the bitset.
+    rng = np.random.default_rng(m)
+    pattern = "".join(rng.choice(list("กขคงจ"), size=m))
+    assert levenshtein(pattern, pattern) == 0
+    assert levenshtein(pattern, "") == levenshtein("", pattern) == m
+    # Every character absent from the pattern: nothing matches.
+    assert levenshtein(pattern, "x" * m) == m
+    assert levenshtein(pattern, "xyz" * m) == 3 * m
+    # One substitution in the last (highest) bit position.
+    assert levenshtein(pattern, pattern[:-1] + "x") == 1
+    edited = list(pattern + "".join(rng.choice(list("กขคxyz"), size=17)))
+    for at in rng.integers(0, len(edited), size=5):
+        edited[at] = "z"
+    texts = [
+        pattern + "x",
+        "x" + pattern,
+        pattern[::-1] + "ก",
+        "".join(edited),
+        "".join(rng.choice(list("กขคงจxyz"), size=m + 17)),
+        "".join(rng.choice(list("กขคงจ"), size=2 * m)),
+    ]
+    for text in texts:
+        assert len(text) >= m
+        expected = dp_levenshtein(pattern, text)
+        assert levenshtein(pattern, text) == levenshtein(text, pattern) == expected, text
+
+
 def test_evaluate_cer_rows_with_normalization(tmp_path):
     rows = [("r1", "มี 21 คน", "มียี่สิบเอ็ดคน"), ("r2", "กขค", "กค")]
     results, mean = evaluate_cer_rows(rows)
@@ -344,3 +412,33 @@ def test_tally_conservation(rows):
     report = aggregate_tally(votes, "ours")
     assert report.overall.total == len(votes)
     assert sum(c.total for c in report.per_competitor.values()) == len(votes)
+
+
+# --------------------------------------------------------------------------
+# UTF-8 byte-order marks, as Windows editors and spreadsheets save them
+# --------------------------------------------------------------------------
+
+def _with_and_without_bom(tmp_path, name, text):
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    return plain, marked
+
+
+def test_lexicon_with_bom_reads_as_without(tmp_path):
+    plain, marked = _with_and_without_bom(tmp_path, "lex.tsv", "# latin\tthai\nok\tโอเค\n")
+    assert load_lexicon(marked) == load_lexicon(plain) == {"ok": "โอเค"}
+    plain, marked = _with_and_without_bom(tmp_path, "lex2.tsv", "ok\tโอเค\n")
+    assert load_lexicon(marked) == load_lexicon(plain) == {"ok": "โอเค"}
+    NormalizationConfig(lexicon=load_lexicon(marked))
+
+
+def test_cer_batch_with_bom_reads_as_without(tmp_path):
+    plain, marked = _with_and_without_bom(tmp_path, "rows.tsv", "r1\tกขค\tกค\n")
+    assert read_cer_batch(marked) == read_cer_batch(plain) == [("r1", "กขค", "กค")]
+
+
+def test_votes_with_bom_header_reads_as_without(tmp_path):
+    plain, marked = _with_and_without_bom(tmp_path, "votes.csv",
+                                          "model_a,model_b,outcome\nours,x,A\n")
+    assert read_votes_csv(marked) == read_votes_csv(plain) == [PairwiseVote("ours", "x", "A")]
