@@ -49,6 +49,7 @@ from .model import (
     ModelState,
     StepHiddens,
     conditioning,
+    conditioning_batch,
     encode_patches,
     fsq_quantize,
     init_model_state,

@@ -539,19 +539,39 @@ def tensor_sum(x: Tensor) -> Tensor:
     return out
 
 
-def mse(a: Tensor, b) -> Tensor:
-    """Mean squared error over all elements."""
+def _row_weights(row_weights, shape: tuple[int, ...], op: str) -> np.ndarray | None:
+    """Per-element weights that make a sum over elements the weighted sum of
+    row means: w_r / (elements per row), broadcast over row r; None stays None."""
+    if row_weights is None:
+        return None
+    w = np.asarray(row_weights, dtype=np.float64)
+    if not shape or w.shape != shape[:1]:
+        raise ShapeError(f"{op}: {w.shape} row weights for operands of shape {shape}")
+    per_row = math.prod(shape[1:])
+    return (w / max(per_row, 1)).reshape((-1,) + (1,) * (len(shape) - 1))
+
+
+def mse(a: Tensor, b, row_weights=None) -> Tensor:
+    """Mean squared error over all elements.
+
+    With ``row_weights`` (one per row along the first axis) it is instead
+    sum_r w_r * mean(row r of (a - b)^2); weights 1/rows give the mean.
+    """
     a = _wrap(a)
     b = _wrap(b, a)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mse: shapes {a.data.shape} and {b.data.shape} differ")
+    weights = _row_weights(row_weights, a.data.shape, "mse")
     diff = a.data - b.data
     n = max(diff.size, 1)
-    out = _from_array(np.asarray(np.mean(diff * diff), dtype=a.data.dtype),
-                      a.requires_grad or b.requires_grad)
+    if weights is None:
+        value = np.mean(diff * diff)
+    else:
+        value = np.add.reduce(weights * (diff * diff), axis=None)
+    out = _from_array(np.asarray(value, dtype=a.data.dtype), a.requires_grad or b.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
-        scaled = (2.0 / n) * g * diff
+        scaled = (2.0 / n) * g * diff if weights is None else (2.0 * g) * weights * diff
         scaled = scaled.astype(a.data.dtype, copy=False)
         _accumulate(a, scaled)
         _accumulate(b, -scaled)
@@ -560,23 +580,28 @@ def mse(a: Tensor, b) -> Tensor:
     return out
 
 
-def bce_with_logits(logits: Tensor, targets) -> Tensor:
+def bce_with_logits(logits: Tensor, targets, row_weights=None) -> Tensor:
     """Mean binary cross-entropy over all elements, stable for large logits.
 
-    Targets are treated as constants; gradients flow to the logits only.
+    With ``row_weights`` (one per row along the first axis) it is instead
+    sum_r w_r * mean(row r of the cross-entropy).  Targets are treated as
+    constants; gradients flow to the logits only.
     """
     logits = _wrap(logits)
     t = np.asarray(targets, dtype=logits.data.dtype)
     if t.shape != logits.data.shape:
         raise ShapeError(f"bce_with_logits: shapes {logits.data.shape} and {t.shape} differ")
+    weights = _row_weights(row_weights, t.shape, "bce_with_logits")
     z = logits.data
     per = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
     n = max(z.size, 1)
-    out = _from_array(np.asarray(per.mean(), dtype=z.dtype), logits.requires_grad)
+    value = per.mean() if weights is None else np.add.reduce(weights * per, axis=None)
+    out = _from_array(np.asarray(value, dtype=z.dtype), logits.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
         s = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
-        _accumulate(logits, (g * (s - t) / n).astype(z.dtype, copy=False))
+        grad = g * (s - t) / n if weights is None else g * weights * (s - t)
+        _accumulate(logits, grad.astype(z.dtype, copy=False))
 
     push_op(out, adjoint)
     return out

@@ -111,14 +111,15 @@ def timestep_embedding(t_values: np.ndarray, dim: int, dtype) -> np.ndarray:
 
 
 def velocity_batch(state: ModelState, z_t: np.ndarray, t_values: np.ndarray,
-                   cond: Tensor | None, z_prev: np.ndarray) -> Tensor:
+                   cond: Tensor, z_prev: np.ndarray) -> Tensor:
     """Velocity predictions for a batch of (z_prev, z_t) pairs.
 
     Each pair forms a 2-token sequence [proj(z_prev), proj(z_t)] seen by a
     bidirectional transformer; the time embedding and the conditioning vector
-    are added to both tokens.  ``cond`` is a (n, d_model) tensor, or None to
-    use the learned null embedding (the guidance-free branch).  Output row i
-    is the velocity for pair i, read at the z_t position.
+    are added to both tokens.  ``cond`` is a (n, d_model) tensor: a row of
+    h_final, or the learned null embedding for the guidance-free branch
+    (``velocity`` picks them).  Output row i is the velocity for pair i, read
+    at the z_t position.
     """
     cfg = state.config
     dtype = state.dtype
@@ -140,14 +141,9 @@ def velocity_batch(state: ModelState, z_t: np.ndarray, t_values: np.ndarray,
     x = add(x, tile_rows(state["vel.pos"], n))
     t_emb = np.repeat(timestep_embedding(t_values, cfg.d_model, dtype), 2, axis=0)
     x = add(x, constant(t_emb, dtype=dtype))
-    if cond is None:
-        x = add(x, tile_rows(state["vel.null"], 2 * n))
-    else:
-        if cond.data.shape != (n, cfg.d_model):
-            raise ShapeError(
-                f"velocity: cond must be ({n}, {cfg.d_model}), got {cond.data.shape}"
-            )
-        x = add(x, repeat_rows(cond, 2))
+    if cond.data.shape != (n, cfg.d_model):
+        raise ShapeError(f"velocity: cond must be ({n}, {cfg.d_model}), got {cond.data.shape}")
+    x = add(x, repeat_rows(cond, 2))
 
     hidden = transformer_stack(state, "vel", x, VELOCITY_LAYERS, None, batch=n)
     at_z = embedding_lookup(hidden, np.arange(1, 2 * n, 2))
@@ -171,16 +167,16 @@ def velocity(state: ModelState, z_t: np.ndarray, t, h_final,
     z_t = _as_rows(z_t, dtype)
     n = z_t.shape[0]
     enabled = np.broadcast_to(np.asarray(cond_enabled, dtype=bool), (n,))
-    cond = None
-    if enabled.any():
-        cond = h_final if isinstance(h_final, Tensor) else constant(_as_rows(h_final, dtype),
-                                                                     dtype=dtype)
-        given = cond.data.shape[0]
-        if given in (1, n) and not (given == n and enabled.all()):
-            # Row i reads its own h_final row (or the only one) or the null row.
-            own = np.arange(n) if given == n else np.zeros(n, dtype=np.int64)
-            cond = embedding_lookup(concat([cond, state["vel.null"]], axis=0),
-                                    np.where(enabled, own, given))
+    cond = h_final if isinstance(h_final, Tensor) else constant(_as_rows(h_final, dtype),
+                                                                 dtype=dtype)
+    given = cond.data.shape[0]
+    if given not in (1, n):
+        raise ShapeError(f"velocity: h_final must have 1 or {n} rows, got {given}")
+    # Row i reads its own h_final row (or the only one) or the null row; one
+    # gather whatever the flags, so the recorded ops do not depend on them.
+    own = np.arange(n) if given == n else np.zeros(n, dtype=np.int64)
+    cond = embedding_lookup(concat([cond, state["vel.null"]], axis=0),
+                            np.where(enabled, own, given))
     return velocity_batch(state, z_t, t, cond, _as_rows(z_prev, dtype))
 
 
@@ -193,16 +189,18 @@ def _velocity_hook(state: ModelState, velocity_fn: Callable | None) -> Callable:
 
 
 def fm_loss(state: ModelState, z0: np.ndarray, z_prev: np.ndarray, h_final,
-            t, eps: np.ndarray, cond_enabled: bool,
-            velocity_fn: Callable | None = None) -> Tensor:
+            t, eps: np.ndarray, cond_enabled,
+            velocity_fn: Callable | None = None, row_weights=None) -> Tensor:
     """Flow-matching loss: MSE between the predicted velocity at
     z_t = alpha(t) z0 + sigma(t) eps and the schedule derivative eps - z0,
-    averaged over every coordinate.
+    averaged over every coordinate, or with ``row_weights`` the weighted sum
+    of the row means (see ``autodiff.mse``).
 
     ``z0``, ``eps`` and ``z_prev`` are one patch or (n, d_patch) rows with one
-    time per row in ``t``; z_t is formed in float64 and then rounded to the
-    model dtype.  ``velocity_fn(z_t, t, h_final, z_prev, cond_enabled)``
-    replaces the model's velocity net (tests substitute exact oracles).
+    time per row in ``t``, and ``cond_enabled`` one flag or one per row; z_t
+    is formed in float64 and then rounded to the model dtype.
+    ``velocity_fn(z_t, t, h_final, z_prev, cond_enabled)`` replaces the
+    model's velocity net (tests substitute exact oracles).
     """
     dtype = state.dtype
     z0 = _as_rows(z0, dtype)
@@ -213,7 +211,7 @@ def fm_loss(state: ModelState, z0: np.ndarray, z_prev: np.ndarray, h_final,
     v = _velocity_hook(state, velocity_fn)(z_t, t, h_final, z_prev, cond_enabled)
     if not isinstance(v, Tensor):
         v = constant(np.asarray(v, dtype=dtype), dtype=dtype)
-    return mse(v, constant(target.reshape(v.data.shape), dtype=dtype))
+    return mse(v, constant(target.reshape(v.data.shape), dtype=dtype), row_weights)
 
 
 def cfg_combine(v_cond: np.ndarray, v_uncond: np.ndarray, scale: float) -> np.ndarray:

@@ -40,6 +40,8 @@ __all__ = [
     "ModelState",
     "StepHiddens",
     "ConditioningCache",
+    "NonFiniteError",
+    "Packing",
     "VELOCITY_LAYERS",
     "init_model_state",
     "param_layout",
@@ -49,6 +51,7 @@ __all__ = [
     "residual_hiddens",
     "stop_logits",
     "conditioning",
+    "conditioning_batch",
     "step_hiddens",
     "causal_mask",
     "transformer_stack",
@@ -206,6 +209,71 @@ def causal_mask(n: int, dtype=None, past: int = 0) -> Tensor:
     return cached
 
 
+def _ranges(lengths: list[int]) -> np.ndarray:
+    # [0..n0) ++ [0..n1) ++ ... as one index array.
+    if len(lengths) == 1:
+        return np.arange(lengths[0])
+    return np.concatenate([np.arange(n) for n in lengths])
+
+
+class Packing:
+    """Row layout of several sequences packed into one for the conditioning
+    stacks.
+
+    Sequence e has ``text_lengths[e]`` text rows and ``history_lengths[e]``
+    history rows.  The packed rows are the text rows of every sequence, one
+    sequence after another, then the history rows in the same order, so one
+    sequence is laid out as it is alone.  Positions restart in each sequence
+    (history positions at ``first``, the patches a cache already holds), and
+    the mask of several sequences lets a row attend only to rows of its own
+    sequence up to its own position, so no sequence sees another (packing
+    without cross-contamination, Krell et al., 2021).
+    """
+
+    def __init__(self, text_lengths, history_lengths, first: int = 0):
+        self.text_lengths = [int(n) for n in text_lengths]
+        self.history_lengths = [int(k) for k in history_lengths]
+        self.size = len(self.text_lengths)
+        self.text_rows = sum(self.text_lengths)
+        self.text_positions = _ranges(self.text_lengths)
+        self.history_positions = first + _ranges(self.history_lengths)
+        self._block_mask: Tensor | None = None
+
+    def step_rows(self) -> np.ndarray:
+        """Packed rows that condition steps 0..k of each sequence in turn:
+        its last text row, then its history rows."""
+        rows, text_end, history_start = [], -1, self.text_rows
+        for n, k in zip(self.text_lengths, self.history_lengths):
+            text_end += n
+            rows += [text_end, *range(history_start, history_start + k)]
+            history_start += k
+        return np.array(rows)
+
+    def history_steps(self) -> np.ndarray:
+        """Index, among the steps of ``step_rows``, of the step each history
+        row pairs with (steps 0..k-1 of its sequence)."""
+        steps, start = [], 0
+        for k in self.history_lengths:
+            steps += range(start, start + k)
+            start += k + 1
+        return np.array(steps, dtype=np.int64)
+
+    def mask(self, rows: int, dtype, past: int = 0) -> Tensor:
+        """Additive mask for ``rows`` stack input rows after ``past`` cached
+        ones: the causal mask of one sequence, or the block mask of several,
+        which belongs to this packing and is never put in the mask cache."""
+        if self.size == 1:
+            return causal_mask(rows, dtype, past)
+        if self._block_mask is None:
+            owner = np.arange(self.size)
+            seq = np.r_[np.repeat(owner, self.text_lengths), np.repeat(owner, self.history_lengths)]
+            pos = np.r_[self.text_positions,
+                        np.repeat(self.text_lengths, self.history_lengths) + self.history_positions]
+            allowed = (seq[:, None] == seq[None, :]) & (pos[None, :] <= pos[:, None])
+            self._block_mask = constant(np.where(allowed, 0.0, MASK_VALUE), dtype=dtype)
+        return self._block_mask
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return add(matmul(x, w), b)
 
@@ -306,7 +374,7 @@ def _join_rows(parts: list[Tensor]) -> Tensor:
 
 
 def semantic_hiddens(state: ModelState, text_tokens, acoustic: Tensor,
-                     past: list | None = None) -> Tensor:
+                     past: list | None = None, packing: Packing | None = None) -> Tensor:
     """Causal hidden states over [embedded text] ++ [acoustic embeddings].
 
     Row (n_text - 1 + i) is the prediction hidden for patch i: it has seen
@@ -316,31 +384,41 @@ def semantic_hiddens(state: ModelState, text_tokens, acoustic: Tensor,
     over the same text and the first h patches), the text is not recomputed:
     ``acoustic`` holds the embeddings of patches h, h+1, ... and the result
     has one row per embedding.
+
+    With a ``packing``, ``text_tokens`` holds the checked ids of its
+    sequences one after another and ``acoustic`` their embeddings in the
+    same order, and the rows are in the packed order.
     """
     cfg = state.config
-    ids = _check_tokens(cfg, text_tokens)
-    n_text = ids.size
     done = _past_rows(past)
-    first = max(done - n_text, 0)
-    n_ac = acoustic.data.shape[0]
-    if first + n_ac > cfg.max_patches:
-        raise ShapeError(
-            f"acoustic context of {first + n_ac} patches exceeds max_patches {cfg.max_patches}")
+    if packing is None:
+        ids = _check_tokens(cfg, text_tokens)
+        packing = Packing([ids.size], [acoustic.data.shape[0]], max(done - ids.size, 0))
+    else:
+        ids = np.asarray(text_tokens, dtype=np.int64)
+    ac_positions = packing.history_positions
+    if ac_positions.size and ac_positions.max() >= cfg.max_patches:
+        raise ShapeError(f"acoustic context of {ac_positions.max() + 1} patches exceeds "
+                         f"max_patches {cfg.max_patches}")
     parts = []
     if not done:
         parts.append(add(embedding_lookup(state["sem.tok"], ids),
-                         embedding_lookup(state["sem.pos_text"], np.arange(n_text))))
-    if n_ac:
-        parts.append(add(acoustic,
-                         embedding_lookup(state["sem.pos_ac"], np.arange(first, first + n_ac))))
+                         embedding_lookup(state["sem.pos_text"], packing.text_positions)))
+    if ac_positions.size:
+        parts.append(add(acoustic, embedding_lookup(state["sem.pos_ac"], ac_positions)))
     x = _join_rows(parts)
-    mask = causal_mask(x.data.shape[0], state.dtype, done)
+    mask = packing.mask(x.data.shape[0], state.dtype, done)
     return transformer_stack(state, "sem", x, cfg.n_layers_semantic, mask, past=past)
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     # Fixed half-away-from-zero rounding, independent of platform default.
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+
+class NonFiniteError(ValueError):
+    """A NaN or infinity reached the quantizer, which cannot place it on
+    the lattice."""
 
 
 def fsq_quantize(h: Tensor, delta: float, bound: int) -> Tensor:
@@ -355,7 +433,7 @@ def fsq_quantize(h: Tensor, delta: float, bound: int) -> Tensor:
     if bound < 1:
         raise ValueError("fsq_quantize: bound must be >= 1")
     if not np.all(np.isfinite(h.data)):
-        raise ValueError("fsq_quantize: non-finite input")
+        raise NonFiniteError("fsq_quantize: non-finite input")
     q = delta * np.clip(_round_half_away(h.data / delta), -bound, bound)
     out = _from_array(q.astype(h.data.dtype, copy=False), h.requires_grad)
 
@@ -368,7 +446,7 @@ def fsq_quantize(h: Tensor, delta: float, bound: int) -> Tensor:
 
 def residual_hiddens(state: ModelState, text_hiddens: Tensor,
                      fsq_history: Tensor, acoustic_history: Tensor,
-                     past: list | None = None) -> Tensor:
+                     past: list | None = None, packing: Packing | None = None) -> Tensor:
     """Causal hidden states over [text hiddens] ++ [proj(skeleton ⊕ acoustic)].
 
     Row (n_text - 1 + i) is the residual hidden for step i.
@@ -377,6 +455,9 @@ def residual_hiddens(state: ModelState, text_hiddens: Tensor,
     over the same text hiddens and the first h history steps), the text rows
     are not recomputed: the histories hold steps h, h+1, ... and the result
     has one row per step.
+
+    With a ``packing``, the text hiddens and the histories hold its
+    sequences one after another, and the rows are in the packed order.
     """
     cfg = state.config
     k = fsq_history.data.shape[0]
@@ -386,16 +467,18 @@ def residual_hiddens(state: ModelState, text_hiddens: Tensor,
         )
     n_text = text_hiddens.data.shape[0]
     done = _past_rows(past)
-    first = max(done - n_text, 0)
+    if packing is None:
+        packing = Packing([n_text], [k], max(done - n_text, 0))
     parts = []
     if not done:
-        parts.append(add(text_hiddens, embedding_lookup(state["res.pos_text"], np.arange(n_text))))
+        parts.append(add(text_hiddens,
+                         embedding_lookup(state["res.pos_text"], packing.text_positions)))
     if k:
         hist = linear(concat([fsq_history, acoustic_history], axis=1),
                       state["res.proj.w"], state["res.proj.b"])
-        parts.append(add(hist, embedding_lookup(state["res.pos_hist"], np.arange(first, first + k))))
+        parts.append(add(hist, embedding_lookup(state["res.pos_hist"], packing.history_positions)))
     x = _join_rows(parts)
-    mask = causal_mask(x.data.shape[0], state.dtype, done)
+    mask = packing.mask(x.data.shape[0], state.dtype, done)
     return transformer_stack(state, "res", x, cfg.n_layers_residual, mask, past=past)
 
 
@@ -437,45 +520,69 @@ def conditioning(state: ModelState, text_tokens, history,
     to the cached one, against the cached keys and values, and returns rows
     for the new steps only.  The text must be the same and ``history`` must
     extend the cached history by at least one patch, else ValueError.
+
+    This is ``conditioning_batch`` of a batch of one.
+    """
+    return conditioning_batch(state, [text_tokens], [history], cache)
+
+
+def conditioning_batch(state: ModelState, texts, histories,
+                       cache: ConditioningCache | None = None) -> tuple[Tensor, Tensor, Tensor]:
+    """``conditioning`` of several sequences in one pass of each stack.
+
+    Sequence e is ``texts[e]`` with ``histories[e]``; the sequences are
+    packed into one (see ``Packing``), so each stack, the encoder and the
+    quantizer run once however many there are, and no sequence sees
+    another.  The result has the rows of sequence 0 (steps 0..k_0), then
+    those of sequence 1, and so on.  A ``cache`` takes exactly one sequence.
     """
     cfg = state.config
-    history = _as_patch_matrix(history, cfg.d_patch, state.dtype)
-    k = history.shape[0]
-    if k >= cfg.max_patches:
-        raise ShapeError(f"patch history of {k} reached max_patches {cfg.max_patches}")
-    ids = _check_tokens(cfg, text_tokens)
-    n_text = ids.size
+    histories = [_as_patch_matrix(h, cfg.d_patch, state.dtype) for h in histories]
+    lengths = [h.shape[0] for h in histories]
+    if not histories or len(texts) != len(histories):
+        raise ValueError(f"conditioning: {len(texts)} texts for {len(histories)} histories")
+    if max(lengths) >= cfg.max_patches:
+        raise ShapeError(f"patch history of {max(lengths)} reached max_patches {cfg.max_patches}")
+    tokens = [_check_tokens(cfg, t) for t in texts]
+    if cache is not None and len(tokens) != 1:
+        raise ValueError("conditioning: a cache holds one sequence")
     fresh = cache is None or cache.tokens is None
     done = 0
     if not fresh:
         done = cache.history.shape[0]
-        if not np.array_equal(ids, cache.tokens):
+        if not np.array_equal(tokens[0], cache.tokens):
             raise ValueError("conditioning: the cache was filled for other text tokens")
-        if k <= done or not np.array_equal(history[:done], cache.history, equal_nan=True):
+        if lengths[0] <= done or not np.array_equal(histories[0][:done], cache.history,
+                                                    equal_nan=True):
             raise ValueError("conditioning: history does not extend the cached history")
     semantic_past = None if cache is None else list(cache.semantic)
     residual_past = None if cache is None else list(cache.residual)
+    packing = Packing([t.size for t in tokens], [k - done for k in lengths], done)
+    ids = tokens[0] if len(tokens) == 1 else np.concatenate(tokens)
+    new_patches = histories[0][done:] if len(histories) == 1 else np.concatenate(histories)
 
-    embeddings = encode_patches(state, history[done:])
-    hiddens = semantic_hiddens(state, ids, embeddings, semantic_past)
+    embeddings = encode_patches(state, new_patches)
+    hiddens = semantic_hiddens(state, ids, embeddings, semantic_past, packing)
     # Prefill returns steps 0..k; decode returns steps done+1..k, because the
     # previous call returned step done.
-    steps = k - done + int(fresh)
-    rows = hiddens.data.shape[0] - steps + np.arange(steps)
+    rows = packing.step_rows() if fresh else np.arange(lengths[0] - done)
     quantized = fsq_quantize(embedding_lookup(hiddens, rows), cfg.fsq_delta, cfg.fsq_bound)
-    text_hiddens = narrow(hiddens, 0, 0, n_text) if fresh else cache.text_hiddens
+    text_hiddens = narrow(hiddens, 0, 0, packing.text_rows) if fresh else cache.text_hiddens
     # History step i pairs patch i with the skeleton of step i; decode's
     # first one is the last skeleton of the previous call.
     skeletons = quantized if fresh else concat([constant(cache.last_quantized), quantized], axis=0)
-    residual = residual_hiddens(state, text_hiddens, narrow(skeletons, 0, 0, k - done),
-                                embeddings, residual_past)
+    if packing.size == 1:
+        paired = narrow(skeletons, 0, 0, lengths[0] - done)
+    else:
+        paired = embedding_lookup(skeletons, packing.history_steps())
+    residual = residual_hiddens(state, text_hiddens, paired, embeddings, residual_past, packing)
     h_res = embedding_lookup(residual, rows)
 
     if cache is not None:
-        cache.tokens = ids
-        cache.history = history.copy()
+        cache.tokens = tokens[0]
+        cache.history = histories[0].copy()
         cache.text_hiddens = text_hiddens
-        cache.last_quantized = quantized.data[steps - 1:]
+        cache.last_quantized = quantized.data[-1:]
         cache.semantic = semantic_past
         cache.residual = residual_past
     return add(quantized, h_res), quantized, h_res

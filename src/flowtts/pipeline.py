@@ -35,8 +35,10 @@ from .model import (
     ConditioningCache,
     ModelConfig,
     ModelState,
+    NonFiniteError,
     _as_patch_matrix,
     conditioning,
+    conditioning_batch,
     param_layout,
     step_hiddens,
     stop_logits,
@@ -187,22 +189,25 @@ def sample_prompt(cfg: TrainConfig, model_cfg: ModelConfig,
 # Joint objective
 # --------------------------------------------------------------------------
 
-def stop_loss(logits: Tensor, labels) -> Tensor:
-    """Mean binary cross-entropy of termination logits against stop labels."""
+def stop_loss(logits: Tensor, labels, row_weights=None) -> Tensor:
+    """Mean binary cross-entropy of termination logits against stop labels;
+    with ``row_weights``, the weighted sum over positions (one weight each)."""
     labels = np.asarray(labels, dtype=bool)
     if logits.data.size != labels.size:
         raise ShapeError(f"stop_loss: {logits.data.size} logits vs {labels.size} labels")
     if labels.size == 0:
         raise ShapeError("stop_loss: need at least one position")
     targets = labels.astype(logits.data.dtype).reshape(logits.data.shape)
-    return bce_with_logits(logits, targets)
+    return bce_with_logits(logits, targets, row_weights)
 
 
 @dataclass
 class LossParts:
+    """Batch means of the two loss terms, and each example's guidance flag."""
+
     fm: float
     stop: float
-    cond_enabled: bool
+    cond_enabled: tuple[bool, ...]
 
 
 def draw_conditioning_enabled(rngs: RngHub, drop_prob: float) -> bool:
@@ -217,38 +222,55 @@ def _teacher_forced_hiddens(state: ModelState, example: TrainingExample):
     return h_final, quantized
 
 
-def total_loss(example: TrainingExample, state: ModelState, rngs: RngHub,
+def total_loss(examples: TrainingExample | Sequence[TrainingExample], state: ModelState,
+               rngs: RngHub,
                velocity_fn: Callable | None = None,
                stop_logits_fn: Callable | None = None) -> tuple[Tensor, LossParts]:
-    """Joint objective for one example: flow-matching loss averaged over patch
-    positions (independent t and eps per position) plus the weighted stop loss.
+    """Joint objective of one example or a batch of them, in one forward
+    pass: the mean over examples of each example's flow-matching loss
+    (averaged over its patch positions, with independent t and eps per
+    position) plus its weighted stop loss.
 
-    Conditioning is dropped for the whole sequence with the model's
+    The examples are packed into one sequence (``model.conditioning_batch``),
+    and the velocity net and the stop head each run once over all patch
+    positions.  Position i of example e has weight 1 / (B * n_e), so every
+    example counts the same however many patches it has.  t, eps and the
+    guidance-dropout flag are drawn per example, in example order.
+    Conditioning is dropped for a whole example with the model's
     cfg_drop_prob; the dropped branch trains the null embedding used for
     guidance at inference.
 
-    ``velocity_fn`` (the hook of ``fm_loss``) and ``stop_logits_fn(h_fsq)``
+    ``velocity_fn`` (the hook of ``fm_loss``, called once with every
+    position's row and one flag per row) and ``stop_logits_fn(h_fsq)``
     substitute the velocity net or the stop head; tests use them to plug in
     exact oracles.
     """
+    if isinstance(examples, TrainingExample):
+        examples = [examples]
     cfg = state.config
     dtype = state.dtype
 
-    h_final, quantized = _teacher_forced_hiddens(state, example)
+    h_final, quantized, _ = conditioning_batch(state, [e.text_tokens for e in examples],
+                                               [e.patches[:-1] for e in examples])
     logits = (stop_logits_fn or (lambda q: stop_logits(state, q)))(quantized)
-    l_stop = stop_loss(logits, example.stop_labels)
+    sizes = [e.patches.shape[0] for e in examples]
+    weights = np.repeat([1.0 / (len(examples) * n) for n in sizes], sizes)
+    l_stop = stop_loss(logits, np.concatenate([e.stop_labels for e in examples]), weights)
 
-    n = example.patches.shape[0]
-    z0 = np.asarray(example.patches, dtype=dtype)
-    z_prev = np.vstack([np.zeros((1, cfg.d_patch), dtype=dtype), z0[:-1]])
-    t_values = rngs.stream("t").uniform(size=n)
-    eps = rngs.stream("eps").standard_normal((n, cfg.d_patch)).astype(dtype)
-    cond_enabled = draw_conditioning_enabled(rngs, cfg.cfg_drop_prob)
+    z0, z_prev, t_values, eps, flags = [], [], [], [], []
+    for example, n in zip(examples, sizes):
+        patches = np.asarray(example.patches, dtype=dtype)
+        z0.append(patches)
+        z_prev += [np.zeros((1, cfg.d_patch), dtype=dtype), patches[:-1]]
+        t_values.append(rngs.stream("t").uniform(size=n))
+        eps.append(rngs.stream("eps").standard_normal((n, cfg.d_patch)).astype(dtype))
+        flags.append(draw_conditioning_enabled(rngs, cfg.cfg_drop_prob))
 
-    l_fm = fm_loss(state, z0, z_prev, h_final, t_values, eps, cond_enabled, velocity_fn)
+    l_fm = fm_loss(state, np.vstack(z0), np.vstack(z_prev), h_final, np.concatenate(t_values),
+                   np.vstack(eps), np.repeat(flags, sizes), velocity_fn, weights)
 
     total = add(l_fm, mul(l_stop, cfg.lambda_stop))
-    return total, LossParts(fm=l_fm.item(), stop=l_stop.item(), cond_enabled=cond_enabled)
+    return total, LossParts(fm=l_fm.item(), stop=l_stop.item(), cond_enabled=tuple(flags))
 
 
 # --------------------------------------------------------------------------
@@ -301,6 +323,10 @@ def train(config: TrainConfig, spec: SyntheticSpec,
           state: ModelState) -> tuple[ModelState, list[LossRecord]]:
     """Jointly optimize all submodules on synthetic batches.
 
+    Each step packs its batch into one forward and one backward pass
+    (``total_loss`` of the batch).  A non-finite loss, or a non-finite value
+    reaching the quantizer, raises TrainingDiverged with the step.
+
     Deterministic given the seed: data sampling, noise, times, and the
     conditioning drop all consume dedicated named streams.
     """
@@ -315,25 +341,19 @@ def train(config: TrainConfig, spec: SyntheticSpec,
             synthetic_example(spec, state.config, *sample_prompt(config, state.config, data_rng))
             for _ in range(config.batch_size)
         ]
-        fm_sum = 0.0
-        stop_sum = 0.0
         with record() as tape:
-            acc = None
-            for example in examples:
-                loss, parts = total_loss(example, state, rngs)
-                fm_sum += parts.fm
-                stop_sum += parts.stop
-                acc = loss if acc is None else add(acc, loss)
-            batch_loss = mul(acc, 1.0 / config.batch_size)
-        value = batch_loss.item()
+            try:
+                loss, parts = total_loss(examples, state, rngs)
+            except NonFiniteError:
+                # A NaN or infinity in the weights reached the quantizer.
+                raise TrainingDiverged(step) from None
+        value = loss.item()
         if not math.isfinite(value):
             raise TrainingDiverged(step)
         zero_grads(params)
-        tape.backward(batch_loss)
+        tape.backward(loss)
         optimizer.step(state)
-        history.append(LossRecord(step=step, total=value,
-                                  fm=fm_sum / config.batch_size,
-                                  stop=stop_sum / config.batch_size))
+        history.append(LossRecord(step=step, total=value, fm=parts.fm, stop=parts.stop))
     return state, history
 
 

@@ -120,6 +120,65 @@ def test_bce_at_zero_logit_is_ln2():
         assert loss.item() == pytest.approx(np.log(2.0), rel=1e-6)
 
 
+def _row_means(values, shape):
+    return np.array([np.mean(row) for row in np.reshape(values, (shape[0], -1))])
+
+
+@pytest.mark.parametrize("shape", [(5,), (4, 3), (3, 2, 2)])
+def test_row_weighted_losses_are_weighted_sums_of_row_means(shape):
+    rng = np.random.default_rng(zlib.crc32(str(shape).encode()))
+    with precision("float64"):
+        a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+        labels = rng.integers(0, 2, size=shape).astype(np.float64)
+        w = rng.uniform(0.1, 1.0, size=shape[0])
+        got = mse(constant(a), constant(b), w).item()
+        assert got == pytest.approx(w @ _row_means((a - b) ** 2, shape), rel=1e-12)
+        per = np.maximum(a, 0) - a * labels + np.log1p(np.exp(-np.abs(a)))
+        got = bce_with_logits(constant(a), labels, w).item()
+        assert got == pytest.approx(w @ _row_means(per, shape), rel=1e-12)
+        # Uniform weights 1/rows give the plain mean.
+        uniform = np.full(shape[0], 1.0 / shape[0])
+        assert mse(constant(a), constant(b), uniform).item() == \
+            pytest.approx(mse(constant(a), constant(b)).item(), rel=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_losses_without_row_weights_are_bitwise_the_plain_mean(dtype):
+    rng = np.random.default_rng(7)
+    a, b = (rng.standard_normal((9, 16)).astype(dtype) for _ in range(2))
+    labels = rng.integers(0, 2, size=(9, 16)).astype(dtype)
+    diff = a - b
+    assert mse(constant(a, dtype=dtype), constant(b, dtype=dtype)).data == \
+        np.asarray(np.mean(diff * diff), dtype=dtype)
+    per = np.maximum(a, 0.0) - a * labels + np.log1p(np.exp(-np.abs(a)))
+    assert bce_with_logits(constant(a, dtype=dtype), labels).data == \
+        np.asarray(per.mean(), dtype=dtype)
+
+
+@pytest.mark.parametrize("shape", [(5,), (4, 3), (3, 2, 2)])
+def test_row_weighted_loss_gradients_match_finite_differences(shape):
+    rng = np.random.default_rng(zlib.crc32(("weighted" + str(shape)).encode()))
+    with precision("float64"):
+        like = constant(rng.standard_normal(shape))
+        labels = rng.integers(0, 2, size=shape).astype(np.float64)
+        w = rng.uniform(0.1, 1.0, size=shape[0])
+        cases = {
+            "mse first operand": lambda x: mse(x, like, w),
+            "mse second operand": lambda x: mse(like, x, w),
+            "bce_with_logits": lambda x: bce_with_logits(x, labels, w),
+        }
+        for name, f in cases.items():
+            x = parameter(rng.standard_normal(shape))
+            assert grad_check(f, x) <= 1e-4, f"{name} @ {shape}"
+
+
+def test_row_weights_must_give_one_weight_per_row():
+    with pytest.raises(ShapeError):
+        mse(constant(np.zeros((3, 2))), constant(np.zeros((3, 2))), np.ones(2))
+    with pytest.raises(ShapeError):
+        bce_with_logits(constant(np.zeros(())), np.zeros(()), np.ones(1))
+
+
 # --------------------------------------------------------------------------
 # Backward basics
 # --------------------------------------------------------------------------

@@ -111,6 +111,28 @@ def test_train_nan_fsq_delta_is_config_error(tmp_path):
     assert not (tmp_path / "m.ckpt").exists()
 
 
+def test_train_nan_weights_abort_with_model_exit_code(tmp_path, tiny_config_path, monkeypatch,
+                                                     capsys):
+    # A NaN reaching the quantizer ends the run as a diverged training run.
+    import flowtts.cli as cli
+    real_init = cli.init_model_state
+
+    def poisoned_init(config, seed=0):
+        state = real_init(config, seed=seed)
+        state.params["sem.tok"].data[:] = np.nan
+        return state
+
+    monkeypatch.setattr(cli, "init_model_state", poisoned_init)
+    ckpt = tmp_path / "m.ckpt"
+    code = main(["train", "--config", tiny_config_path, "--out-checkpoint", str(ckpt),
+                 "--loss-csv", str(tmp_path / "loss.csv")])
+    err = capsys.readouterr().err
+    assert code == EXIT_MODEL
+    assert "training aborted" in err and "step 0" in err
+    assert "Traceback" not in err
+    assert not ckpt.exists()
+
+
 def test_train_same_seed_identical_loss_csv(tmp_path, tiny_config_path):
     outputs = []
     for tag in ("a", "b"):

@@ -17,7 +17,9 @@ import flowtts.model as model
 from flowtts.autodiff import (
     RngHub,
     ShapeError,
+    add,
     constant,
+    mul,
     precision,
     record,
     rng_stream,
@@ -216,10 +218,26 @@ def test_train_nan_abort_carries_step():
     assert err.value.step == 0
 
 
-def test_default_training_step_records_at_most_1500_tape_entries(monkeypatch):
-    # Fused attention: 1,472 entries for batch 8 (3,200 with the per-head loop).
-    # Each example records a fixed set of ops, so the count does not depend
-    # on the sampled prompt lengths.
+@pytest.mark.parametrize("name", ["sem.tok", "enc.w1"])
+def test_train_nan_before_the_quantizer_aborts_with_the_failing_step(name, monkeypatch):
+    # A NaN in these weights reaches fsq_quantize before the loss exists; it
+    # must end training as TrainingDiverged, not escape as a ValueError.
+    real_step = pipeline._Adam.step
+
+    def step_then_poison(self, state):
+        real_step(self, state)
+        state.params[name].data[:] = np.nan
+
+    monkeypatch.setattr(pipeline._Adam, "step", step_then_poison)
+    with pytest.raises(TrainingDiverged) as err:
+        train(TrainConfig(train_steps=3, batch_size=2, seed=0), SPEC, init_model_state(CFG, seed=8))
+    assert err.value.step == 1
+
+
+def test_default_training_step_records_at_most_200_tape_entries(monkeypatch):
+    # One packed forward pass per step: 184 entries whatever the batch size
+    # (1,464 for batch 8 with one forward pass per example, 3,200 before the
+    # fused attention primitive).
     lengths = []
     real_record = pipeline.record
 
@@ -231,9 +249,93 @@ def test_default_training_step_records_at_most_1500_tape_entries(monkeypatch):
 
     monkeypatch.setattr(pipeline, "record", counting_record)
     cfg = ModelConfig()
-    train(TrainConfig(train_steps=1), default_synthetic_spec(cfg), init_model_state(cfg, seed=0))
-    assert len(lengths) == 1
-    assert lengths[0] <= 1500
+    for batch_size in (1, 8):
+        train(TrainConfig(train_steps=1, batch_size=batch_size), default_synthetic_spec(cfg),
+              init_model_state(cfg, seed=0))
+    assert len(lengths) == 2
+    assert lengths[0] == lengths[1] <= 200
+
+
+def _sampled_batch(cfg, size, seed):
+    data_rng = RngHub(seed).stream("data")
+    spec = default_synthetic_spec(cfg)
+    return [synthetic_example(spec, cfg, *sample_prompt(TrainConfig(), cfg, data_rng))
+            for _ in range(size)]
+
+
+def test_packed_batch_loss_and_gradients_equal_the_mean_of_per_example_losses():
+    # Drop probability 0.5 gives the batch both guidance branches.
+    cfg = dataclasses.replace(ModelConfig(), cfg_drop_prob=0.5)
+    with precision("float64"):
+        state = init_model_state(cfg, seed=3)
+        params = dict(state.parameters())
+        examples = _sampled_batch(cfg, 8, seed=41)
+
+        zero_grads(params.values())
+        with record() as tape:
+            packed, parts = total_loss(examples, state, RngHub(5))
+        tape.backward(packed)
+        packed_grads = {name: p.grad for name, p in params.items()}
+        assert 0 < sum(parts.cond_enabled) < len(examples)
+
+        zero_grads(params.values())
+        rngs = RngHub(5)
+        with record() as tape:
+            losses = [total_loss(example, state, rngs)[0] for example in examples]
+            mean = losses[0]
+            for loss in losses[1:]:
+                mean = add(mean, loss)
+            mean = mul(mean, 1.0 / len(examples))
+        tape.backward(mean)
+
+    assert packed.item() == pytest.approx(mean.item(), rel=1e-9)
+    for name, p in params.items():
+        # The attention key biases have an analytically zero gradient, so
+        # for them only the absolute bound says anything.
+        np.testing.assert_allclose(packed_grads[name], p.grad, rtol=1e-9, atol=1e-13,
+                                   err_msg=name)
+
+
+def test_packed_batch_mates_are_isolated():
+    cfg = ModelConfig()
+    state = init_model_state(cfg, seed=2)
+    examples = _sampled_batch(cfg, 8, seed=42)
+    texts = [e.text_tokens for e in examples]
+    histories = [e.patches[:-1] for e in examples]
+    h_final, quantized, _ = model.conditioning_batch(state, texts, histories)
+    steps = [len(h) + 1 for h in histories]
+    rows = np.split(np.arange(sum(steps)), np.cumsum(steps)[:-1])
+
+    changed = 3
+    perturbed = list(histories)
+    perturbed[changed] = histories[changed] + RNG.standard_normal(histories[changed].shape)
+    h_other, q_other, _ = model.conditioning_batch(state, texts, perturbed)
+    for e, r in enumerate(rows):
+        if e == changed:
+            assert np.any(h_other.data[r] != h_final.data[r])
+        else:
+            np.testing.assert_array_equal(h_other.data[r], h_final.data[r])
+            np.testing.assert_array_equal(q_other.data[r], quantized.data[r])
+    # Each sequence's rows are its own conditioning, up to summation order.
+    for e, r in enumerate(rows):
+        alone, _, _ = model.conditioning(state, texts[e], histories[e])
+        np.testing.assert_allclose(h_final.data[r], alone.data, rtol=1e-4, atol=1e-5)
+
+
+def test_conditioning_batch_rejects_a_cache_of_several_and_unpaired_inputs():
+    history = np.zeros((2, CFG.d_patch))
+    with pytest.raises(ValueError, match="one sequence"):
+        model.conditioning_batch(STATE, [[1], [2]], [history, history], model.ConditioningCache())
+    with pytest.raises(ValueError, match="texts"):
+        model.conditioning_batch(STATE, [[1], [2]], [history])
+
+
+def test_packed_training_puts_nothing_in_the_mask_cache(monkeypatch):
+    # Block masks of packed batches are built per step and never cached, so
+    # a long run cannot grow the cache.
+    monkeypatch.setattr(model, "_MASK_CACHE", {})
+    train(TrainConfig(train_steps=5, batch_size=4, seed=3), SPEC, init_model_state(CFG, seed=8))
+    assert model._MASK_CACHE == {}
 
 
 def test_train_drops_conditioning_at_model_cfg_drop_prob(monkeypatch):
