@@ -41,10 +41,12 @@ __all__ = [
     "RngHub",
     "primitive_forward_set",
     "matmul",
+    "linear",
     "add",
     "mul",
     "gelu",
     "layer_norm",
+    "layer_norm_affine",
     "softmax",
     "sigmoid",
     "embedding_lookup",
@@ -225,6 +227,27 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+_SCALARS: dict[tuple[float, np.dtype], np.ndarray] = {}
+
+
+def _scalar(value: float, dtype: np.dtype) -> np.ndarray:
+    """``value`` as a read-only 0-d array of ``dtype``, made once per pair.
+
+    numpy casts a Python number to the array's dtype before the arithmetic,
+    so this gives the same bits while skipping that per-call conversion,
+    which costs more than the arithmetic itself on the small rows used here.
+    Only the primitives' own constants come here (row widths, eps, 1, 0.5,
+    sqrt 2), so the table stays a few entries long.
+    """
+    key = (value, dtype)
+    s = _SCALARS.get(key)
+    if s is None:
+        s = np.asarray(value, dtype=dtype)
+        s.flags.writeable = False
+        s = _SCALARS.setdefault(key, s)
+    return s
+
+
 def _wrap(x, like: Tensor | None = None) -> Tensor:
     if isinstance(x, Tensor):
         return x
@@ -245,6 +268,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def adjoint(g: np.ndarray) -> None:
         _accumulate(a, g @ b.data.T)
         _accumulate(b, a.data.T @ g)
+
+    push_op(out, adjoint)
+    return out
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map x @ w + b of (n, d_in) rows, with w (d_in, d_out) and b (d_out,).
+
+    One tape entry in place of ``add(matmul(x, w), b)``; the output and every
+    operand gradient are bitwise the composition's (the bias is added in place
+    to the product, and the adjoint forms the same sums in the same order).
+    """
+    x, w, b = _wrap(x), _wrap(w, x), _wrap(b, x)
+    xd, wd, bd = x.data, w.data, b.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or bd.shape != wd.shape[1:]:
+        raise ShapeError(f"linear: shapes {xd.shape}, {wd.shape} and {bd.shape} "
+                         f"are not (n, d_in), (d_in, d_out) and (d_out,)")
+    data = xd @ wd
+    np.add(data, bd, out=data)
+    out = _from_array(data, x.requires_grad or w.requires_grad or b.requires_grad)
+
+    def adjoint(g: np.ndarray) -> None:
+        _accumulate(b, _unbroadcast(g, bd.shape))
+        if x.requires_grad:
+            _accumulate(x, g @ wd.T)
+        if w.requires_grad:
+            _accumulate(w, xd.T @ g)
 
     push_op(out, adjoint)
     return out
@@ -291,7 +341,13 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) Gaussian error linear unit."""
     x = _wrap(x)
-    cdf = 0.5 * (1.0 + erf(x.data / _SQRT2))
+    # erf is most of the forward time; it and the two passes after it run in
+    # place, which gives the same bits as 0.5 * (1.0 + erf(x / sqrt(2))).
+    dtype = x.data.dtype
+    cdf = x.data / _scalar(_SQRT2, dtype)
+    erf(cdf, out=cdf)
+    cdf += _scalar(1.0, dtype)
+    cdf *= _scalar(0.5, dtype)
     out = _from_array((x.data * cdf).astype(x.data.dtype, copy=False), x.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
@@ -302,6 +358,35 @@ def gelu(x: Tensor) -> Tensor:
     return out
 
 
+def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(xhat, 1 / std) of the last axis, shared by both layer norms.
+
+    Row means as np.add.reduce(...) / d: bitwise what np.mean gives, without
+    its Python-level wrapper, which dominates on the small rows used here.
+    Each step writes into an array it made, and the constants are 0-d arrays
+    of x's dtype (``_scalar``): the same bits as (x - mean) / sqrt(var + eps)
+    with fewer allocations and conversions.
+    """
+    width = _scalar(x.shape[-1], x.dtype)
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    mean /= width
+    centered = x - mean
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True)
+    var /= width
+    var += _scalar(eps, x.dtype)
+    inv = np.sqrt(var, out=var)
+    np.divide(_scalar(1.0, x.dtype), inv, out=inv)
+    np.multiply(centered, inv, out=centered)
+    return centered, inv
+
+
+def _normalize_adjoint(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    d = xhat.shape[-1]
+    gm = np.add.reduce(g, axis=-1, keepdims=True) / d
+    gx = np.add.reduce(g * xhat, axis=-1, keepdims=True) / d
+    return (inv * (g - gm - xhat * gx)).astype(xhat.dtype, copy=False)
+
+
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (no affine terms).
 
@@ -309,20 +394,39 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     denominator, so constant inputs cannot produce NaN.
     """
     x = _wrap(x)
-    # Row means as np.add.reduce(...) / d: bitwise what np.mean gives, without
-    # its Python-level wrapper, which dominates on the small rows used here.
-    d = x.data.shape[-1]
-    mean = np.add.reduce(x.data, axis=-1, keepdims=True) / d
-    centered = x.data - mean
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (centered * inv).astype(x.data.dtype, copy=False)
+    xhat, inv = _normalize(x.data, eps)
     out = _from_array(xhat, x.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
-        gm = np.add.reduce(g, axis=-1, keepdims=True) / d
-        gx = np.add.reduce(g * xhat, axis=-1, keepdims=True) / d
-        _accumulate(x, (inv * (g - gm - xhat * gx)).astype(x.data.dtype, copy=False))
+        _accumulate(x, _normalize_adjoint(g, xhat, inv))
+
+    push_op(out, adjoint)
+    return out
+
+
+def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """``layer_norm(x) * gain + bias`` with (d,) gain and bias over the last axis.
+
+    One tape entry in place of ``add(mul(layer_norm(x), gain), bias)``; the
+    output and every operand gradient are bitwise the composition's.
+    """
+    x = _wrap(x)
+    gain, bias = _wrap(gain, x), _wrap(bias, x)
+    gd = gain.data
+    d = x.data.shape[-1:]
+    if gd.shape != d or bias.data.shape != d:
+        raise ShapeError(f"layer_norm_affine: gain {gd.shape} and bias {bias.data.shape} "
+                         f"for rows of shape {d}")
+    xhat, inv = _normalize(x.data, eps)
+    data = xhat * gd
+    np.add(data, bias.data, out=data)
+    out = _from_array(data, x.requires_grad or gain.requires_grad or bias.requires_grad)
+
+    def adjoint(g: np.ndarray) -> None:
+        _accumulate(bias, _unbroadcast(g, d))
+        _accumulate(gain, _unbroadcast(g * xhat, d))
+        if x.requires_grad:
+            _accumulate(x, _normalize_adjoint(g * gd, xhat, inv))
 
     push_op(out, adjoint)
     return out
@@ -364,9 +468,9 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     idx = np.asarray(ids)
     if table.data.ndim != 2:
         raise ShapeError(f"embedding_lookup: table must be rank 2, got shape {table.data.shape}")
-    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
         raise ShapeError("embedding_lookup: ids must be a 1-d integer sequence")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
+    if idx.size and (np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= table.data.shape[0]):
         raise ShapeError(
             f"embedding_lookup: ids out of range for table with {table.data.shape[0]} rows"
         )
@@ -465,7 +569,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None, batch: int
     mask_data = None if mask is None else _wrap(mask, q).data
     if mask_data is not None and mask_data.shape != (seq, key_seq):
         raise ShapeError(f"attention: mask shape {mask_data.shape}, expected {(seq, key_seq)}")
-    scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.data.dtype)
+    scale = _scalar(1.0 / math.sqrt(dh), q.data.dtype)
 
     def split(x: np.ndarray) -> np.ndarray:
         # (batch * T, d) -> (batch, heads, T, d_h) view
@@ -480,9 +584,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None, batch: int
     p *= scale
     if mask_data is not None:
         p += mask_data
-    p -= p.max(axis=-1, keepdims=True)
+    # The ufunc reductions are what p.max and p.sum call, minus their wrappers.
+    p -= np.maximum.reduce(p, axis=-1, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     out = _from_array(merge(p @ vh), q.requires_grad or k.requires_grad or v.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
@@ -625,6 +730,8 @@ def primitive_forward_set() -> dict[str, Callable]:
         "bce_with_logits": bce_with_logits,
         # Extras used by the model; held to the same gradient contract.
         "attention": attention,
+        "linear": linear,
+        "layer_norm_affine": layer_norm_affine,
         "repeat_rows": repeat_rows,
         "tile_rows": tile_rows,
     }

@@ -7,7 +7,8 @@ deterministic under a fixed --seed (wall-clock RTF measurement excepted).
 
 Exit codes:
   0  success
-  1  model errors: training diverged (NaN), checkpoint/latent format errors
+  1  model errors: training diverged (NaN), a NaN or infinity met during
+     synthesis, checkpoint/latent format errors
   2  I/O or configuration errors (missing files, unknown config keys)
   3  empty token list
   4  malformed data rows (CER batch, votes, pair lists)
@@ -35,7 +36,7 @@ from .evaluation import (
 )
 from .fileio import write_atomic
 from .flowmatch import DEFAULT_CFG_SCALE, DEFAULT_STEPS
-from .model import ModelConfig, init_model_state
+from .model import ModelConfig, NonFiniteError, init_model_state
 from .pipeline import (
     CheckpointError,
     LatentFileError,
@@ -393,6 +394,12 @@ def main(argv=None) -> int:
         return EXIT_BAD_ROWS
     except (CheckpointError, LatentFileError, TrainingDiverged) as exc:
         logger.error("%s", exc)
+        return EXIT_MODEL
+    except NonFiniteError as exc:
+        # train() reports this as TrainingDiverged; in synthesis a NaN or
+        # infinity came from the checkpoint's weights or the reference latents.
+        logger.error("synthesis aborted: %s (NaN or infinity in the checkpoint or the "
+                     "reference latents)", exc)
         return EXIT_MODEL
 
 

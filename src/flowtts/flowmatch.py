@@ -10,6 +10,7 @@ with uniform Euler steps.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -21,18 +22,14 @@ from .autodiff import (
     add,
     concat,
     constant,
+    embedding_lookup,
+    linear,
     mse,
     repeat_rows,
     rng_stream,
     tile_rows,
 )
-from .model import (
-    ModelState,
-    VELOCITY_LAYERS,
-    embedding_lookup,
-    linear,
-    transformer_stack,
-)
+from .model import ModelState, VELOCITY_LAYERS, transformer_stack
 
 __all__ = [
     "DEFAULT_STEPS",
@@ -42,6 +39,8 @@ __all__ = [
     "noise",
     "target_velocity",
     "timestep_embedding",
+    "VelocityContext",
+    "velocity_context",
     "velocity",
     "velocity_batch",
     "fm_loss",
@@ -110,41 +109,76 @@ def timestep_embedding(t_values: np.ndarray, dim: int, dtype) -> np.ndarray:
     return emb.astype(dtype)
 
 
-def velocity_batch(state: ModelState, z_t: np.ndarray, t_values: np.ndarray,
-                   cond: Tensor, z_prev: np.ndarray) -> Tensor:
-    """Velocity predictions for a batch of (z_prev, z_t) pairs.
+@dataclass(frozen=True)
+class VelocityContext:
+    """The inputs of the velocity net for n (z_prev, z_t) pairs that depend
+    on neither z_t nor t: the z_prev rows, and for each of the 2n token rows
+    (pair by pair, z_prev token first) its position row and its pair's
+    conditioning row.
 
-    Each pair forms a 2-token sequence [proj(z_prev), proj(z_t)] seen by a
-    bidirectional transformer; the time embedding and the conditioning vector
-    are added to both tokens.  ``cond`` is a (n, d_model) tensor: a row of
-    h_final, or the learned null embedding for the guidance-free branch
-    (``velocity`` picks them).  Output row i is the velocity for pair i, read
-    at the z_t position.
+    ``velocity_context`` builds one.  The sampler builds it once per patch
+    and reuses it at every Euler step; ``velocity`` builds one per call.
+    """
+
+    z_prev: np.ndarray  # (n, d_patch)
+    pos: Tensor  # (2n, d_model): vel.pos tiled once per pair
+    cond: Tensor  # (2n, d_model): each pair's conditioning row, once per token
+
+
+def velocity_context(state: ModelState, h_final, z_prev: np.ndarray,
+                     cond_enabled) -> VelocityContext:
+    """Context of the pairs whose previous patches are the (n, d_patch) rows
+    ``z_prev``.
+
+    ``h_final`` is one conditioning row, which serves every pair, or n of
+    them (array or tensor).  ``cond_enabled`` is one flag for all pairs or
+    one per pair; where it is false the learned null embedding replaces
+    ``h_final``, so that pair's output is invariant to its value.
     """
     cfg = state.config
     dtype = state.dtype
-    z_t = np.asarray(z_t, dtype=dtype)
-    z_prev = np.asarray(z_prev, dtype=dtype)
-    if z_t.ndim != 2 or z_t.shape[1] != cfg.d_patch:
-        raise ShapeError(f"velocity: z_t must be (n, {cfg.d_patch}), got {z_t.shape}")
-    if z_prev.shape != z_t.shape:
-        raise ShapeError(f"velocity: z_prev shape {z_prev.shape} != z_t shape {z_t.shape}")
-    n = z_t.shape[0]
-    t_values = np.atleast_1d(_check_t(t_values))
-    if t_values.shape != (n,):
-        raise ShapeError(f"velocity: expected {n} time values, got shape {t_values.shape}")
+    z_prev = _as_rows(z_prev, dtype)
+    if z_prev.ndim != 2 or z_prev.shape[1] != cfg.d_patch:
+        raise ShapeError(f"velocity: z_prev must be (n, {cfg.d_patch}), got {z_prev.shape}")
+    n = z_prev.shape[0]
+    enabled = np.broadcast_to(np.asarray(cond_enabled, dtype=bool), (n,))
+    cond = h_final if isinstance(h_final, Tensor) else constant(_as_rows(h_final, dtype),
+                                                                 dtype=dtype)
+    given = cond.data.shape[0]
+    if given not in (1, n) or cond.data.shape[1:] != (cfg.d_model,):
+        raise ShapeError(f"velocity: h_final must have 1 or {n} rows of {cfg.d_model}, "
+                         f"got shape {cond.data.shape}")
+    # Pair i reads its own h_final row (or the only one) or the null row; one
+    # gather whatever the flags, so the recorded ops do not depend on them.
+    own = np.arange(n) if given == n else np.zeros(n, dtype=np.int64)
+    cond = embedding_lookup(concat([cond, state["vel.null"]], axis=0),
+                            np.where(enabled, own, given))
+    return VelocityContext(z_prev, tile_rows(state["vel.pos"], n), repeat_rows(cond, 2))
 
-    interleaved = np.empty((2 * n, cfg.d_patch), dtype=dtype)
+
+def velocity_batch(state: ModelState, z_t: np.ndarray, t_emb: np.ndarray,
+                   context: VelocityContext) -> Tensor:
+    """Velocity predictions for the pairs of ``context`` at the (n, d_patch)
+    rows ``z_t``.
+
+    Each pair forms a 2-token sequence [proj(z_prev), proj(z_t)] seen by a
+    bidirectional transformer.  Each token's projection gets, in this order,
+    its position row, the time embedding and its pair's conditioning row
+    added.  ``t_emb`` (``timestep_embedding`` rows) has one row per token
+    (2n rows, pair by pair) or one row for every token.  Output row i is the
+    velocity for pair i, read at the z_t position.
+    """
+    dtype = state.dtype
+    z_t = np.asarray(z_t, dtype=dtype)
+    z_prev = context.z_prev
+    if z_t.shape != z_prev.shape:
+        raise ShapeError(f"velocity: z_t shape {z_t.shape} != z_prev shape {z_prev.shape}")
+    n = z_t.shape[0]
+    interleaved = np.empty((2 * n, z_t.shape[1]), dtype=dtype)
     interleaved[0::2] = z_prev
     interleaved[1::2] = z_t
     x = linear(constant(interleaved, dtype=dtype), state["vel.in.w"], state["vel.in.b"])
-    x = add(x, tile_rows(state["vel.pos"], n))
-    t_emb = np.repeat(timestep_embedding(t_values, cfg.d_model, dtype), 2, axis=0)
-    x = add(x, constant(t_emb, dtype=dtype))
-    if cond.data.shape != (n, cfg.d_model):
-        raise ShapeError(f"velocity: cond must be ({n}, {cfg.d_model}), got {cond.data.shape}")
-    x = add(x, repeat_rows(cond, 2))
-
+    x = add(add(add(x, context.pos), constant(t_emb, dtype=dtype)), context.cond)
     hidden = transformer_stack(state, "vel", x, VELOCITY_LAYERS, None, batch=n)
     at_z = embedding_lookup(hidden, np.arange(1, 2 * n, 2))
     return linear(at_z, state["vel.out.w"], state["vel.out.b"])
@@ -155,37 +189,23 @@ def velocity(state: ModelState, z_t: np.ndarray, t, h_final,
     """Velocity predictions for one pair or for n pairs; a (n, d_patch) tensor.
 
     ``z_t`` and ``z_prev`` are one patch or (n, d_patch) rows, ``t`` one time
-    or n times, and ``h_final`` one conditioning row, which serves every row,
-    or n of them (array or tensor).  ``cond_enabled`` is one flag for all
-    rows or one flag per row; where it is false the learned null embedding
-    replaces ``h_final``, so that row's output is invariant to its value.
+    or n times, and ``h_final`` and ``cond_enabled`` as in
+    ``velocity_context``.
 
     ``partial(velocity, state)`` is the model's ``velocity_fn`` hook, which
     ``fm_loss``, ``pipeline.total_loss`` and ``sample_patch`` accept.
     """
-    dtype = state.dtype
-    z_t = _as_rows(z_t, dtype)
-    n = z_t.shape[0]
-    enabled = np.broadcast_to(np.asarray(cond_enabled, dtype=bool), (n,))
-    cond = h_final if isinstance(h_final, Tensor) else constant(_as_rows(h_final, dtype),
-                                                                 dtype=dtype)
-    given = cond.data.shape[0]
-    if given not in (1, n):
-        raise ShapeError(f"velocity: h_final must have 1 or {n} rows, got {given}")
-    # Row i reads its own h_final row (or the only one) or the null row; one
-    # gather whatever the flags, so the recorded ops do not depend on them.
-    own = np.arange(n) if given == n else np.zeros(n, dtype=np.int64)
-    cond = embedding_lookup(concat([cond, state["vel.null"]], axis=0),
-                            np.where(enabled, own, given))
-    return velocity_batch(state, z_t, t, cond, _as_rows(z_prev, dtype))
+    context = velocity_context(state, h_final, z_prev, cond_enabled)
+    n = context.z_prev.shape[0]
+    t_values = np.atleast_1d(_check_t(t))
+    if t_values.shape != (n,):
+        raise ShapeError(f"velocity: expected {n} time values, got shape {t_values.shape}")
+    t_emb = np.repeat(timestep_embedding(t_values, state.config.d_model, state.dtype), 2, axis=0)
+    return velocity_batch(state, _as_rows(z_t, state.dtype), t_emb, context)
 
 
 def _as_rows(x, dtype) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, dtype=dtype))
-
-
-def _velocity_hook(state: ModelState, velocity_fn: Callable | None) -> Callable:
-    return velocity_fn or partial(velocity, state)
 
 
 def fm_loss(state: ModelState, z0: np.ndarray, z_prev: np.ndarray, h_final,
@@ -208,7 +228,7 @@ def fm_loss(state: ModelState, z0: np.ndarray, z_prev: np.ndarray, h_final,
     t = np.atleast_1d(_check_t(t))
     z_t = noise(z0, t, eps).astype(dtype)
     target = target_velocity(z0, eps)
-    v = _velocity_hook(state, velocity_fn)(z_t, t, h_final, z_prev, cond_enabled)
+    v = (velocity_fn or partial(velocity, state))(z_t, t, h_final, z_prev, cond_enabled)
     if not isinstance(v, Tensor):
         v = constant(np.asarray(v, dtype=dtype), dtype=dtype)
     return mse(v, constant(target.reshape(v.data.shape), dtype=dtype), row_weights)
@@ -244,9 +264,14 @@ def sample_patch(state: ModelState, h_final, z_prev: np.ndarray, steps: int = DE
     z starts as a standard-normal draw; each of the ``steps`` uniform steps
     combines the conditional and unconditional velocities with ``cfg_scale``
     and updates z <- z - v / steps (the velocity is dz/dt).  Both branches
-    come from one ``velocity_fn`` call with rows [cond, uncond]; at scale 1
-    or 0 the call has only the row of the branch that scale reads.  The
-    hook's return broadcasts to (rows, d_patch).
+    come from one velocity call per step with rows [cond, uncond]; at scale 1
+    or 0 the call has only the row of the branch that scale reads.
+
+    With the model's velocity net (no ``velocity_fn``), what does not change
+    between steps, the ``VelocityContext`` and the time embeddings of the
+    step grid, is built once, and each step calls ``velocity_batch``.  A
+    ``velocity_fn`` hook is called as ``velocity`` is, once per step; its
+    return broadcasts to (rows, d_patch).  Both give the same patch bitwise.
     """
     if int(steps) < 1:
         raise ValueError(f"sample_patch: steps must be >= 1, got {steps}")
@@ -254,7 +279,6 @@ def sample_patch(state: ModelState, h_final, z_prev: np.ndarray, steps: int = DE
     cfg = state.config
     if rng is None:
         rng = rng_stream(0, "sample")
-    velocity_fn = _velocity_hook(state, velocity_fn)
     if cfg_scale == 1.0 or cfg_scale == 0.0:
         enabled = np.array([cfg_scale == 1.0])
     else:
@@ -263,10 +287,19 @@ def sample_patch(state: ModelState, h_final, z_prev: np.ndarray, steps: int = DE
     z = rng.standard_normal(cfg.d_patch).astype(state.dtype)
     z_prev = np.tile(np.asarray(z_prev, dtype=state.dtype).reshape(1, cfg.d_patch), (n, 1))
     dt = 1.0 / steps
+    times = 1.0 - np.arange(steps) * dt  # bitwise 1.0 - k * dt
+    if velocity_fn is None:
+        context = velocity_context(state, h_final, z_prev, enabled)
+        t_emb = timestep_embedding(times, cfg.d_model, state.dtype)
+
+        def step_velocity(k: int, z_t: np.ndarray) -> np.ndarray:
+            return velocity_batch(state, z_t, t_emb[k:k + 1], context).data
+    else:
+        def step_velocity(k: int, z_t: np.ndarray) -> np.ndarray:
+            v = _values(velocity_fn(z_t, np.full(n, times[k]), h_final, z_prev, enabled))
+            return np.broadcast_to(v, (n, cfg.d_patch))
     for k in range(steps):
-        t = 1.0 - k * dt
-        v = _values(velocity_fn(np.tile(z, (n, 1)), np.full(n, t), h_final, z_prev, enabled))
-        v = np.broadcast_to(v, (n, cfg.d_patch))
+        v = step_velocity(k, z[None].repeat(n, axis=0))
         v = v[0] if n == 1 else cfg_combine(v[0], v[1], cfg_scale)
         z = (z - dt * v).astype(state.dtype, copy=False)
     return z

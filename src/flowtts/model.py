@@ -27,9 +27,8 @@ from .autodiff import (
     constant,
     embedding_lookup,
     gelu,
-    layer_norm,
-    matmul,
-    mul,
+    layer_norm_affine,
+    linear,
     narrow,
     parameter,
     push_op,
@@ -55,7 +54,6 @@ __all__ = [
     "step_hiddens",
     "causal_mask",
     "transformer_stack",
-    "linear",
 ]
 
 MASK_VALUE = -1e9
@@ -274,37 +272,69 @@ class Packing:
         return self._block_mask
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return add(matmul(x, w), b)
-
+# The transformer helpers index state.params directly: they run a few hundred
+# times per synthesized patch, and ModelState.__getitem__ adds a call to each.
 
 def _ln(state: ModelState, prefix: str, x: Tensor) -> Tensor:
-    return add(mul(layer_norm(x), state[f"{prefix}.g"]), state[f"{prefix}.b"])
+    params = state.params
+    return layer_norm_affine(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
 
 
 def _attention(state: ModelState, prefix: str, x: Tensor, mask: Tensor | None, batch: int,
                past: list | None, layer: int) -> Tensor:
-    q = linear(x, state[f"{prefix}.wq"], state[f"{prefix}.bq"])
-    k = linear(x, state[f"{prefix}.wk"], state[f"{prefix}.bk"])
-    v = linear(x, state[f"{prefix}.wv"], state[f"{prefix}.bv"])
+    params = state.params
+    q = linear(x, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
+    k = linear(x, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
+    v = linear(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
     if past is not None:
         if layer < len(past):
             k_past, v_past = past[layer]
-            k = concat([constant(k_past, dtype=k_past.dtype), k], axis=0)
-            v = concat([constant(v_past, dtype=v_past.dtype), v], axis=0)
+            k, v = _append_rows(k_past, k), _append_rows(v_past, v)
             past[layer] = (k.data, v.data)
         else:
-            past.append((k.data, v.data))
+            past.append((_rows_with_room(k.data), _rows_with_room(v.data)))
     merged = attention(q, k, v, state.config.n_heads, mask, batch)
-    return linear(merged, state[f"{prefix}.wo"], state[f"{prefix}.bo"])
+    return linear(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+
+
+def _rows_with_room(rows: np.ndarray, extra: int = 0) -> np.ndarray:
+    """``rows`` copied into a fresh buffer with room for as many more plus
+    ``extra``; the result is the view of the filled rows."""
+    n = rows.shape[0]
+    buffer = np.empty((2 * (n + extra),) + rows.shape[1:], dtype=rows.dtype)
+    buffer[:n] = rows
+    return buffer[:n]
+
+
+def _append_rows(cached: np.ndarray, new: Tensor) -> Tensor:
+    """Cached keys or values followed by the rows of ``new``, as a view of
+    the buffer ``cached`` is a view of.
+
+    The new rows are written in place after ``cached``; a buffer without room
+    is first replaced by one twice the size (``_rows_with_room``).  Rows past
+    a view's end are free space, so a holder of the old view still sees the
+    old rows, and a call that raises later leaves a cache as it was.
+    Gradients reach ``new`` only; the cached rows are constants.
+    """
+    rows = cached.shape[0]
+    total = rows + new.data.shape[0]
+    if cached.base is None or cached.base.shape[0] < total:
+        cached = _rows_with_room(cached, total - rows)
+    buffer = cached.base
+    buffer[rows:total] = new.data
+    out = _from_array(buffer[:total], new.requires_grad)
+    push_op(out, lambda g: _accumulate(new, g[rows:]))
+    return out
 
 
 def _block(state: ModelState, prefix: str, x: Tensor, mask: Tensor | None, batch: int,
            past: list | None, layer: int) -> Tensor:
+    params = state.params
     x = add(x, _attention(state, f"{prefix}.attn", _ln(state, f"{prefix}.ln1", x), mask, batch,
                           past, layer))
-    h = gelu(linear(_ln(state, f"{prefix}.ln2", x), state[f"{prefix}.mlp.w1"], state[f"{prefix}.mlp.b1"]))
-    return add(x, linear(h, state[f"{prefix}.mlp.w2"], state[f"{prefix}.mlp.b2"]))
+    h = gelu(linear(_ln(state, f"{prefix}.ln2", x), params[f"{prefix}.mlp.w1"],
+                    params[f"{prefix}.mlp.b1"]))
+    return add(x, linear(h, params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"]))
 
 
 def _past_rows(past: list | None) -> int:
@@ -321,7 +351,9 @@ def transformer_stack(state: ModelState, prefix: str, x: Tensor, n_layers: int,
     earlier rows.  The rows of ``x`` follow them and attend to them (``mask``
     is then (T, past rows + T)), and the list is extended with the keys and
     values of ``x``; an empty list only captures them, recording the same
-    ops as no list.
+    ops as no list.  The arrays are views of buffers with room for more
+    rows, made by this function: a later call writes its rows in place after
+    them and puts longer views of the same buffers in the list.
     """
     if past is not None and batch != 1:
         raise ShapeError("transformer_stack: cached keys and values need batch == 1")
@@ -491,7 +523,10 @@ class ConditioningCache:
     """What ``conditioning`` keeps between the calls of one synthesis: the
     text and the patch history it has consumed, the semantic text rows, the
     last quantized row (the residual stack reads it with the next patch) and
-    both stacks' per-layer keys and values.
+    both stacks' per-layer keys and values.  Those are views of buffers with
+    room for more rows (see ``transformer_stack``): a decode call writes its
+    rows after them in place, and the cache takes the longer views only when
+    the call succeeds.
 
     A cache belongs to one caller and one utterance; the ModelState it is
     used with stays read-only.  A call that raises leaves it unchanged.

@@ -22,6 +22,8 @@ from flowtts.autodiff import (
     gelu,
     grad_check,
     layer_norm,
+    layer_norm_affine,
+    linear,
     matmul,
     mse,
     mul,
@@ -332,10 +334,15 @@ def _scalarize(y):
 
 PRIMITIVE_CASES = {
     "matmul": lambda x: _scalarize(matmul(x, constant(_FIXED["mat_b"]))),
+    "linear": lambda x: _scalarize(mul(linear(x, constant(_FIXED["mat_b"]), constant(_FIXED["vec"])),
+                                       constant(_FIXED["like_out"]))),
     "add": lambda x: _scalarize(add(x, constant(_FIXED["like"]))),
     "mul": lambda x: _scalarize(mul(x, constant(_FIXED["like"]))),
     "gelu": lambda x: _scalarize(gelu(x)),
     "layer_norm": lambda x: _scalarize(mul(layer_norm(x), constant(_FIXED["like"]))),
+    "layer_norm_affine": lambda x: _scalarize(mul(
+        layer_norm_affine(x, constant(_FIXED["gain"]), constant(_FIXED["bias"])),
+        constant(_FIXED["like"]))),
     "softmax": lambda x: _scalarize(mul(softmax(x), constant(_FIXED["like"]))),
     "sigmoid": lambda x: _scalarize(sigmoid(x)),
     "embedding_lookup": lambda x: _scalarize(embedding_lookup(x, _FIXED["ids"])),
@@ -372,7 +379,7 @@ def _attention_of_blocks(x):
 
 def _shapes_for(name: str):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
-    if name == "matmul":
+    if name in ("matmul", "linear"):
         return [(int(rng.integers(1, 8)), int(rng.integers(1, 8))) for _ in range(3)]
     if name == "attention":
         return list(_ATTENTION_CASES)
@@ -396,8 +403,13 @@ def test_primitive_gradient_soundness(name):
         for shape in _shapes_for(name):
             x = parameter(rng.standard_normal(shape))
             _FIXED["like"] = rng.standard_normal(shape)
-            if name == "matmul":
+            if name in ("matmul", "linear"):
                 _FIXED["mat_b"] = rng.standard_normal((shape[-1], 3))
+                _FIXED["vec"] = rng.standard_normal(3)
+                _FIXED["like_out"] = rng.standard_normal((shape[0], 3))
+            if name == "layer_norm_affine":
+                _FIXED["gain"] = rng.standard_normal(shape[-1])
+                _FIXED["bias"] = rng.standard_normal(shape[-1])
             if name == "embedding_lookup":
                 _FIXED["ids"] = rng.integers(0, shape[0], size=5)
             if name == "bce_with_logits":
@@ -409,6 +421,69 @@ def test_primitive_gradient_soundness(name):
             if name in ("repeat_rows", "tile_rows"):
                 _FIXED["like_rep"] = rng.standard_normal((shape[0] * 2, shape[1]))
             assert grad_check(PRIMITIVE_CASES[name], x) <= 1e-4, f"{name} @ {shape}"
+
+
+# The fused primitives, operand by operand: (primitive, the composition it
+# replaces, operand shapes).
+FUSED = {
+    "linear": (linear, lambda x, w, b: add(matmul(x, w), b), [(5, 4), (4, 3), (3,)]),
+    "layer_norm_affine": (layer_norm_affine, lambda x, g, b: add(mul(layer_norm(x), g), b),
+                          [(2, 3, 6), (6,), (6,)]),
+}
+
+
+@pytest.mark.parametrize("name,operand", [(n, i) for n in sorted(FUSED) for i in range(3)])
+def test_fused_primitive_gradients_match_finite_differences_for_every_operand(name, operand):
+    fused, _, shapes = FUSED[name]
+    rng = np.random.default_rng(zlib.crc32(f"{name}{operand}".encode()))
+    with precision("float64"):
+        values = [rng.standard_normal(shape) for shape in shapes]
+        weights = constant(rng.standard_normal(shapes[0][:-1] + shapes[1][-1:]))
+
+        def f(t):
+            args = [constant(v) for v in values]
+            args[operand] = t
+            return tensor_sum(mul(fused(*args), weights))
+
+        assert grad_check(f, parameter(values[operand])) <= 1e-4
+
+
+def _forward_and_gradients(build, values, weights):
+    params = [parameter(v) for v in values]
+    with record() as tape:
+        out = build(*params)
+        loss = tensor_sum(mul(out, constant(weights)))
+    tape.backward(loss)
+    return [out.data] + [p.grad for p in params]
+
+
+@pytest.mark.parametrize("name,shapes", [
+    ("linear", [(7, 64), (64, 256), (256,)]),
+    ("linear", [(1, 16), (16, 64), (64,)]),
+    ("layer_norm_affine", [(7, 64), (64,), (64,)]),
+    ("layer_norm_affine", [(2, 3, 64), (64,), (64,)]),
+])
+def test_fused_primitive_is_bitwise_the_composition_it_replaces(name, shapes):
+    # float32, as the model runs: the output and every operand gradient.
+    fused, composed, _ = FUSED[name]
+    rng = np.random.default_rng(zlib.crc32(f"bitwise{name}{shapes}".encode()))
+    values = [rng.standard_normal(shape).astype(np.float32) for shape in shapes]
+    weights = rng.standard_normal(shapes[0][:-1] + shapes[1][-1:]).astype(np.float32)
+    got = _forward_and_gradients(fused, values, weights)
+    want = _forward_and_gradients(composed, values, weights)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.float32 and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_fused_primitives_reject_operands_of_the_wrong_shape():
+    x = constant(np.zeros((3, 4)))
+    with pytest.raises(ShapeError, match="linear"):
+        linear(x, constant(np.zeros((4, 2))), constant(np.zeros(3)))
+    with pytest.raises(ShapeError, match="linear"):
+        linear(x, constant(np.zeros((5, 2))), constant(np.zeros(2)))
+    with pytest.raises(ShapeError, match="layer_norm_affine"):
+        layer_norm_affine(x, constant(np.ones(3)), constant(np.zeros(4)))
 
 
 def test_registry_contains_contract_primitives():

@@ -209,6 +209,27 @@ def test_synth_max_patches_one(tmp_path, tiny_checkpoint):
     assert patches.shape[0] == 1
 
 
+@pytest.fixture
+def nan_checkpoint(tmp_path, tiny_checkpoint):
+    # NaN in the token table reaches the quantizer at the first patch.
+    state = load_checkpoint(tiny_checkpoint)
+    state.params["sem.tok"].data[:] = np.nan
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(state, path)
+    return str(path)
+
+
+def test_synth_nan_checkpoint_exits_with_model_code(tmp_path, nan_checkpoint, capsys):
+    out = tmp_path / "nan.jlat"
+    code = main(["synth", "--checkpoint", nan_checkpoint, "--tokens", "1,2",
+                 "--out", str(out), "--seed", "0"])
+    err = capsys.readouterr().err
+    assert code == EXIT_MODEL
+    assert "synthesis aborted" in err and "non-finite" in err
+    assert "Traceback" not in err
+    assert not [name for name in os.listdir(tmp_path) if name.startswith(out.name)]
+
+
 def test_synth_empty_tokens_exit_code(tmp_path, tiny_checkpoint):
     code = main(["synth", "--checkpoint", tiny_checkpoint, "--tokens", ",,",
                  "--out", str(tmp_path / "x.jlat"), "--seed", "0"])
@@ -307,6 +328,15 @@ def test_eval_rtf_live_measurement(tmp_path, tiny_checkpoint, capsys):
     assert code == EXIT_OK
     value = float(capsys.readouterr().out.strip())
     assert value > 0.0
+
+
+def test_eval_rtf_nan_checkpoint_exits_with_model_code(nan_checkpoint, capsys):
+    code = main(["eval", "rtf", "--checkpoint", nan_checkpoint, "--tokens", "1,2",
+                 "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_MODEL
+    assert "synthesis aborted" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def _write_fig2_votes(path):

@@ -2,6 +2,7 @@
 oracles, guidance arithmetic, and sampler exactness on constant fields."""
 
 import inspect
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from flowtts.flowmatch import (
     sample_patch,
     sigma,
     target_velocity,
+    timestep_embedding,
     velocity,
     velocity_batch,
+    velocity_context,
 )
 from flowtts.model import ModelConfig, init_model_state
 from flowtts.autodiff import rng_stream
@@ -107,7 +110,9 @@ def test_velocity_batch_matches_single():
     z_prev = RNG.standard_normal((n, CFG.d_patch))
     conds = RNG.standard_normal((n, CFG.d_model)).astype(np.float32)
     t_values = np.array([0.1, 0.5, 0.9])
-    batched = velocity_batch(STATE, z_t, t_values, constant(conds), z_prev).data
+    t_emb = np.repeat(timestep_embedding(t_values, CFG.d_model, np.float32), 2, axis=0)
+    context = velocity_context(STATE, constant(conds), z_prev, True)
+    batched = velocity_batch(STATE, z_t, t_emb, context).data
     for i in range(n):
         single = velocity(STATE, z_t[i], t_values[i], conds[i], z_prev[i], True).data[0]
         np.testing.assert_allclose(batched[i], single, rtol=2e-6, atol=2e-7)
@@ -350,6 +355,59 @@ def test_one_call_sampler_matches_the_two_call_reference(state):
                 np.testing.assert_array_equal(got, want)
             else:
                 assert np.max(np.abs(got - want)) <= 1e-6
+
+
+@pytest.mark.parametrize("state", [STATE, init_model_state(ModelConfig(), seed=21)],
+                         ids=["small", "default"])
+@pytest.mark.parametrize("scale", [2.5, 1.0, 0.0])
+def test_sampler_context_path_is_bitwise_the_velocity_hook(state, scale):
+    # The default sampler builds the velocity context and the time-grid
+    # embeddings once per patch; the hook rebuilds both at every step.
+    cfg = state.config
+    rng = np.random.default_rng(79)
+    for i, steps in enumerate((10, 7, 1)):
+        h = constant(rng.standard_normal((1, cfg.d_model)).astype(np.float32))
+        z_prev = rng.standard_normal(cfg.d_patch).astype(np.float32)
+        got = sample_patch(state, h, z_prev, steps=steps, cfg_scale=scale, rng=rng_stream(i, "s"))
+        want = sample_patch(state, h, z_prev, steps=steps, cfg_scale=scale, rng=rng_stream(i, "s"),
+                            velocity_fn=partial(velocity, state))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_velocity_input_rows_add_position_time_and_conditioning_in_order(monkeypatch):
+    # ((proj(z) + pos) + t_emb) + cond: the loss history and every sampled
+    # patch depend on this order bitwise.
+    import flowtts.flowmatch as flowmatch
+    seen = []
+    real_stack = flowmatch.transformer_stack
+
+    def capture(state, prefix, x, *args, **kwargs):
+        seen.append(x.data.copy())
+        return real_stack(state, prefix, x, *args, **kwargs)
+
+    monkeypatch.setattr(flowmatch, "transformer_stack", capture)
+    z_t = RNG.standard_normal((2, CFG.d_patch)).astype(np.float32)
+    z_prev = RNG.standard_normal((2, CFG.d_patch)).astype(np.float32)
+    h = RNG.standard_normal((2, CFG.d_model)).astype(np.float32)
+    t = np.array([0.3, 0.8])
+    velocity(STATE, z_t, t, h, z_prev, [True, False])
+    params = {name: p.data for name, p in STATE.parameters()}
+    rows = np.empty((4, CFG.d_patch), dtype=np.float32)
+    rows[0::2], rows[1::2] = z_prev, z_t
+    want = rows @ params["vel.in.w"] + params["vel.in.b"]
+    want = want + np.tile(params["vel.pos"], (2, 1))
+    want = want + np.repeat(timestep_embedding(t, CFG.d_model, np.float32), 2, axis=0)
+    want = want + np.repeat(np.stack([h[0], params["vel.null"][0]]), 2, axis=0)
+    assert seen[0].tobytes() == want.tobytes()
+
+
+def test_velocity_context_rejects_conditioning_of_the_wrong_shape():
+    z_prev = np.zeros((2, CFG.d_patch))
+    for h_final in (np.zeros((3, CFG.d_model)), np.zeros((2, CFG.d_model + 1))):
+        with pytest.raises(ShapeError, match="h_final"):
+            velocity_context(STATE, h_final, z_prev, True)
+    with pytest.raises(ShapeError, match="z_prev"):
+        velocity_context(STATE, np.zeros(CFG.d_model), np.zeros((2, CFG.d_patch + 1)), True)
 
 
 @pytest.mark.parametrize("scale,rows", [(2.5, [True, False]), (1.0, [True]), (0.0, [False])])

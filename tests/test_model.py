@@ -24,6 +24,7 @@ from flowtts.autodiff import (
 from flowtts.model import (
     ConditioningCache,
     ModelConfig,
+    NonFiniteError,
     conditioning,
     encode_patches,
     fsq_quantize,
@@ -393,6 +394,40 @@ def test_cache_rejects_other_tokens_and_histories_that_do_not_extend_it():
     got = conditioning(STATE, [1, 2], history[:3], cache)[0].data
     np.testing.assert_allclose(got, conditioning(STATE, [1, 2], history[:3])[0].data[-1:],
                                rtol=1e-5, atol=1e-6)
+
+
+def test_decode_writes_keys_and_values_in_place():
+    history = RNG.standard_normal((4, CFG.d_patch))
+    cache = ConditioningCache()
+    conditioning(STATE, [1, 2], history[:2], cache)
+    conditioning(STATE, [1, 2], history[:3], cache)
+    buffers = [k.base for k, _ in cache.semantic + cache.residual]
+    conditioning(STATE, [1, 2], history[:4], cache)
+    for (k, v), buffer in zip(cache.semantic + cache.residual, buffers):
+        assert k.shape == v.shape == (2 + 4, CFG.d_model)
+        assert k.base is buffer
+
+
+def test_a_decode_that_raises_leaves_the_cache_unchanged():
+    history = RNG.standard_normal((4, CFG.d_patch))
+    cache, clean = ConditioningCache(), ConditioningCache()
+    for c in (cache, clean):
+        conditioning(STATE, [1, 2], history[:3], c)
+    before = [(k.copy(), v.copy()) for k, v in cache.semantic + cache.residual]
+    poisoned = history.copy()
+    poisoned[3] = np.nan
+    with pytest.raises(NonFiniteError):
+        conditioning(STATE, [1, 2], poisoned, cache)
+    # The semantic stack wrote its rows after the cached ones before the
+    # quantizer raised; the cache's views do not reach them.
+    assert np.isnan(cache.semantic[0][0].base[2 + 3]).all()
+    for (k, v), (k_before, v_before) in zip(cache.semantic + cache.residual, before):
+        assert k.tobytes() == k_before.tobytes() and v.tobytes() == v_before.tobytes()
+    assert cache.history.shape == (3, CFG.d_patch)
+    got = conditioning(STATE, [1, 2], history, cache)
+    want = conditioning(STATE, [1, 2], history, clean)
+    for a, b in zip(got, want):
+        assert a.data.tobytes() == b.data.tobytes()
 
 
 def test_cached_keys_need_a_single_sequence():
