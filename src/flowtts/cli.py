@@ -9,7 +9,8 @@ Exit codes:
   0  success
   1  model errors: training diverged (NaN), a NaN or infinity met during
      synthesis, checkpoint/latent format errors
-  2  I/O or configuration errors (missing files, unknown config keys)
+  2  I/O or configuration errors (missing files, unknown config keys, bad
+     synthesis arguments)
   3  empty token list
   4  malformed data rows (CER batch, votes, pair lists)
 """
@@ -153,6 +154,17 @@ def _parse_tokens(raw: str) -> list[int]:
         raise ConfigError(f"tokens must be comma-separated integers, got {raw!r}") from None
 
 
+def _synthesize(state, tokens, *args, **kwargs):
+    """``synthesize``, with a bad argument (its ValueError) raised as a
+    ConfigError; a NonFiniteError stays a model error."""
+    try:
+        return synthesize(state, tokens, *args, **kwargs)
+    except NonFiniteError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
@@ -207,8 +219,8 @@ def cmd_synth(args) -> int:
     print(f"synth: cfg={args.cfg:g} steps={args.steps} seed={seed} tokens={len(tokens)}",
           file=sys.stderr)
     rng = rng_stream(seed, "synth")
-    patches = synthesize(state, tokens, references, cfg_scale=args.cfg,
-                         steps=args.steps, rng=rng, max_patches=args.max_patches)
+    patches = _synthesize(state, tokens, references, cfg_scale=args.cfg,
+                          steps=args.steps, rng=rng, max_patches=args.max_patches)
     write_latents(args.out, patches, config.frame_ms)
     seconds = patches.shape[0] * config.frame_ms / 1000.0
     print(f"patches={patches.shape[0]} seconds={seconds:.3f}")
@@ -271,7 +283,7 @@ def cmd_eval_rtf(args) -> int:
         seed = _resolve_seed(args.seed)
         rng = rng_stream(seed, "synth")
         value = measure_rtf(
-            lambda toks: synthesize(state, toks, cfg_scale=args.cfg, steps=args.steps, rng=rng),
+            lambda toks: _synthesize(state, toks, cfg_scale=args.cfg, steps=args.steps, rng=rng),
             tokens, state.config.frame_ms)
     print(f"{value:.4f}")
     return EXIT_OK

@@ -275,6 +275,8 @@ def sample_patch(state: ModelState, h_final, z_prev: np.ndarray, steps: int = DE
     """
     if int(steps) < 1:
         raise ValueError(f"sample_patch: steps must be >= 1, got {steps}")
+    if not math.isfinite(cfg_scale):
+        raise ValueError(f"sample_patch: cfg_scale must be finite, got {cfg_scale}")
     steps = int(steps)
     cfg = state.config
     if rng is None:

@@ -209,8 +209,6 @@ def causal_mask(n: int, dtype=None, past: int = 0) -> Tensor:
 
 def _ranges(lengths: list[int]) -> np.ndarray:
     # [0..n0) ++ [0..n1) ++ ... as one index array.
-    if len(lengths) == 1:
-        return np.arange(lengths[0])
     return np.concatenate([np.arange(n) for n in lengths])
 
 
@@ -476,7 +474,7 @@ def fsq_quantize(h: Tensor, delta: float, bound: int) -> Tensor:
     return out
 
 
-def residual_hiddens(state: ModelState, text_hiddens: Tensor,
+def residual_hiddens(state: ModelState, text_hiddens: Tensor | None,
                      fsq_history: Tensor, acoustic_history: Tensor,
                      past: list | None = None, packing: Packing | None = None) -> Tensor:
     """Causal hidden states over [text hiddens] ++ [proj(skeleton ⊕ acoustic)].
@@ -486,7 +484,7 @@ def residual_hiddens(state: ModelState, text_hiddens: Tensor,
     With a non-empty ``past`` (the stack's keys and values of an earlier call
     over the same text hiddens and the first h history steps), the text rows
     are not recomputed: the histories hold steps h, h+1, ... and the result
-    has one row per step.
+    has one row per step; with a ``packing``, ``text_hiddens`` may be None.
 
     With a ``packing``, the text hiddens and the histories hold its
     sequences one after another, and the rows are in the packed order.
@@ -497,9 +495,9 @@ def residual_hiddens(state: ModelState, text_hiddens: Tensor,
         raise ShapeError(
             f"history length mismatch: {k} quantized vs {acoustic_history.data.shape[0]} acoustic"
         )
-    n_text = text_hiddens.data.shape[0]
     done = _past_rows(past)
     if packing is None:
+        n_text = text_hiddens.data.shape[0]
         packing = Packing([n_text], [k], max(done - n_text, 0))
     parts = []
     if not done:
@@ -521,12 +519,12 @@ def stop_logits(state: ModelState, h_fsq: Tensor) -> Tensor:
 
 class ConditioningCache:
     """What ``conditioning`` keeps between the calls of one synthesis: the
-    text and the patch history it has consumed, the semantic text rows, the
-    last quantized row (the residual stack reads it with the next patch) and
-    both stacks' per-layer keys and values.  Those are views of buffers with
-    room for more rows (see ``transformer_stack``): a decode call writes its
-    rows after them in place, and the cache takes the longer views only when
-    the call succeeds.
+    text, how many patches it has consumed (not the patches: each is handed
+    over once), the last quantized row (the residual stack reads it with the
+    next patch) and both stacks' per-layer keys and values.  Those are views
+    of buffers with room for more rows (see ``transformer_stack``): a decode
+    call writes its rows after them in place, and the cache takes the longer
+    views only when the call succeeds.
 
     A cache belongs to one caller and one utterance; the ModelState it is
     used with stays read-only.  A call that raises leaves it unchanged.
@@ -534,8 +532,7 @@ class ConditioningCache:
 
     def __init__(self):
         self.tokens: np.ndarray | None = None
-        self.history: np.ndarray | None = None
-        self.text_hiddens: Tensor | None = None
+        self.patches = 0
         self.last_quantized: np.ndarray | None = None
         self.semantic: list = []
         self.residual: list = []
@@ -550,11 +547,12 @@ def conditioning(state: ModelState, text_tokens, history,
     h_final == quantized + h_residual.  Training passes all but the last
     ground-truth patch; synthesis reads the last row for the next patch.
 
-    With a ``cache``, the first call (prefill) also keeps what later calls
-    need, and each later call (decode) runs only the patches ``history`` adds
-    to the cached one, against the cached keys and values, and returns rows
-    for the new steps only.  The text must be the same and ``history`` must
-    extend the cached history by at least one patch, else ValueError.
+    With a ``cache``, ``history`` holds only the patches the cache does not
+    hold yet: all of them at the first call (prefill), which also keeps what
+    later calls need, then at least one new patch per call (decode), which
+    runs against the cached keys and values and returns the new steps' rows.
+    Other text tokens or no new patch raise ValueError; cached plus new
+    patches reaching max_patches raise ShapeError.
 
     This is ``conditioning_batch`` of a batch of one.
     """
@@ -569,54 +567,49 @@ def conditioning_batch(state: ModelState, texts, histories,
     packed into one (see ``Packing``), so each stack, the encoder and the
     quantizer run once however many there are, and no sequence sees
     another.  The result has the rows of sequence 0 (steps 0..k_0), then
-    those of sequence 1, and so on.  A ``cache`` takes exactly one sequence.
+    those of sequence 1, and so on.  A ``cache`` takes exactly one sequence,
+    and its ``histories[0]`` holds only the patches the cache does not hold.
     """
     cfg = state.config
     histories = [_as_patch_matrix(h, cfg.d_patch, state.dtype) for h in histories]
     lengths = [h.shape[0] for h in histories]
     if not histories or len(texts) != len(histories):
         raise ValueError(f"conditioning: {len(texts)} texts for {len(histories)} histories")
-    if max(lengths) >= cfg.max_patches:
-        raise ShapeError(f"patch history of {max(lengths)} reached max_patches {cfg.max_patches}")
+    fresh = cache is None or cache.tokens is None
+    done = 0 if fresh else cache.patches
+    if done + max(lengths) >= cfg.max_patches:
+        raise ShapeError(f"patch history of {done + max(lengths)} reached max_patches "
+                         f"{cfg.max_patches}")
     tokens = [_check_tokens(cfg, t) for t in texts]
     if cache is not None and len(tokens) != 1:
         raise ValueError("conditioning: a cache holds one sequence")
-    fresh = cache is None or cache.tokens is None
-    done = 0
     if not fresh:
-        done = cache.history.shape[0]
         if not np.array_equal(tokens[0], cache.tokens):
             raise ValueError("conditioning: the cache was filled for other text tokens")
-        if lengths[0] <= done or not np.array_equal(histories[0][:done], cache.history,
-                                                    equal_nan=True):
-            raise ValueError("conditioning: history does not extend the cached history")
+        if not lengths[0]:
+            raise ValueError("conditioning: a decode call needs at least one new patch")
     semantic_past = None if cache is None else list(cache.semantic)
     residual_past = None if cache is None else list(cache.residual)
-    packing = Packing([t.size for t in tokens], [k - done for k in lengths], done)
-    ids = tokens[0] if len(tokens) == 1 else np.concatenate(tokens)
-    new_patches = histories[0][done:] if len(histories) == 1 else np.concatenate(histories)
+    packing = Packing([t.size for t in tokens], lengths, done)
 
-    embeddings = encode_patches(state, new_patches)
-    hiddens = semantic_hiddens(state, ids, embeddings, semantic_past, packing)
-    # Prefill returns steps 0..k; decode returns steps done+1..k, because the
-    # previous call returned step done.
-    rows = packing.step_rows() if fresh else np.arange(lengths[0] - done)
+    embeddings = encode_patches(state, np.concatenate(histories))
+    hiddens = semantic_hiddens(state, np.concatenate(tokens), embeddings, semantic_past, packing)
+    # Prefill returns steps 0..k; decode returns steps done+1..done+k, because
+    # the previous call returned step done.
+    rows = packing.step_rows() if fresh else np.arange(lengths[0])
     quantized = fsq_quantize(embedding_lookup(hiddens, rows), cfg.fsq_delta, cfg.fsq_bound)
-    text_hiddens = narrow(hiddens, 0, 0, packing.text_rows) if fresh else cache.text_hiddens
+    # Decode's cached residual keys and values already hold the text rows.
+    text_hiddens = narrow(hiddens, 0, 0, packing.text_rows) if fresh else None
     # History step i pairs patch i with the skeleton of step i; decode's
     # first one is the last skeleton of the previous call.
     skeletons = quantized if fresh else concat([constant(cache.last_quantized), quantized], axis=0)
-    if packing.size == 1:
-        paired = narrow(skeletons, 0, 0, lengths[0] - done)
-    else:
-        paired = embedding_lookup(skeletons, packing.history_steps())
+    paired = embedding_lookup(skeletons, packing.history_steps())
     residual = residual_hiddens(state, text_hiddens, paired, embeddings, residual_past, packing)
     h_res = embedding_lookup(residual, rows)
 
     if cache is not None:
         cache.tokens = tokens[0]
-        cache.history = histories[0].copy()
-        cache.text_hiddens = text_hiddens
+        cache.patches = done + lengths[0]
         cache.last_quantized = quantized.data[-1:]
         cache.semantic = semantic_past
         cache.residual = residual_past
@@ -638,8 +631,8 @@ def step_hiddens(state: ModelState, text_tokens, patch_history,
     """Conditioning for the next patch: the last row of ``conditioning``.
 
     Without a ``cache`` the whole prefix is computed.  Synthesis passes one
-    cache for all its steps, so each step after the first computes only the
-    patch it adds to ``patch_history``.
+    cache for all its steps and hands over each patch once: the reference
+    at the first step, then only the patch that step adds.
     """
     h_final, quantized, h_res = conditioning(state, text_tokens, patch_history, cache)
     i = quantized.data.shape[0] - 1

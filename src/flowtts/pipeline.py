@@ -129,14 +129,10 @@ class SyntheticSpec:
     token_freq: dict[int, float]
     speaker_phase_range: float = 0.5
     patches_per_token: int = 3
-    noise_amp: float = 0.0
-    noise_seed: int = 0
 
     def __post_init__(self):
         if self.patches_per_token < 1:
             raise ValueError("SyntheticSpec.patches_per_token must be >= 1")
-        if self.noise_amp < 0:
-            raise ValueError("SyntheticSpec.noise_amp must be >= 0")
 
 
 def default_synthetic_spec(config: ModelConfig) -> SyntheticSpec:
@@ -167,10 +163,6 @@ def synthetic_example(spec: SyntheticSpec, config: ModelConfig,
         t = g[:, None] + phase + grid[None, :]
         rows.append(np.sin(2.0 * math.pi * freq * t))
     patches = np.concatenate(rows, axis=0).astype(np.float64)
-    if spec.noise_amp > 0:
-        name = f"oracle-noise:{speaker_id}:" + ",".join(map(str, tokens))
-        noise_rng = rng_stream(spec.noise_seed, name)
-        patches = patches + spec.noise_amp * noise_rng.standard_normal(patches.shape)
     labels = np.zeros(patches.shape[0], dtype=bool)
     labels[-1] = True
     return TrainingExample(text_tokens=tokens, patches=patches, stop_labels=labels)
@@ -373,8 +365,8 @@ def synthesize(state: ModelState, text_tokens, reference_patches=(),
     at least one patch is produced.
 
     The first step runs the conditioning stacks over the text and the
-    reference (prefill); every later step runs them over the one new patch
-    against keys and values cached by this call (decode).
+    reference (prefill); every later step hands them only the one new patch,
+    which runs against keys and values cached by this call (decode).
     """
     cfg = state.config
     tokens = tuple(int(t) for t in np.atleast_1d(np.asarray(text_tokens, dtype=np.int64)))
@@ -393,11 +385,13 @@ def synthesize(state: ModelState, text_tokens, reference_patches=(),
     history[:len(refs)] = refs
     n = len(refs)
     cache = ConditioningCache()
+    new_patches = refs
     while True:
-        hiddens = step_hiddens(state, tokens, history[:n], cache)
+        hiddens = step_hiddens(state, tokens, new_patches, cache)
         z_prev = history[n - 1] if n else np.zeros(cfg.d_patch, dtype=state.dtype)
         history[n] = sample_patch(state, hiddens.h_final, z_prev, steps=steps,
                                   cfg_scale=cfg_scale, rng=rng)
+        new_patches = history[n:n + 1]
         n += 1
         if hiddens.stop_logit > 0.0 or n >= cap:
             break

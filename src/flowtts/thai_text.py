@@ -123,13 +123,9 @@ def expand_mai_yamok(text: str) -> str:
 
 @dataclass
 class NormalizationConfig:
-    """Lexicon plus per-stage switches for the normalization pipeline."""
+    """The transliteration lexicon of the normalization pipeline."""
 
     lexicon: dict[str, str] = field(default_factory=dict)
-    transliterate: bool = True
-    numerals: bool = True
-    mai_yamok: bool = True
-    strip: bool = True
 
     def __post_init__(self):
         normalized = {}
@@ -160,7 +156,7 @@ def _strip_separators(text: str) -> str:
 
 
 def normalize(text, config: NormalizationConfig | None = None) -> str:
-    """Run the full normalization pipeline over raw text.
+    """Run the full normalization pipeline over raw text; every stage runs.
 
     Stage order: NFC, transliteration of maximal Latin runs (case-insensitive;
     unknown tokens kept verbatim with a warning), digit runs to Thai number
@@ -175,20 +171,16 @@ def normalize(text, config: NormalizationConfig | None = None) -> str:
         text = text.decode("utf-8")  # raises UnicodeDecodeError on invalid input
     text = unicodedata.normalize("NFC", text)
 
-    if config.transliterate:
-        def replace_latin(match: re.Match) -> str:
-            token = match.group()
-            thai = config.lexicon.get(token.lower())
-            if thai is None:
-                logger.warning("no transliteration for %r; kept verbatim", token)
-                return token
-            return thai
+    def replace_latin(match: re.Match) -> str:
+        token = match.group()
+        thai = config.lexicon.get(token.lower())
+        if thai is None:
+            logger.warning("no transliteration for %r; kept verbatim", token)
+            return token
+        return thai
 
-        text = _LATIN_RUN.sub(replace_latin, text)
-    if config.numerals:
-        text = _DIGIT_RUN.sub(lambda m: numerals_to_thai(m.group()), text)
-    if config.mai_yamok:
-        text = expand_mai_yamok(text)
-    if config.strip:
-        text = _strip_separators(text)
+    text = _LATIN_RUN.sub(replace_latin, text)
+    text = _DIGIT_RUN.sub(lambda m: numerals_to_thai(m.group()), text)
+    text = expand_mai_yamok(text)
+    text = _strip_separators(text)
     return unicodedata.normalize("NFC", text)

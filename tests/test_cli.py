@@ -230,6 +230,46 @@ def test_synth_nan_checkpoint_exits_with_model_code(tmp_path, nan_checkpoint, ca
     assert not [name for name in os.listdir(tmp_path) if name.startswith(out.name)]
 
 
+# Arguments both synth and eval rtf pass to synthesize (a later --tokens wins).
+BAD_SYNTHESIS_ARGUMENTS = {
+    "steps-0": ["--steps", "0"],
+    "token-outside-vocab": ["--tokens", "1,12"],
+    "tokens-above-max-text-len": ["--tokens", ",".join(["1"] * 17)],
+    "cfg-nan": ["--cfg", "nan"],
+}
+BAD_SYNTH_ARGUMENTS = {
+    **BAD_SYNTHESIS_ARGUMENTS,
+    "cfg-nan-one-patch": ["--cfg", "nan", "--max-patches", "1"],
+    "max-patches-0": ["--max-patches", "0"],
+    "max-patches-above-model": ["--max-patches", "33"],
+}
+
+
+def _assert_rejected_as_config_error(code, err):
+    assert code == EXIT_IO
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if line.startswith("ERROR ")]) == 1
+
+
+@pytest.mark.parametrize("extra", BAD_SYNTH_ARGUMENTS.values(), ids=BAD_SYNTH_ARGUMENTS.keys())
+def test_synth_rejects_bad_synthesis_arguments(tmp_path, tiny_checkpoint, capsys, extra):
+    out = tmp_path / "bad.jlat"
+    code = main(["synth", "--checkpoint", tiny_checkpoint, "--tokens", "1,2",
+                 "--out", str(out), "--seed", "0", *extra])
+    _assert_rejected_as_config_error(code, capsys.readouterr().err)
+    assert not [name for name in os.listdir(tmp_path) if name.startswith(out.name)]
+
+
+@pytest.mark.parametrize("extra", BAD_SYNTHESIS_ARGUMENTS.values(),
+                         ids=BAD_SYNTHESIS_ARGUMENTS.keys())
+def test_eval_rtf_rejects_bad_synthesis_arguments(tiny_checkpoint, capsys, extra):
+    code = main(["eval", "rtf", "--checkpoint", tiny_checkpoint, "--tokens", "1,2",
+                 "--seed", "0", *extra])
+    captured = capsys.readouterr()
+    _assert_rejected_as_config_error(code, captured.err)
+    assert captured.out == ""
+
+
 def test_synth_empty_tokens_exit_code(tmp_path, tiny_checkpoint):
     code = main(["synth", "--checkpoint", tiny_checkpoint, "--tokens", ",,",
                  "--out", str(tmp_path / "x.jlat"), "--seed", "0"])

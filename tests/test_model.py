@@ -327,12 +327,19 @@ def test_step_hiddens_rejects_full_history():
 
 def _cached_conditioning(state, tokens, history, prefill, chunk=1):
     """Rows of ``conditioning`` for every step, from one prefill over
-    ``history[:prefill]`` and decode calls adding ``chunk`` patches each."""
+    ``history[:prefill]`` and decode calls handing over ``chunk`` new patches
+    each."""
     cache = ConditioningCache()
     parts = [conditioning(state, tokens, history[:prefill], cache)]
-    for end in range(prefill + chunk, history.shape[0] + 1, chunk):
-        parts.append(conditioning(state, tokens, history[:end], cache))
+    for start in range(prefill, history.shape[0], chunk):
+        parts.append(conditioning(state, tokens, history[start:start + chunk], cache))
     return [np.concatenate([part[i].data for part in parts]) for i in range(3)]
+
+
+def _cache_bytes(cache):
+    """Everything a cache holds, as bytes and shapes."""
+    layers = [(k.shape, k.tobytes(), v.tobytes()) for k, v in cache.semantic + cache.residual]
+    return cache.tokens.tobytes(), cache.patches, cache.last_quantized.tobytes(), layers
 
 
 @pytest.mark.parametrize("dtype,rtol", [("float64", 1e-12), ("float32", 1e-5)])
@@ -379,30 +386,48 @@ def test_prefill_records_the_ops_of_an_uncached_call():
         assert all(k.shape == v.shape == (3 + 5, CFG.d_model) for k, v in stack)
 
 
-def test_cache_rejects_other_tokens_and_histories_that_do_not_extend_it():
+def test_cache_rejects_other_tokens():
     history = RNG.standard_normal((4, CFG.d_patch))
     cache = ConditioningCache()
     conditioning(STATE, [1, 2], history[:2], cache)
     with pytest.raises(ValueError, match="other text tokens"):
-        conditioning(STATE, [1, 3], history[:3], cache)
-    changed = history[:3].copy()
-    changed[1] += 1.0
-    for bad in (changed, history[:2], history[:1]):
-        with pytest.raises(ValueError, match="does not extend"):
-            conditioning(STATE, [1, 2], bad, cache)
+        conditioning(STATE, [1, 3], history[2:3], cache)
     # A rejected call leaves the cache as it was.
-    got = conditioning(STATE, [1, 2], history[:3], cache)[0].data
+    got = conditioning(STATE, [1, 2], history[2:3], cache)[0].data
     np.testing.assert_allclose(got, conditioning(STATE, [1, 2], history[:3])[0].data[-1:],
                                rtol=1e-5, atol=1e-6)
+
+
+def test_a_decode_with_no_new_patch_is_rejected_and_leaves_the_cache_unchanged():
+    history = RNG.standard_normal((3, CFG.d_patch))
+    cache = ConditioningCache()
+    conditioning(STATE, [1, 2], history[:2], cache)
+    before = _cache_bytes(cache)
+    with pytest.raises(ValueError, match="at least one new patch"):
+        conditioning(STATE, [1, 2], history[2:2], cache)
+    assert _cache_bytes(cache) == before
+
+
+def test_a_decode_reaching_max_patches_is_rejected():
+    history = RNG.standard_normal((CFG.max_patches, CFG.d_patch))
+    cache = ConditioningCache()
+    conditioning(STATE, [1], history[:CFG.max_patches - 2], cache)
+    before = _cache_bytes(cache)
+    with pytest.raises(ShapeError, match="max_patches"):
+        conditioning(STATE, [1], history[CFG.max_patches - 2:], cache)
+    assert _cache_bytes(cache) == before
+    # One patch short of the cap is still a step.
+    got = conditioning(STATE, [1], history[CFG.max_patches - 2:CFG.max_patches - 1], cache)
+    assert got[0].data.shape == (1, CFG.d_model)
 
 
 def test_decode_writes_keys_and_values_in_place():
     history = RNG.standard_normal((4, CFG.d_patch))
     cache = ConditioningCache()
     conditioning(STATE, [1, 2], history[:2], cache)
-    conditioning(STATE, [1, 2], history[:3], cache)
+    conditioning(STATE, [1, 2], history[2:3], cache)
     buffers = [k.base for k, _ in cache.semantic + cache.residual]
-    conditioning(STATE, [1, 2], history[:4], cache)
+    conditioning(STATE, [1, 2], history[3:4], cache)
     for (k, v), buffer in zip(cache.semantic + cache.residual, buffers):
         assert k.shape == v.shape == (2 + 4, CFG.d_model)
         assert k.base is buffer
@@ -414,8 +439,8 @@ def test_a_decode_that_raises_leaves_the_cache_unchanged():
     for c in (cache, clean):
         conditioning(STATE, [1, 2], history[:3], c)
     before = [(k.copy(), v.copy()) for k, v in cache.semantic + cache.residual]
-    poisoned = history.copy()
-    poisoned[3] = np.nan
+    poisoned = history[3:].copy()
+    poisoned[0] = np.nan
     with pytest.raises(NonFiniteError):
         conditioning(STATE, [1, 2], poisoned, cache)
     # The semantic stack wrote its rows after the cached ones before the
@@ -423,9 +448,9 @@ def test_a_decode_that_raises_leaves_the_cache_unchanged():
     assert np.isnan(cache.semantic[0][0].base[2 + 3]).all()
     for (k, v), (k_before, v_before) in zip(cache.semantic + cache.residual, before):
         assert k.tobytes() == k_before.tobytes() and v.tobytes() == v_before.tobytes()
-    assert cache.history.shape == (3, CFG.d_patch)
-    got = conditioning(STATE, [1, 2], history, cache)
-    want = conditioning(STATE, [1, 2], history, clean)
+    assert cache.patches == 3
+    got = conditioning(STATE, [1, 2], history[3:], cache)
+    want = conditioning(STATE, [1, 2], history[3:], clean)
     for a, b in zip(got, want):
         assert a.data.tobytes() == b.data.tobytes()
 

@@ -459,6 +459,23 @@ def test_synthesize_runs_the_stacks_over_one_new_patch_per_step(monkeypatch):
     assert rows == {"semantic_hiddens": [5, 1, 1, 1, 1], "residual_hiddens": [5, 1, 1, 1, 1]}
 
 
+def test_synthesize_hands_step_hiddens_the_references_once_then_one_patch_per_call(monkeypatch):
+    handed = []
+
+    def recording(state, text_tokens, patch_history, cache=None):
+        handed.append(np.array(patch_history))
+        return step_hiddens(state, text_tokens, patch_history, cache)
+
+    monkeypatch.setattr(pipeline, "step_hiddens", recording)
+    refs = RNG.standard_normal((3, CFG.d_patch)).astype(np.float32)
+    out = synthesize(_never_stopping_state(), [4, 5], refs, rng=rng_stream(1, "synth"),
+                     max_patches=8)
+    assert [len(patches) for patches in handed] == [3, 1, 1, 1, 1]
+    np.testing.assert_array_equal(handed[0], refs)
+    for patches, previous in zip(handed[1:], out):
+        np.testing.assert_array_equal(patches[0], previous)
+
+
 def test_synthesize_matches_a_full_recompute_two_call_reference():
     # float64, so cached decode and the one-call sampler agree with the
     # reference to rounding, even fed back through 7 autoregressive steps.
