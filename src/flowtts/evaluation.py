@@ -34,20 +34,41 @@ __all__ = [
 ]
 
 
+def _shared_prefix_len(a: str, b: str) -> int:
+    """Length of the longest common prefix, by binary search over slice compares."""
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) >> 1
+        if a[:mid] == b[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def levenshtein(a: str, b: str) -> int:
     """Edit distance over Unicode scalar values with unit costs.
 
-    Myers' bit-vector algorithm (1999) in Hyyrö's global-distance form
-    (2001): one DP column over the shorter string is held as two Python-int
-    bitsets of vertical +1/-1 deltas, and each character of the longer string
-    advances the whole column with a fixed handful of word operations, so the
-    cost is O(ceil(m/w) * n) machine-word operations rather than m * n
-    interpreted cell updates.  The result is exact.
+    The shared prefix is dropped first, then the shared suffix of what
+    remains; neither changes a unit-cost edit distance, and both are found
+    by comparing slices.  What is left runs through Myers' bit-vector
+    algorithm (1999) in Hyyrö's global-distance form (2001): one DP column
+    over the shorter string is held as two Python-int bitsets of vertical
+    +1/-1 deltas, and each character of the longer string advances the whole
+    column with a fixed handful of word operations, so the cost is
+    O(ceil(m/w) * n) machine-word operations rather than m * n interpreted
+    cell updates.  The score is read once, from the last column: row 0 of
+    the DP ends at len(a), and the column's deltas add the +1 bits of pv and
+    subtract the -1 bits of mv.  The result is exact.
     """
+    prefix = _shared_prefix_len(a, b)
+    a, b = a[prefix:], b[prefix:]
+    suffix = _shared_prefix_len(a[::-1], b[::-1])
+    if suffix:
+        a, b = a[:-suffix], b[:-suffix]
     if len(a) < len(b):
         a, b = b, a
-    m = len(b)
-    if not m:
+    if not b:
         return len(a)
     masks: dict[str, int] = {}
     bit = 1
@@ -55,22 +76,15 @@ def levenshtein(a: str, b: str) -> int:
         masks[c] = masks.get(c, 0) | bit
         bit <<= 1
     mask = bit - 1
-    last = bit >> 1
-    pv, mv, score = mask, 0, m  # column 0 of the DP: every vertical delta is +1
+    pv, mv = mask, 0  # column 0 of the DP: every vertical delta is +1
     for c in a:
         eq = masks.get(c, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        if ph & last:
-            score += 1
-        elif mh & last:
-            score -= 1
-        ph = (ph << 1) | 1  # row 0 of the DP grows by 1 per column (global form)
-        pv = ((mh << 1) | ~(xv | ph)) & mask
+        ph = ((mv | ~(xh | pv)) << 1) | 1  # row 0 of the DP grows by 1 per column
+        pv = (((pv & xh) << 1) | ~(xv | ph)) & mask
         mv = ph & xv
-    return score
+    return len(a) + pv.bit_count() - mv.bit_count()
 
 
 def cer(reference: str, hypothesis: str) -> float:

@@ -45,6 +45,7 @@ __all__ = [
     "velocity_batch",
     "fm_loss",
     "cfg_combine",
+    "check_sampling_args",
     "sample_patch",
 ]
 
@@ -256,6 +257,16 @@ def _values(v) -> np.ndarray:
     return v.data if isinstance(v, Tensor) else np.asarray(v)
 
 
+def check_sampling_args(steps: int, cfg_scale: float) -> int:
+    """Reject a step count below 1 or a non-finite guidance scale; returns
+    ``int(steps)``.  ``synthesize`` calls it before any conditioning work."""
+    if int(steps) < 1:
+        raise ValueError(f"sample_patch: steps must be >= 1, got {steps}")
+    if not math.isfinite(cfg_scale):
+        raise ValueError(f"sample_patch: cfg_scale must be finite, got {cfg_scale}")
+    return int(steps)
+
+
 def sample_patch(state: ModelState, h_final, z_prev: np.ndarray, steps: int = DEFAULT_STEPS,
                  cfg_scale: float = DEFAULT_CFG_SCALE, rng: np.random.Generator | None = None,
                  velocity_fn: Callable | None = None) -> np.ndarray:
@@ -273,11 +284,7 @@ def sample_patch(state: ModelState, h_final, z_prev: np.ndarray, steps: int = DE
     ``velocity_fn`` hook is called as ``velocity`` is, once per step; its
     return broadcasts to (rows, d_patch).  Both give the same patch bitwise.
     """
-    if int(steps) < 1:
-        raise ValueError(f"sample_patch: steps must be >= 1, got {steps}")
-    if not math.isfinite(cfg_scale):
-        raise ValueError(f"sample_patch: cfg_scale must be finite, got {cfg_scale}")
-    steps = int(steps)
+    steps = check_sampling_args(steps, cfg_scale)
     cfg = state.config
     if rng is None:
         rng = rng_stream(0, "sample")

@@ -30,7 +30,13 @@ from .autodiff import (
     zero_grads,
 )
 from .fileio import write_atomic
-from .flowmatch import DEFAULT_CFG_SCALE, DEFAULT_STEPS, fm_loss, sample_patch
+from .flowmatch import (
+    DEFAULT_CFG_SCALE,
+    DEFAULT_STEPS,
+    check_sampling_args,
+    fm_loss,
+    sample_patch,
+)
 from .model import (
     ConditioningCache,
     ModelConfig,
@@ -378,6 +384,7 @@ def synthesize(state: ModelState, text_tokens, reference_patches=(),
     refs = _as_patch_matrix(reference_patches, cfg.d_patch, state.dtype)
     if refs.shape[0] >= cap:
         raise ValueError("synthesize: reference context already fills the patch cap")
+    check_sampling_args(steps, cfg_scale)
     if rng is None:
         rng = rng_stream(0, "synth")
 

@@ -83,7 +83,7 @@ def numerals_to_thai(digits: str) -> str:
     """
     if not digits:
         raise ValueError("numerals_to_thai: empty digit string")
-    if not all("0" <= c <= "9" for c in digits):
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"numerals_to_thai: non-digit characters in {digits!r}")
     if len(digits) > MAX_NUMERAL_DIGITS:
         raise ValueError(f"numerals_to_thai: more than {MAX_NUMERAL_DIGITS} digits")
@@ -101,24 +101,28 @@ def expand_mai_yamok(text: str) -> str:
     is not part of a word.  Applied left to right, so an earlier expansion
     feeds a later marker.  A marker with no preceding token is left verbatim
     with a warning.
+
+    Text without a marker comes back unchanged.  Otherwise the work is per
+    marker, not per character: the text is split on ๆ, and at each marker
+    the output so far loses its trailing whitespace (``str.rstrip`` strips
+    exactly the characters ``str.isspace`` accepts) and is scanned back over
+    the preceding token only.
     """
-    out: list[str] = []
-    for ch in text:
-        if ch != MAI_YAMOK:
-            out.append(ch)
-            continue
-        while out and out[-1].isspace():
-            out.pop()
+    if MAI_YAMOK not in text:
+        return text
+    out, *pieces = text.split(MAI_YAMOK)
+    for piece in pieces:
+        out = out.rstrip()
         start = len(out)
-        while start > 0 and not out[start - 1].isspace() and out[start - 1] != MAI_YAMOK:
+        while start and not out[start - 1].isspace() and out[start - 1] != MAI_YAMOK:
             start -= 1
-        token = out[start:]
-        if not token:
+        if start == len(out):
             logger.warning("repetition marker %s with no preceding token left verbatim", MAI_YAMOK)
-            out.append(ch)
+            out += MAI_YAMOK
         else:
-            out.extend(token)
-    return "".join(out)
+            out += out[start:]
+        out += piece
+    return out
 
 
 @dataclass
@@ -151,8 +155,28 @@ def load_lexicon(path) -> dict[str, str]:
     return lexicon
 
 
+class _SeparatorTable(dict):
+    """``str.translate`` table that deletes Unicode categories P and Z.
+
+    Filled lazily, one ``unicodedata.category`` lookup per code point on its
+    first use: None (delete) for punctuation and separators, the code point
+    itself otherwise.  Each entry depends only on its key, so concurrent
+    fills store the same value, and the table holds one entry per distinct
+    code point seen.
+    """
+
+    def __missing__(self, code_point: int) -> int | None:
+        kept = None if unicodedata.category(chr(code_point))[0] in "PZ" else code_point
+        self[code_point] = kept
+        return kept
+
+
+_SEPARATORS = _SeparatorTable()
+
+
 def _strip_separators(text: str) -> str:
-    return "".join(c for c in text if unicodedata.category(c)[0] not in ("P", "Z"))
+    """Delete every character of Unicode category P or Z in one ``translate`` pass."""
+    return text.translate(_SEPARATORS)
 
 
 def normalize(text, config: NormalizationConfig | None = None) -> str:

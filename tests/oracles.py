@@ -1,15 +1,21 @@
 """Independent oracles shared by the unit and acceptance suites.
 
 These stay deliberately naive: the hand-written numeral table, the memoized
-recursive edit distance and the row-by-row DP exist to check the production
-code, so they must not share its implementation strategy.
+recursive edit distance, the row-by-row DP and the per-character
+normalization stages exist to check the production code, so they must not
+share its implementation strategy.
 """
 
 import functools
+import logging
+import unicodedata
 
 import numpy as np
 
 from flowtts.flowmatch import cfg_combine, velocity
+from flowtts.thai_text import MAI_YAMOK
+
+logger = logging.getLogger(__name__)
 
 # Thai readings written out by hand from the normative grammar: digit words,
 # place words sip/roi/phan/muen/saen, recursive lan grouping, and the three
@@ -101,6 +107,32 @@ def dp_levenshtein(a: str, b: str) -> int:
             ))
         previous = current
     return previous[-1]
+
+
+def char_loop_expand_mai_yamok(text: str) -> str:
+    """The per-character mai-yamok expansion that `expand_mai_yamok` replaced."""
+    out: list[str] = []
+    for ch in text:
+        if ch != MAI_YAMOK:
+            out.append(ch)
+            continue
+        while out and out[-1].isspace():
+            out.pop()
+        start = len(out)
+        while start > 0 and not out[start - 1].isspace() and out[start - 1] != MAI_YAMOK:
+            start -= 1
+        token = out[start:]
+        if not token:
+            logger.warning("repetition marker %s with no preceding token left verbatim", MAI_YAMOK)
+            out.append(ch)
+        else:
+            out.extend(token)
+    return "".join(out)
+
+
+def category_strip_separators(text: str) -> str:
+    """The per-character category filter that `_strip_separators` replaced."""
+    return "".join(c for c in text if unicodedata.category(c)[0] not in ("P", "Z"))
 
 
 def two_call_sample_patch(state, h_final, z_prev, steps, cfg_scale, rng):

@@ -433,6 +433,22 @@ def _never_stopping_state(seed=17, dtype="float32"):
     return state
 
 
+@pytest.mark.parametrize("bad", [{"steps": 0}, {"cfg_scale": math.nan}, {"cfg_scale": math.inf}])
+def test_synthesize_rejects_bad_sampler_arguments_before_prefill(monkeypatch, bad):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return step_hiddens(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "step_hiddens", counting)
+    state = init_model_state(dataclasses.replace(CFG, max_patches=256), seed=17)
+    refs = RNG.standard_normal((200, CFG.d_patch)).astype(np.float32)
+    with pytest.raises(ValueError, match="sample_patch: (steps|cfg_scale) must be"):
+        synthesize(state, [4, 5], refs, rng=rng_stream(1, "synth"), **bad)
+    assert calls == []
+
+
 def test_synthesize_excludes_reference_patches():
     # The references count against the cap but are not part of the output.
     refs = RNG.standard_normal((3, CFG.d_patch)).astype(np.float32)

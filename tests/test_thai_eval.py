@@ -1,9 +1,11 @@
 """Thai normalization and evaluation tests: numeral grammar against a hand
-oracle, repetition-marker expansion, pipeline idempotence, edit distance
+oracle, repetition-marker expansion, separator stripping and the whole
+pipeline against per-character oracles, pipeline idempotence, edit distance
 against a brute-force recursive oracle and the row-by-row DP, cosine
 properties, vote tallies, and byte-order marks in the text readers."""
 
 import logging
+import re
 import unicodedata
 
 import numpy as np
@@ -23,6 +25,7 @@ from flowtts.evaluation import (
     read_votes_csv,
     write_embedding,
 )
+import flowtts.thai_text as thai_text
 from flowtts.thai_text import (
     MAI_YAMOK,
     NormalizationConfig,
@@ -32,7 +35,13 @@ from flowtts.thai_text import (
     numerals_to_thai,
 )
 
-from oracles import NUMERAL_ORACLE, brute_force_levenshtein, dp_levenshtein
+from oracles import (
+    NUMERAL_ORACLE,
+    brute_force_levenshtein,
+    category_strip_separators,
+    char_loop_expand_mai_yamok,
+    dp_levenshtein,
+)
 
 # --------------------------------------------------------------------------
 # Numeral grammar: hand-written oracle table
@@ -166,7 +175,6 @@ def test_normalize_idempotent(text):
     # The lexicon key avoids the corpus alphabet: whitespace stripping can
     # merge kept-verbatim Latin fragments, and a merge that formed a lexicon
     # key would legitimately transliterate on the second pass.
-    import re
     if re.search(r"[0-9]{14}", text):
         text = re.sub(r"[0-9]+", lambda m: m.group()[:13], text)
     config = NormalizationConfig(lexicon={"gateway": "เกตเวย์"})
@@ -184,6 +192,51 @@ def test_mai_yamok_does_not_duplicate_an_orphan_marker():
 def test_normalize_rejects_oversized_digit_run():
     with pytest.raises(ValueError):
         normalize("เลข " + "9" * 14)
+
+
+# Thai letters, vowels, tone marks and mai-yamok; the Po signs paiyannoi,
+# angkhankhu and khomut; Latin letters and digits; ASCII whitespace; no-break
+# space (Zs), ideographic space (Zs), line separator (Zl) and the file
+# separator (whitespace to str.isspace but category Cc); ASCII punctuation;
+# and a Po sign outside the BMP.
+NORMALIZATION_ALPHABET = (THAI_CHARS + "ฯ๚๛" + "abcXYZ0123456789" + " \t\n"
+                          + "\u00a0\u3000\u2028\u001c" + ".,!?" + "\U00010100")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=NORMALIZATION_ALPHABET, max_size=60))
+def test_separator_stripping_matches_the_category_oracle(text):
+    assert thai_text._strip_separators(text) == category_strip_separators(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=NORMALIZATION_ALPHABET, max_size=60))
+def test_mai_yamok_expansion_matches_the_char_loop_oracle(text):
+    assert expand_mai_yamok(text) == char_loop_expand_mai_yamok(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=NORMALIZATION_ALPHABET, max_size=60))
+def test_normalize_matches_the_pipeline_over_oracle_stages(text):
+    text = re.sub(r"[0-9]+", lambda m: m.group()[:13], text)
+    config = NormalizationConfig(lexicon={"ab": "เอบี", "x": "เอ็กซ์"})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thai_text, "expand_mai_yamok", char_loop_expand_mai_yamok)
+        mp.setattr(thai_text, "_strip_separators", category_strip_separators)
+        expected = normalize(text, config)
+    assert normalize(text, config) == expected
+
+
+def test_mai_yamok_warns_once_per_orphan_marker(caplog):
+    # Orphans: the leading marker, and the one after it across a space (the
+    # token scan stops at a marker); the third marker repeats ก.
+    text = MAI_YAMOK + " " + MAI_YAMOK + "กๆ" + " ๆ"
+    with caplog.at_level(logging.WARNING):
+        assert expand_mai_yamok(text) == char_loop_expand_mai_yamok(text) == MAI_YAMOK * 2 + "ก" * 4
+    ours = [r for r in caplog.records if r.name == "flowtts.thai_text"]
+    theirs = [r for r in caplog.records if r.name == "oracles"]
+    assert len(ours) == len(theirs) == 2
+    assert all("no preceding token" in r.getMessage() for r in ours + theirs)
 
 
 # --------------------------------------------------------------------------
@@ -267,6 +320,33 @@ def _edit_pairs(draw):
 def test_levenshtein_matches_dp_oracle(pair):
     a, b = pair
     assert levenshtein(a, b) == dp_levenshtein(a, b) == levenshtein(b, a)
+
+
+def _shared_ends_pairs():
+    rng = np.random.default_rng(64)
+    pairs = [
+        ("", ""),
+        ("กขค", "กขค"),
+        ("".join(rng.choice(list("กขคงจ"), size=200)),) * 2,
+        ("กขค", "กขคงจ"),  # prefix
+        ("งจ", "กขคงจ"),  # suffix
+        ("aaaa", "aa"),  # the shared prefix and suffix overlap
+        ("abcab", "ab"),
+        ("abab", "ab"),
+        ("aba", "abba"),
+    ]
+    for side in (64, 128, 130):
+        head = "".join(rng.choice(list("กขคงจ"), size=side))
+        tail = "".join(rng.choice(list("กขคงจ"), size=side))
+        pairs += [(head + "x" + tail, head + "y" + tail),  # substitution
+                  (head + tail, head + "x" + tail),  # insertion
+                  (head + "x" + tail, head + tail[1:])]  # deletion across the edit
+    return pairs
+
+
+@pytest.mark.parametrize("a,b", _shared_ends_pairs())
+def test_levenshtein_trims_shared_ends_without_changing_the_distance(a, b):
+    assert levenshtein(a, b) == levenshtein(b, a) == dp_levenshtein(a, b)
 
 
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 127, 128, 129])
