@@ -51,7 +51,9 @@ def levenshtein(a: str, b: str) -> int:
 
     The shared prefix is dropped first, then the shared suffix of what
     remains; neither changes a unit-cost edit distance, and both are found
-    by comparing slices.  What is left runs through Myers' bit-vector
+    by comparing slices.  This pays where the two sides agree at their ends,
+    as a near-copy hypothesis does before its first edit and after its last;
+    a pair with no shared end pays only the two binary searches.  What is left runs through Myers' bit-vector
     algorithm (1999) in Hyyrö's global-distance form (2001): one DP column
     over the shorter string is held as two Python-int bitsets of vertical
     +1/-1 deltas, and each character of the longer string advances the whole

@@ -103,16 +103,19 @@ def expand_mai_yamok(text: str) -> str:
     with a warning.
 
     Text without a marker comes back unchanged.  Otherwise the work is per
-    marker, not per character: the text is split on ๆ, and at each marker
-    the output so far loses its trailing whitespace (``str.rstrip`` strips
-    exactly the characters ``str.isspace`` accepts) and is scanned back over
-    the preceding token only.
+    marker, not per character: the text is split on ๆ, each segment a marker
+    follows loses its trailing whitespace before it is appended
+    (``str.rstrip`` strips exactly the characters ``str.isspace`` accepts),
+    and the output is scanned back over the preceding token only.  The output
+    built before a segment always ends in a token or a marker, so stripping
+    the segment alone strips everything the marker must not follow.
     """
     if MAI_YAMOK not in text:
         return text
-    out, *pieces = text.split(MAI_YAMOK)
-    for piece in pieces:
-        out = out.rstrip()
+    *marked, last = text.split(MAI_YAMOK)
+    out = ""
+    for segment in marked:
+        out += segment.rstrip()
         start = len(out)
         while start and not out[start - 1].isspace() and out[start - 1] != MAI_YAMOK:
             start -= 1
@@ -121,8 +124,7 @@ def expand_mai_yamok(text: str) -> str:
             out += MAI_YAMOK
         else:
             out += out[start:]
-        out += piece
-    return out
+    return out + last
 
 
 @dataclass
