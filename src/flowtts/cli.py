@@ -133,15 +133,15 @@ def build_configs(file_values: dict[str, str],
 
 
 def _resolve_seed(seed_arg) -> int:
-    if seed_arg is not None:
-        return int(seed_arg)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    if seed_arg is None:
+        env = os.environ.get(SEED_ENV_VAR, "0")
         try:
-            return int(env)
+            seed_arg = int(env)
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return 0
+    if seed_arg < 0:
+        raise ConfigError(f"the seed (--seed or {SEED_ENV_VAR}) must be >= 0, got {seed_arg}")
+    return int(seed_arg)
 
 
 def _parse_tokens(raw: str) -> list[int]:

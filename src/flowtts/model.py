@@ -52,7 +52,6 @@ __all__ = [
     "conditioning",
     "conditioning_batch",
     "step_hiddens",
-    "causal_mask",
     "transformer_stack",
 ]
 
@@ -190,23 +189,6 @@ def init_model_state(config: ModelConfig, seed: int = 0) -> ModelState:
 # Shared transformer machinery
 # --------------------------------------------------------------------------
 
-_MASK_CACHE: dict[tuple[int, int, str], Tensor] = {}
-
-
-def causal_mask(n: int, dtype=None, past: int = 0) -> Tensor:
-    """Additive (n, past + n) mask forbidding attention to positions > own,
-    for n query rows that follow ``past`` cached key rows."""
-    dtype = np.dtype(dtype) if dtype is not None else active_dtype()
-    key = (n, past, dtype.str)
-    cached = _MASK_CACHE.get(key)
-    if cached is None:
-        m = np.zeros((n, past + n), dtype=dtype)
-        m[np.triu_indices(n, past + 1, past + n)] = MASK_VALUE
-        cached = constant(m, dtype=dtype)
-        _MASK_CACHE[key] = cached
-    return cached
-
-
 def _ranges(lengths: list[int]) -> np.ndarray:
     # [0..n0) ++ [0..n1) ++ ... as one index array.
     return np.concatenate([np.arange(n) for n in lengths])
@@ -214,30 +196,38 @@ def _ranges(lengths: list[int]) -> np.ndarray:
 
 class Packing:
     """Row layout of several sequences packed into one for the conditioning
-    stacks.
+    stacks, and its attention mask.
 
     Sequence e has ``text_lengths[e]`` text rows and ``history_lengths[e]``
     history rows.  The packed rows are the text rows of every sequence, one
     sequence after another, then the history rows in the same order, so one
-    sequence is laid out as it is alone.  Positions restart in each sequence
-    (history positions at ``first``, the patches a cache already holds), and
-    the mask of several sequences lets a row attend only to rows of its own
-    sequence up to its own position, so no sequence sees another (packing
-    without cross-contamination, Krell et al., 2021).
+    sequence is laid out as it is alone.  Positions restart in each sequence.
+    A cache may hold the keys and values of the first ``past_rows`` rows of
+    one sequence (its text, then its first history rows); the stacks then
+    take the ``rows`` after them, at the positions after them.  The mask
+    lets a row see the cached rows, plus the rows of its own sequence up to
+    its own position, so no sequence sees another (packing without
+    cross-contamination, Krell et al., 2021).
     """
 
-    def __init__(self, text_lengths, history_lengths, first: int = 0):
+    def __init__(self, text_lengths, history_lengths, past_rows: int = 0):
         self.text_lengths = [int(n) for n in text_lengths]
         self.history_lengths = [int(k) for k in history_lengths]
+        self.past_rows = int(past_rows)
         self.size = len(self.text_lengths)
         self.text_rows = sum(self.text_lengths)
         self.text_positions = _ranges(self.text_lengths)
+        first = self.past_rows - self.text_rows if self.past_rows else 0
         self.history_positions = first + _ranges(self.history_lengths)
-        self._block_mask: Tensor | None = None
+        self.rows = (0 if self.past_rows else self.text_rows) + sum(self.history_lengths)
+        self._mask: Tensor | None = None
 
     def step_rows(self) -> np.ndarray:
-        """Packed rows that condition steps 0..k of each sequence in turn:
-        its last text row, then its history rows."""
+        """Rows that condition the steps of this call: per sequence, its last
+        text row (step 0), then its history rows.  With cached rows only the
+        history rows: the call that cached the last row returned its step."""
+        if self.past_rows:
+            return np.arange(self.rows)
         rows, text_end, history_start = [], -1, self.text_rows
         for n, k in zip(self.text_lengths, self.history_lengths):
             text_end += n
@@ -254,20 +244,21 @@ class Packing:
             start += k + 1
         return np.array(steps, dtype=np.int64)
 
-    def mask(self, rows: int, dtype, past: int = 0) -> Tensor:
-        """Additive mask for ``rows`` stack input rows after ``past`` cached
-        ones: the causal mask of one sequence, or the block mask of several,
-        which belongs to this packing and is never put in the mask cache."""
-        if self.size == 1:
-            return causal_mask(rows, dtype, past)
-        if self._block_mask is None:
+    def mask(self, dtype) -> Tensor | None:
+        """Additive (rows, past_rows + rows) mask of the rule above, or None
+        when it hides nothing (one row).  It is built at the first call and
+        belongs to this packing, so both stacks share it."""
+        if self._mask is None and self.rows > 1:
             owner = np.arange(self.size)
-            seq = np.r_[np.repeat(owner, self.text_lengths), np.repeat(owner, self.history_lengths)]
-            pos = np.r_[self.text_positions,
-                        np.repeat(self.text_lengths, self.history_lengths) + self.history_positions]
-            allowed = (seq[:, None] == seq[None, :]) & (pos[None, :] <= pos[:, None])
-            self._block_mask = constant(np.where(allowed, 0.0, MASK_VALUE), dtype=dtype)
-        return self._block_mask
+            seq = np.repeat(owner, self.history_lengths)
+            pos = self.history_positions + np.repeat(self.text_lengths, self.history_lengths)
+            if not self.past_rows:
+                seq = np.concatenate([np.repeat(owner, self.text_lengths), seq])
+                pos = np.concatenate([self.text_positions, pos])
+            mask = np.zeros((self.rows, self.past_rows + self.rows), dtype=dtype)
+            mask[:, self.past_rows:][(seq[:, None] != seq) | (pos > pos[:, None])] = MASK_VALUE
+            self._mask = constant(mask, dtype=dtype)
+        return self._mask
 
 
 # The transformer helpers index state.params directly: they run a few hundred
@@ -343,7 +334,8 @@ def _past_rows(past: list | None) -> int:
 def transformer_stack(state: ModelState, prefix: str, x: Tensor, n_layers: int,
                       mask: Tensor | None, batch: int = 1, past: list | None = None) -> Tensor:
     """Pre-LN blocks over ``batch`` equal-length sequences stored row-block
-    after row-block; ``mask`` is an additive (T, T) constant or None.
+    after row-block; ``mask`` is an additive (T, T) constant, or None where
+    it would hide nothing (the conditioning stacks use ``Packing.mask``).
 
     ``past`` is a list of per-layer (keys, values) arrays of one sequence's
     earlier rows.  The rows of ``x`` follow them and attend to them (``mask``
@@ -415,15 +407,16 @@ def semantic_hiddens(state: ModelState, text_tokens, acoustic: Tensor,
     ``acoustic`` holds the embeddings of patches h, h+1, ... and the result
     has one row per embedding.
 
-    With a ``packing``, ``text_tokens`` holds the checked ids of its
-    sequences one after another and ``acoustic`` their embeddings in the
-    same order, and the rows are in the packed order.
+    Positions, text skipping and the mask come from ``packing``, by default
+    this sequence's after the rows in ``past``.  With a ``packing`` passed
+    in, ``text_tokens`` holds the checked ids of its sequences one after
+    another and ``acoustic`` their embeddings in the same order, and the
+    rows are in the packed order.
     """
     cfg = state.config
-    done = _past_rows(past)
     if packing is None:
         ids = _check_tokens(cfg, text_tokens)
-        packing = Packing([ids.size], [acoustic.data.shape[0]], max(done - ids.size, 0))
+        packing = Packing([ids.size], [acoustic.data.shape[0]], _past_rows(past))
     else:
         ids = np.asarray(text_tokens, dtype=np.int64)
     ac_positions = packing.history_positions
@@ -431,14 +424,13 @@ def semantic_hiddens(state: ModelState, text_tokens, acoustic: Tensor,
         raise ShapeError(f"acoustic context of {ac_positions.max() + 1} patches exceeds "
                          f"max_patches {cfg.max_patches}")
     parts = []
-    if not done:
+    if not packing.past_rows:
         parts.append(add(embedding_lookup(state["sem.tok"], ids),
                          embedding_lookup(state["sem.pos_text"], packing.text_positions)))
     if ac_positions.size:
         parts.append(add(acoustic, embedding_lookup(state["sem.pos_ac"], ac_positions)))
-    x = _join_rows(parts)
-    mask = packing.mask(x.data.shape[0], state.dtype, done)
-    return transformer_stack(state, "sem", x, cfg.n_layers_semantic, mask, past=past)
+    return transformer_stack(state, "sem", _join_rows(parts), cfg.n_layers_semantic,
+                             packing.mask(state.dtype), past=past)
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -486,8 +478,10 @@ def residual_hiddens(state: ModelState, text_hiddens: Tensor | None,
     are not recomputed: the histories hold steps h, h+1, ... and the result
     has one row per step; with a ``packing``, ``text_hiddens`` may be None.
 
-    With a ``packing``, the text hiddens and the histories hold its
-    sequences one after another, and the rows are in the packed order.
+    Positions, text skipping and the mask come from ``packing``, by default
+    this sequence's after the rows in ``past``.  With a ``packing`` passed
+    in, the text hiddens and the histories hold its sequences one after
+    another, and the rows are in the packed order.
     """
     cfg = state.config
     k = fsq_history.data.shape[0]
@@ -495,21 +489,18 @@ def residual_hiddens(state: ModelState, text_hiddens: Tensor | None,
         raise ShapeError(
             f"history length mismatch: {k} quantized vs {acoustic_history.data.shape[0]} acoustic"
         )
-    done = _past_rows(past)
     if packing is None:
-        n_text = text_hiddens.data.shape[0]
-        packing = Packing([n_text], [k], max(done - n_text, 0))
+        packing = Packing([text_hiddens.data.shape[0]], [k], _past_rows(past))
     parts = []
-    if not done:
+    if not packing.past_rows:
         parts.append(add(text_hiddens,
                          embedding_lookup(state["res.pos_text"], packing.text_positions)))
     if k:
         hist = linear(concat([fsq_history, acoustic_history], axis=1),
                       state["res.proj.w"], state["res.proj.b"])
         parts.append(add(hist, embedding_lookup(state["res.pos_hist"], packing.history_positions)))
-    x = _join_rows(parts)
-    mask = packing.mask(x.data.shape[0], state.dtype, done)
-    return transformer_stack(state, "res", x, cfg.n_layers_residual, mask, past=past)
+    return transformer_stack(state, "res", _join_rows(parts), cfg.n_layers_residual,
+                             packing.mask(state.dtype), past=past)
 
 
 def stop_logits(state: ModelState, h_fsq: Tensor) -> Tensor:
@@ -590,13 +581,12 @@ def conditioning_batch(state: ModelState, texts, histories,
             raise ValueError("conditioning: a decode call needs at least one new patch")
     semantic_past = None if cache is None else list(cache.semantic)
     residual_past = None if cache is None else list(cache.residual)
-    packing = Packing([t.size for t in tokens], lengths, done)
+    packing = Packing([t.size for t in tokens], lengths, _past_rows(semantic_past))
 
     embeddings = encode_patches(state, np.concatenate(histories))
     hiddens = semantic_hiddens(state, np.concatenate(tokens), embeddings, semantic_past, packing)
-    # Prefill returns steps 0..k; decode returns steps done+1..done+k, because
-    # the previous call returned step done.
-    rows = packing.step_rows() if fresh else np.arange(lengths[0])
+    # Prefill returns steps 0..k; decode returns steps done+1..done+k.
+    rows = packing.step_rows()
     quantized = fsq_quantize(embedding_lookup(hiddens, rows), cfg.fsq_delta, cfg.fsq_bound)
     # Decode's cached residual keys and values already hold the text rows.
     text_hiddens = narrow(hiddens, 0, 0, packing.text_rows) if fresh else None

@@ -81,6 +81,7 @@ __all__ = [
 ]
 
 GOLDEN_FRACTION = 0.6180339887498949  # spreads speaker phases over the offset range
+SPEAKER_PHASE_RANGE = 0.5  # speaker phases lie in [0, SPEAKER_PHASE_RANGE)
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,8 @@ class TrainConfig:
     prompt_speakers: int = 8
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("TrainConfig.learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("TrainConfig.learning_rate must be finite and > 0")
         if self.train_steps < 0 or self.batch_size < 1:
             raise ValueError("TrainConfig: train_steps must be >= 0 and batch_size >= 1")
         if not 1 <= self.prompt_min_tokens <= self.prompt_max_tokens:
@@ -133,7 +134,6 @@ class SyntheticSpec:
     """
 
     token_freq: dict[int, float]
-    speaker_phase_range: float = 0.5
     patches_per_token: int = 3
 
     def __post_init__(self):
@@ -146,8 +146,8 @@ def default_synthetic_spec(config: ModelConfig) -> SyntheticSpec:
     return SyntheticSpec(token_freq=freq)
 
 
-def _speaker_phase(spec: SyntheticSpec, speaker_id: int) -> float:
-    return spec.speaker_phase_range * ((int(speaker_id) * GOLDEN_FRACTION) % 1.0)
+def _speaker_phase(speaker_id: int) -> float:
+    return SPEAKER_PHASE_RANGE * ((int(speaker_id) * GOLDEN_FRACTION) % 1.0)
 
 
 def synthetic_example(spec: SyntheticSpec, config: ModelConfig,
@@ -158,7 +158,7 @@ def synthetic_example(spec: SyntheticSpec, config: ModelConfig,
         raise ValueError("synthetic_example: empty token sequence")
     d = config.d_patch
     per = spec.patches_per_token
-    phase = _speaker_phase(spec, speaker_id)
+    phase = _speaker_phase(speaker_id)
     grid = np.arange(d) / d
     rows = []
     for position, token in enumerate(tokens):

@@ -13,6 +13,7 @@ import unicodedata
 import numpy as np
 
 from flowtts.flowmatch import cfg_combine, velocity
+from flowtts.model import MASK_VALUE
 from flowtts.thai_text import MAI_YAMOK
 
 logger = logging.getLogger(__name__)
@@ -146,3 +147,16 @@ def two_call_sample_patch(state, h_final, z_prev, steps, cfg_scale, rng):
         v_uncond = velocity(state, z, t, h_final, z_prev, False).data[0]
         z = (z - dt * cfg_combine(v_cond, v_uncond, cfg_scale)).astype(state.dtype)
     return np.asarray(z)
+
+
+def block_mask(text_lengths, history_lengths, dtype):
+    """The additive block causal mask of packed sequences, written as the
+    packed training step first built it: every text row, then every history
+    row; a row sees the rows of its own sequence up to its own position."""
+    owner = np.arange(len(text_lengths))
+    seq = np.r_[np.repeat(owner, text_lengths), np.repeat(owner, history_lengths)]
+    text_positions = np.concatenate([np.arange(n) for n in text_lengths])
+    history_positions = np.concatenate([np.arange(k) for k in history_lengths])
+    pos = np.r_[text_positions, np.repeat(text_lengths, history_lengths) + history_positions]
+    allowed = (seq[:, None] == seq[None, :]) & (pos[None, :] <= pos[:, None])
+    return np.where(allowed, 0.0, MASK_VALUE).astype(dtype)

@@ -40,7 +40,7 @@ from flowtts.autodiff import (
     tensor_sum,
     tile_rows,
 )
-from flowtts.model import MASK_VALUE, ModelConfig, causal_mask, init_model_state, semantic_hiddens
+from flowtts.model import MASK_VALUE, ModelConfig, init_model_state, semantic_hiddens
 
 RNG = np.random.default_rng(20240811)
 
@@ -533,12 +533,19 @@ def _reference_attention(q, k, v, heads, mask, batch):
 _DEFAULT_ATTENTION_SHAPES = [(4, 1, 23, True), (4, 9, 2, False)]
 
 
+def _causal_mask(queries, dtype, past=0):
+    """Additive (queries, past + queries) mask hiding from each query the
+    keys after its own position, for queries that follow ``past`` keys."""
+    return constant(np.triu(np.full((queries, past + queries), MASK_VALUE, dtype=dtype), past + 1),
+                    dtype=dtype)
+
+
 @pytest.mark.parametrize("heads,batch,seq,causal", _DEFAULT_ATTENTION_SHAPES)
 def test_attention_forward_is_bitwise_the_per_head_composition(heads, batch, seq, causal):
     rng = np.random.default_rng(31)
     q, k, v = (constant(rng.standard_normal((batch * seq, 64)).astype(np.float32))
                for _ in range(3))
-    mask = causal_mask(seq, np.float32) if causal else None
+    mask = _causal_mask(seq, np.float32) if causal else None
     fused = attention(q, k, v, heads, mask, batch).data
     assert fused.dtype == np.float32
     np.testing.assert_array_equal(fused, _reference_attention(q, k, v, heads, mask, batch).data)
@@ -550,7 +557,7 @@ def test_attention_gradients_match_the_per_head_composition(heads, batch, seq, c
     with precision("float64"):
         arrays = [rng.standard_normal((batch * seq, 64)) for _ in range(3)]
         weight = constant(rng.standard_normal((batch * seq, 64)))
-        mask = causal_mask(seq) if causal else None
+        mask = _causal_mask(seq, np.float64) if causal else None
         grads = []
         for fn in (attention, _reference_attention):
             q, k, v = (parameter(a.copy()) for a in arrays)
@@ -588,10 +595,10 @@ def test_attention_with_cached_keys_matches_the_last_rows_of_the_full_call(queri
     rng = np.random.default_rng(33)
     seq = 23
     q, k, v = (constant(rng.standard_normal((seq, 64)).astype(np.float32)) for _ in range(3))
-    full = attention(q, k, v, 4, causal_mask(seq, np.float32)).data
+    full = attention(q, k, v, 4, _causal_mask(seq, np.float32)).data
     past = seq - queries
     tail = attention(narrow(q, 0, past, queries), k, v, 4,
-                     causal_mask(queries, np.float32, past)).data
+                     _causal_mask(queries, np.float32, past)).data
     if queries == seq:
         np.testing.assert_array_equal(tail, full)
     np.testing.assert_allclose(tail, full[past:], rtol=0, atol=1e-6)

@@ -111,6 +111,16 @@ def test_train_nan_fsq_delta_is_config_error(tmp_path):
     assert not (tmp_path / "m.ckpt").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_non_finite_learning_rate_is_config_error(tmp_path, capsys, value):
+    config = tmp_path / "lr.cfg"
+    config.write_text(TINY_CONFIG + f"learning_rate={value}\n", encoding="utf-8")
+    code = main(["train", "--config", str(config), "--out-checkpoint", str(tmp_path / "m.ckpt"),
+                 "--loss-csv", str(tmp_path / "loss.csv")])
+    _assert_rejected_as_config_error(code, capsys.readouterr().err)
+    assert sorted(os.listdir(tmp_path)) == ["lr.cfg"]
+
+
 def test_train_nan_weights_abort_with_model_exit_code(tmp_path, tiny_config_path, monkeypatch,
                                                      capsys):
     # A NaN reaching the quantizer ends the run as a diverged training run.
@@ -165,6 +175,29 @@ def test_train_env_seed_fallback(tmp_path, tiny_config_path, monkeypatch):
         assert code == EXIT_OK
         csvs.append(csv.read_bytes())
     assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("command", ["train", "synth", "eval rtf"])
+def test_a_negative_seed_is_a_config_error(tmp_path, tiny_config_path, tiny_checkpoint, capsys,
+                                           monkeypatch, command, source):
+    argv = {
+        "train": ["train", "--config", tiny_config_path, "--out-checkpoint",
+                  str(tmp_path / "m.ckpt"), "--loss-csv", str(tmp_path / "loss.csv")],
+        "synth": ["synth", "--checkpoint", tiny_checkpoint, "--tokens", "1,2",
+                  "--out", str(tmp_path / "out.jlat")],
+        "eval rtf": ["eval", "rtf", "--checkpoint", tiny_checkpoint, "--tokens", "1,2"],
+    }[command]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("JAITTS_SEED", "-1")
+    before = sorted(os.listdir(tmp_path))
+    code = main(argv)
+    captured = capsys.readouterr()
+    _assert_rejected_as_config_error(code, captured.err)
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from flowtts.autodiff import (
     ShapeError,
+    attention,
     constant,
     grad_check,
     mul,
@@ -22,9 +23,11 @@ from flowtts.autodiff import (
     zero_grads,
 )
 from flowtts.model import (
+    MASK_VALUE,
     ConditioningCache,
     ModelConfig,
     NonFiniteError,
+    Packing,
     conditioning,
     encode_patches,
     fsq_quantize,
@@ -35,6 +38,7 @@ from flowtts.model import (
     stop_logits,
     transformer_stack,
 )
+from oracles import block_mask
 
 CFG = ModelConfig(d_model=16, n_layers_semantic=1, n_layers_residual=1, n_heads=2,
                   d_patch=4, vocab_size=12, max_patches=32, max_text_len=16)
@@ -95,6 +99,65 @@ def test_encode_per_patch_locality():
 def test_encode_wrong_patch_length():
     with pytest.raises(ShapeError):
         encode_patches(STATE, np.zeros((2, CFG.d_patch + 1)))
+
+
+# --------------------------------------------------------------------------
+# Attention mask: one rule from the Packing
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_text,k", [(1, 1), (3, 0), (4, 5)])
+def test_the_mask_of_one_sequence_is_the_causal_mask(dtype, n_text, k):
+    n = n_text + k
+    mask = Packing([n_text], [k]).mask(dtype).data
+    assert mask.dtype == dtype
+    assert mask.tobytes() == np.triu(np.full((n, n), MASK_VALUE, dtype=dtype), 1).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 6)), min_size=2, max_size=5),
+       st.sampled_from([np.float32, np.float64]))
+def test_the_mask_of_several_sequences_is_the_block_mask(lengths, dtype):
+    text_lengths, history_lengths = zip(*lengths)
+    mask = Packing(text_lengths, history_lengths).mask(dtype).data
+    assert mask.dtype == dtype
+    assert mask.tobytes() == block_mask(text_lengths, history_lengths, dtype).tobytes()
+
+
+def test_a_decode_of_three_patches_sees_the_cached_rows_and_the_new_rows_up_to_itself():
+    # Two text rows and four patches cached, three new patches.
+    packing = Packing([2], [3], past_rows=6)
+    assert packing.rows == 3
+    assert packing.history_positions.tolist() == [4, 5, 6]
+    assert packing.step_rows().tolist() == [0, 1, 2]
+    mask = packing.mask(np.float32).data
+    assert mask.shape == (3, 6 + 3)
+    assert not mask[:, :6].any()
+    assert mask[:, 6:].tobytes() == np.triu(np.full((3, 3), MASK_VALUE, np.float32), 1).tobytes()
+
+
+def test_both_stacks_share_one_mask_per_packing():
+    packing = Packing([2, 3], [1, 4])
+    assert packing.mask(np.float32) is packing.mask(np.float32)
+
+
+def test_one_row_calls_hand_attention_no_mask(monkeypatch):
+    masks = []
+
+    def recording(q, k, v, heads, mask=None, batch=1):
+        masks.append(mask)
+        return attention(q, k, v, heads, mask, batch)
+
+    monkeypatch.setattr("flowtts.model.attention", recording)
+    calls_per_pass = CFG.n_layers_semantic + CFG.n_layers_residual
+    history = RNG.standard_normal((3, CFG.d_patch))
+    cache = ConditioningCache()
+    conditioning(STATE, [1, 2], history[:2], cache)  # prefill of 4 rows: masked
+    assert len(masks) == calls_per_pass and all(m is not None for m in masks)
+    masks.clear()
+    conditioning(STATE, [1, 2], history[2:3], cache)  # decode of one patch
+    conditioning(STATE, [7], history[:0])  # one text row, no cache
+    assert len(masks) == 2 * calls_per_pass and all(m is None for m in masks)
 
 
 # --------------------------------------------------------------------------

@@ -94,6 +94,12 @@ def test_synthetic_unknown_token_frequency():
         synthetic_example(spec, CFG, [0, 1], speaker_id=0)
 
 
+@pytest.mark.parametrize("learning_rate", [math.nan, math.inf, 0.0, -1e-3])
+def test_train_config_needs_a_finite_positive_learning_rate(learning_rate):
+    with pytest.raises(ValueError, match="learning_rate"):
+        TrainConfig(learning_rate=learning_rate)
+
+
 def test_training_example_invariants():
     with pytest.raises(ValueError):
         TrainingExample((1,), np.zeros((2, 4)), np.array([True, True]))
@@ -329,14 +335,6 @@ def test_conditioning_batch_rejects_a_cache_of_several_and_unpaired_inputs():
         model.conditioning_batch(STATE, [[1], [2]], [history, history], model.ConditioningCache())
     with pytest.raises(ValueError, match="texts"):
         model.conditioning_batch(STATE, [[1], [2]], [history])
-
-
-def test_packed_training_puts_nothing_in_the_mask_cache(monkeypatch):
-    # Block masks of packed batches are built per step and never cached, so
-    # a long run cannot grow the cache.
-    monkeypatch.setattr(model, "_MASK_CACHE", {})
-    train(TrainConfig(train_steps=5, batch_size=4, seed=3), SPEC, init_model_state(CFG, seed=8))
-    assert model._MASK_CACHE == {}
 
 
 def test_train_drops_conditioning_at_model_cfg_drop_prob(monkeypatch):
