@@ -132,9 +132,12 @@ def build_configs(file_values: dict[str, str],
         raise ConfigError(str(exc)) from None
 
 
-def _resolve_seed(seed_arg) -> int:
+def _resolve_seed(seed_arg, fallback: int | None = 0) -> int | None:
+    """--seed, else $JAITTS_SEED, else ``fallback``."""
     if seed_arg is None:
-        env = os.environ.get(SEED_ENV_VAR, "0")
+        env = os.environ.get(SEED_ENV_VAR)
+        if env is None:
+            return fallback
         try:
             seed_arg = int(env)
         except ValueError:
@@ -170,23 +173,24 @@ def _synthesize(state, tokens, *args, **kwargs):
 # --------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    seed = _resolve_seed(args.seed)
+    # The seed: --seed, else $JAITTS_SEED, else the config file's, else 0.
+    overrides = {"seed": _resolve_seed(args.seed, fallback=None), "train_steps": args.steps}
     file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {"seed": seed}
-    if args.steps is not None:
-        overrides["train_steps"] = args.steps
     model_config, train_config = build_configs(file_values, overrides)
 
     logger.info("train: steps=%d batch=%d lr=%g seed=%d",
                 train_config.train_steps, train_config.batch_size,
-                train_config.learning_rate, seed)
-    state = init_model_state(model_config, seed=seed)
+                train_config.learning_rate, train_config.seed)
+    state = init_model_state(model_config, seed=train_config.seed)
     spec = default_synthetic_spec(model_config)
     try:
         state, history = train(train_config, spec, state)
     except TrainingDiverged as exc:
         logger.error("training aborted: %s", exc)
         return EXIT_MODEL
+    except ValueError as exc:
+        # The configs do not fit together (train() checks before step 0).
+        raise ConfigError(str(exc)) from None
 
     save_checkpoint(state, args.out_checkpoint)
     write_loss_csv(args.loss_csv, history)
@@ -340,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out-checkpoint", required=True)
     p_train.add_argument("--loss-csv", required=True)
     p_train.add_argument("--steps", type=int, help="override train_steps")
-    p_train.add_argument("--seed", type=int, help=f"RNG seed (falls back to ${SEED_ENV_VAR}, then 0)")
+    p_train.add_argument("--seed", type=int, help=f"RNG seed (falls back to ${SEED_ENV_VAR}, "
+                         "then the config file's seed, then 0)")
     p_train.set_defaults(fn=cmd_train)
 
     p_synth = sub.add_parser("synth", help="autoregressively generate a latent trajectory")

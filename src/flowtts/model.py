@@ -270,85 +270,60 @@ def _ln(state: ModelState, prefix: str, x: Tensor) -> Tensor:
 
 
 def _attention(state: ModelState, prefix: str, x: Tensor, mask: Tensor | None, batch: int,
-               past: list | None, layer: int) -> Tensor:
+               past: np.ndarray | None, past_rows: int) -> Tensor:
     params = state.params
     q = linear(x, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
     k = linear(x, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
     v = linear(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
     if past is not None:
-        if layer < len(past):
-            k_past, v_past = past[layer]
-            k, v = _append_rows(k_past, k), _append_rows(v_past, v)
-            past[layer] = (k.data, v.data)
-        else:
-            past.append((_rows_with_room(k.data), _rows_with_room(v.data)))
+        rows = past_rows + k.data.shape[0]
+        past[0, past_rows:rows] = k.data
+        past[1, past_rows:rows] = v.data
+        if past_rows:
+            k, v = _cached_rows(past[0, :rows], k), _cached_rows(past[1, :rows], v)
     merged = attention(q, k, v, state.config.n_heads, mask, batch)
     return linear(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
-def _rows_with_room(rows: np.ndarray, extra: int = 0) -> np.ndarray:
-    """``rows`` copied into a fresh buffer with room for as many more plus
-    ``extra``; the result is the view of the filled rows."""
-    n = rows.shape[0]
-    buffer = np.empty((2 * (n + extra),) + rows.shape[1:], dtype=rows.dtype)
-    buffer[:n] = rows
-    return buffer[:n]
-
-
-def _append_rows(cached: np.ndarray, new: Tensor) -> Tensor:
-    """Cached keys or values followed by the rows of ``new``, as a view of
-    the buffer ``cached`` is a view of.
-
-    The new rows are written in place after ``cached``; a buffer without room
-    is first replaced by one twice the size (``_rows_with_room``).  Rows past
-    a view's end are free space, so a holder of the old view still sees the
-    old rows, and a call that raises later leaves a cache as it was.
-    Gradients reach ``new`` only; the cached rows are constants.
-    """
-    rows = cached.shape[0]
-    total = rows + new.data.shape[0]
-    if cached.base is None or cached.base.shape[0] < total:
-        cached = _rows_with_room(cached, total - rows)
-    buffer = cached.base
-    buffer[rows:total] = new.data
-    out = _from_array(buffer[:total], new.requires_grad)
-    push_op(out, lambda g: _accumulate(new, g[rows:]))
+def _cached_rows(rows: np.ndarray, new: Tensor) -> Tensor:
+    """A store's filled ``rows``, the last of which hold ``new``'s data.
+    Gradients reach ``new`` only; the earlier rows are constants."""
+    past_rows = rows.shape[0] - new.data.shape[0]
+    out = _from_array(rows, new.requires_grad)
+    push_op(out, lambda g: _accumulate(new, g[past_rows:]))
     return out
 
 
 def _block(state: ModelState, prefix: str, x: Tensor, mask: Tensor | None, batch: int,
-           past: list | None, layer: int) -> Tensor:
+           past: np.ndarray | None, past_rows: int) -> Tensor:
     params = state.params
     x = add(x, _attention(state, f"{prefix}.attn", _ln(state, f"{prefix}.ln1", x), mask, batch,
-                          past, layer))
+                          past, past_rows))
     h = gelu(linear(_ln(state, f"{prefix}.ln2", x), params[f"{prefix}.mlp.w1"],
                     params[f"{prefix}.mlp.b1"]))
     return add(x, linear(h, params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"]))
 
 
-def _past_rows(past: list | None) -> int:
-    """Number of sequence rows whose keys and values ``past`` holds."""
-    return past[0][0].shape[0] if past else 0
-
-
 def transformer_stack(state: ModelState, prefix: str, x: Tensor, n_layers: int,
-                      mask: Tensor | None, batch: int = 1, past: list | None = None) -> Tensor:
+                      mask: Tensor | None, batch: int = 1, past: np.ndarray | None = None,
+                      past_rows: int = 0) -> Tensor:
     """Pre-LN blocks over ``batch`` equal-length sequences stored row-block
     after row-block; ``mask`` is an additive (T, T) constant, or None where
     it would hide nothing (the conditioning stacks use ``Packing.mask``).
 
-    ``past`` is a list of per-layer (keys, values) arrays of one sequence's
-    earlier rows.  The rows of ``x`` follow them and attend to them (``mask``
-    is then (T, past rows + T)), and the list is extended with the keys and
-    values of ``x``; an empty list only captures them, recording the same
-    ops as no list.  The arrays are views of buffers with room for more
-    rows, made by this function: a later call writes its rows in place after
-    them and puts longer views of the same buffers in the list.
+    ``past`` is a key/value store of one sequence, shaped (n_layers, 2,
+    capacity, d): layer i's keys at ``past[i, 0]`` and values at
+    ``past[i, 1]``, of which the first ``past_rows`` rows are filled.  Each
+    layer writes the keys and values of ``x`` at the rows after them, and
+    the rows of ``x`` attend to all filled rows (``mask`` is then
+    (T, past_rows + T)).  With ``past_rows`` 0 the layers attend to their
+    fresh keys and values, recording the same ops as no store.
     """
     if past is not None and batch != 1:
         raise ShapeError("transformer_stack: cached keys and values need batch == 1")
     for i in range(n_layers):
-        x = _block(state, f"{prefix}.l{i}", x, mask, batch, past, i)
+        x = _block(state, f"{prefix}.l{i}", x, mask, batch,
+                   None if past is None else past[i], past_rows)
     return _ln(state, f"{prefix}.lnf", x)
 
 
@@ -396,27 +371,29 @@ def _join_rows(parts: list[Tensor]) -> Tensor:
 
 
 def semantic_hiddens(state: ModelState, text_tokens, acoustic: Tensor,
-                     past: list | None = None, packing: Packing | None = None) -> Tensor:
+                     past: np.ndarray | None = None, packing: Packing | None = None) -> Tensor:
     """Causal hidden states over [embedded text] ++ [acoustic embeddings].
 
     Row (n_text - 1 + i) is the prediction hidden for patch i: it has seen
     the full text plus acoustic context strictly before patch i.
 
-    With a non-empty ``past`` (the stack's keys and values of an earlier call
-    over the same text and the first h patches), the text is not recomputed:
-    ``acoustic`` holds the embeddings of patches h, h+1, ... and the result
-    has one row per embedding.
+    ``past`` is this stack's key/value store (see ``transformer_stack``).
+    When it holds an earlier call's rows, over the same text and the first
+    h patches, the text is not recomputed: ``acoustic`` holds the embeddings
+    of patches h, h+1, ... and the result has one row per embedding.
 
-    Positions, text skipping and the mask come from ``packing``, by default
-    this sequence's after the rows in ``past``.  With a ``packing`` passed
-    in, ``text_tokens`` holds the checked ids of its sequences one after
-    another and ``acoustic`` their embeddings in the same order, and the
-    rows are in the packed order.
+    Positions, text skipping, the mask and the number of filled store rows
+    come from ``packing``, by default this one sequence's with no store.
+    With a ``packing`` passed in, ``text_tokens`` holds the checked ids of
+    its sequences one after another and ``acoustic`` their embeddings in the
+    same order, and the rows are in the packed order.
     """
     cfg = state.config
     if packing is None:
+        if past is not None:
+            raise ValueError("semantic_hiddens: a past needs the packing that counts its rows")
         ids = _check_tokens(cfg, text_tokens)
-        packing = Packing([ids.size], [acoustic.data.shape[0]], _past_rows(past))
+        packing = Packing([ids.size], [acoustic.data.shape[0]])
     else:
         ids = np.asarray(text_tokens, dtype=np.int64)
     ac_positions = packing.history_positions
@@ -430,7 +407,7 @@ def semantic_hiddens(state: ModelState, text_tokens, acoustic: Tensor,
     if ac_positions.size:
         parts.append(add(acoustic, embedding_lookup(state["sem.pos_ac"], ac_positions)))
     return transformer_stack(state, "sem", _join_rows(parts), cfg.n_layers_semantic,
-                             packing.mask(state.dtype), past=past)
+                             packing.mask(state.dtype), past=past, past_rows=packing.past_rows)
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -450,8 +427,8 @@ def fsq_quantize(h: Tensor, delta: float, bound: int) -> Tensor:
     half-away-from-zero rounding.  The backward pass is the identity
     (straight-through), so gradients flow to the pre-quantization hidden.
     """
-    if delta <= 0:
-        raise ValueError("fsq_quantize: delta must be > 0")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError("fsq_quantize: delta must be finite and > 0")
     if bound < 1:
         raise ValueError("fsq_quantize: bound must be >= 1")
     if not np.all(np.isfinite(h.data)):
@@ -468,20 +445,21 @@ def fsq_quantize(h: Tensor, delta: float, bound: int) -> Tensor:
 
 def residual_hiddens(state: ModelState, text_hiddens: Tensor | None,
                      fsq_history: Tensor, acoustic_history: Tensor,
-                     past: list | None = None, packing: Packing | None = None) -> Tensor:
+                     past: np.ndarray | None = None, packing: Packing | None = None) -> Tensor:
     """Causal hidden states over [text hiddens] ++ [proj(skeleton ⊕ acoustic)].
 
     Row (n_text - 1 + i) is the residual hidden for step i.
 
-    With a non-empty ``past`` (the stack's keys and values of an earlier call
-    over the same text hiddens and the first h history steps), the text rows
-    are not recomputed: the histories hold steps h, h+1, ... and the result
-    has one row per step; with a ``packing``, ``text_hiddens`` may be None.
+    ``past`` is this stack's key/value store (see ``transformer_stack``).
+    When it holds an earlier call's rows, over the same text hiddens and the
+    first h history steps, the text rows are not recomputed: the histories
+    hold steps h, h+1, ..., the result has one row per step, and
+    ``text_hiddens`` may be None.
 
-    Positions, text skipping and the mask come from ``packing``, by default
-    this sequence's after the rows in ``past``.  With a ``packing`` passed
-    in, the text hiddens and the histories hold its sequences one after
-    another, and the rows are in the packed order.
+    Positions, text skipping, the mask and the number of filled store rows
+    come from ``packing``, by default this one sequence's with no store.
+    With a ``packing`` passed in, the text hiddens and the histories hold its
+    sequences one after another, and the rows are in the packed order.
     """
     cfg = state.config
     k = fsq_history.data.shape[0]
@@ -490,7 +468,9 @@ def residual_hiddens(state: ModelState, text_hiddens: Tensor | None,
             f"history length mismatch: {k} quantized vs {acoustic_history.data.shape[0]} acoustic"
         )
     if packing is None:
-        packing = Packing([text_hiddens.data.shape[0]], [k], _past_rows(past))
+        if past is not None:
+            raise ValueError("residual_hiddens: a past needs the packing that counts its rows")
+        packing = Packing([text_hiddens.data.shape[0]], [k])
     parts = []
     if not packing.past_rows:
         parts.append(add(text_hiddens,
@@ -500,7 +480,7 @@ def residual_hiddens(state: ModelState, text_hiddens: Tensor | None,
                       state["res.proj.w"], state["res.proj.b"])
         parts.append(add(hist, embedding_lookup(state["res.pos_hist"], packing.history_positions)))
     return transformer_stack(state, "res", _join_rows(parts), cfg.n_layers_residual,
-                             packing.mask(state.dtype), past=past)
+                             packing.mask(state.dtype), past=past, past_rows=packing.past_rows)
 
 
 def stop_logits(state: ModelState, h_fsq: Tensor) -> Tensor:
@@ -512,21 +492,27 @@ class ConditioningCache:
     """What ``conditioning`` keeps between the calls of one synthesis: the
     text, how many patches it has consumed (not the patches: each is handed
     over once), the last quantized row (the residual stack reads it with the
-    next patch) and both stacks' per-layer keys and values.  Those are views
-    of buffers with room for more rows (see ``transformer_stack``): a decode
-    call writes its rows after them in place, and the cache takes the longer
-    views only when the call succeeds.
+    next patch) and both stacks' keys and values in ``store``.
+
+    The prefill allocates ``store`` in the model dtype, shaped
+    (n_layers_semantic + n_layers_residual, 2, len(tokens) + max_patches,
+    d_model): the semantic layers, then the residual ones (see
+    ``transformer_stack``).  Both stacks hold one row per token and patch,
+    so the first ``len(tokens) + patches`` rows of every layer are filled; a
+    decode call writes its rows after them in place.  It never fills up: a
+    call reaching max_patches is rejected.
 
     A cache belongs to one caller and one utterance; the ModelState it is
-    used with stays read-only.  A call that raises leaves it unchanged.
+    used with stays read-only.  A call sets the fields only once it has
+    succeeded, so a call that raises leaves them unchanged (it may have
+    written rows past the filled ones).
     """
 
     def __init__(self):
         self.tokens: np.ndarray | None = None
         self.patches = 0
         self.last_quantized: np.ndarray | None = None
-        self.semantic: list = []
-        self.residual: list = []
+        self.store: np.ndarray | None = None
 
 
 def conditioning(state: ModelState, text_tokens, history,
@@ -579,9 +565,13 @@ def conditioning_batch(state: ModelState, texts, histories,
             raise ValueError("conditioning: the cache was filled for other text tokens")
         if not lengths[0]:
             raise ValueError("conditioning: a decode call needs at least one new patch")
-    semantic_past = None if cache is None else list(cache.semantic)
-    residual_past = None if cache is None else list(cache.residual)
-    packing = Packing([t.size for t in tokens], lengths, _past_rows(semantic_past))
+    store = semantic_past = residual_past = None
+    if cache is not None:
+        layers = cfg.n_layers_semantic + cfg.n_layers_residual
+        store = np.empty((layers, 2, tokens[0].size + cfg.max_patches, cfg.d_model),
+                         dtype=state.dtype) if fresh else cache.store
+        semantic_past, residual_past = store[:cfg.n_layers_semantic], store[cfg.n_layers_semantic:]
+    packing = Packing([t.size for t in tokens], lengths, 0 if fresh else tokens[0].size + done)
 
     embeddings = encode_patches(state, np.concatenate(histories))
     hiddens = semantic_hiddens(state, np.concatenate(tokens), embeddings, semantic_past, packing)
@@ -601,8 +591,7 @@ def conditioning_batch(state: ModelState, texts, histories,
         cache.tokens = tokens[0]
         cache.patches = done + lengths[0]
         cache.last_quantized = quantized.data[-1:]
-        cache.semantic = semantic_past
-        cache.residual = residual_past
+        cache.store = store
     return add(quantized, h_res), quantized, h_res
 
 

@@ -102,8 +102,12 @@ class TrainConfig:
             raise ValueError("TrainConfig.learning_rate must be finite and > 0")
         if self.train_steps < 0 or self.batch_size < 1:
             raise ValueError("TrainConfig: train_steps must be >= 0 and batch_size >= 1")
+        if self.seed < 0:
+            raise ValueError("TrainConfig.seed must be >= 0")
         if not 1 <= self.prompt_min_tokens <= self.prompt_max_tokens:
             raise ValueError("TrainConfig: need 1 <= prompt_min_tokens <= prompt_max_tokens")
+        if self.prompt_speakers < 1:
+            raise ValueError("TrainConfig.prompt_speakers must be >= 1")
 
 
 @dataclass
@@ -326,8 +330,19 @@ def train(config: TrainConfig, spec: SyntheticSpec,
     reaching the quantizer, raises TrainingDiverged with the step.
 
     Deterministic given the seed: data sampling, noise, times, and the
-    conditioning drop all consume dedicated named streams.
+    conditioning drop all consume dedicated named streams.  Prompts the
+    model cannot hold (more tokens than max_text_len, or more patches than
+    max_patches) raise ValueError before step 0.
     """
+    model_config = state.config
+    if config.prompt_max_tokens > model_config.max_text_len:
+        raise ValueError(f"train: prompt_max_tokens {config.prompt_max_tokens} exceeds "
+                         f"max_text_len {model_config.max_text_len}")
+    longest = config.prompt_max_tokens * spec.patches_per_token
+    if longest > model_config.max_patches:
+        raise ValueError(f"train: prompts of up to {longest} patches ({config.prompt_max_tokens} "
+                         f"tokens x {spec.patches_per_token}) exceed max_patches "
+                         f"{model_config.max_patches}")
     rngs = RngHub(config.seed)
     data_rng = rngs.stream("data")
     optimizer = _Adam(state, config.learning_rate)

@@ -200,6 +200,54 @@ def test_a_negative_seed_is_a_config_error(tmp_path, tiny_config_path, tiny_chec
     assert sorted(os.listdir(tmp_path)) == before
 
 
+def _train(tmp_path, config_text, *flags):
+    """Exit code of ``flowtts -v train`` with a config file holding
+    ``config_text``."""
+    config = tmp_path / "run.cfg"
+    config.write_text(config_text, encoding="utf-8")
+    return main(["-v", "train", "--config", str(config), "--out-checkpoint",
+                 str(tmp_path / "m.ckpt"), "--loss-csv", str(tmp_path / "loss.csv"), *flags])
+
+
+@pytest.mark.parametrize("flag,env,seed", [(None, None, 7), ("3", None, 3), (None, "5", 5),
+                                           ("3", "5", 3)])
+def test_the_train_seed_is_the_flag_then_the_env_then_the_config_file(
+        tmp_path, capsys, monkeypatch, flag, env, seed):
+    if env is not None:
+        monkeypatch.setenv("JAITTS_SEED", env)
+    flags = ["--steps", "0"] + (["--seed", flag] if flag is not None else [])
+    assert _train(tmp_path, TINY_CONFIG + "seed=7\n", *flags) == EXIT_OK
+    assert f"seed={seed}" in capsys.readouterr().err
+    loaded = load_checkpoint(tmp_path / "m.ckpt")
+    for name, p in init_model_state(loaded.config, seed=seed).parameters():
+        assert p.data.tobytes() == loaded[name].data.tobytes(), name
+
+
+def test_a_negative_seed_in_the_config_file_is_a_config_error(tmp_path, capsys):
+    code = _train(tmp_path, TINY_CONFIG + "seed=-1\n", "--steps", "0")
+    _assert_rejected_as_config_error(code, capsys.readouterr().err)
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
+# Every prompt of 6 tokens, so each step meets the longest prompt: 6 text rows
+# and 6 x 3 = 18 patches.
+LONGEST_PROMPTS = TINY_CONFIG + "prompt_min_tokens=6\nprompt_max_tokens=6\n"
+
+
+@pytest.mark.parametrize("setting,fits", [
+    ("max_text_len=6", True), ("max_text_len=5", False),
+    ("max_patches=18", True), ("max_patches=17", False),
+    ("prompt_speakers=1", True), ("prompt_speakers=0", False),
+])
+def test_training_configs_that_cannot_run_fail_before_step_0(tmp_path, capsys, setting, fits):
+    code = _train(tmp_path, LONGEST_PROMPTS + setting + "\n", "--steps", "1")
+    if fits:
+        assert code == EXIT_OK
+    else:
+        _assert_rejected_as_config_error(code, capsys.readouterr().err)
+        assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
 # --------------------------------------------------------------------------
 # synth
 # --------------------------------------------------------------------------

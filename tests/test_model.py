@@ -235,6 +235,9 @@ def test_fsq_rejects_nonfinite():
         fsq_quantize(constant(np.array([np.nan])), 1.0, 2)
     with pytest.raises(ValueError):
         fsq_quantize(parameter(np.array([np.inf])), 0.5, 4)
+    for delta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta must be finite and > 0"):
+            fsq_quantize(constant([0.2]), delta, 4)
 
 
 @settings(max_examples=200, deadline=None)
@@ -400,9 +403,27 @@ def _cached_conditioning(state, tokens, history, prefill, chunk=1):
 
 
 def _cache_bytes(cache):
-    """Everything a cache holds, as bytes and shapes."""
-    layers = [(k.shape, k.tobytes(), v.tobytes()) for k, v in cache.semantic + cache.residual]
-    return cache.tokens.tobytes(), cache.patches, cache.last_quantized.tobytes(), layers
+    """Everything a cache holds, as bytes and shapes: of its store, the
+    filled rows only."""
+    filled = cache.store[:, :, :cache.tokens.size + cache.patches]
+    return (cache.tokens.tobytes(), cache.patches, cache.last_quantized.tobytes(),
+            filled.shape, filled.tobytes())
+
+
+def _attended_keys_and_values(monkeypatch, state, tokens, history):
+    """An uncached ``conditioning`` call and the keys and values of its
+    attention calls, stacked as a store is: (layers, 2, rows, d_model),
+    semantic layers first."""
+    seen = []
+
+    def recording(q, k, v, heads, mask=None, batch=1):
+        seen.append(np.stack([k.data, v.data]))
+        return attention(q, k, v, heads, mask, batch)
+
+    with monkeypatch.context() as patched:
+        patched.setattr("flowtts.model.attention", recording)
+        out = conditioning(state, tokens, history)
+    return out, np.stack(seen)
 
 
 @pytest.mark.parametrize("dtype,rtol", [("float64", 1e-12), ("float32", 1e-5)])
@@ -433,20 +454,54 @@ def test_decode_of_several_patches_per_call_matches_full_recompute():
         np.testing.assert_allclose(got, want.data, rtol=1e-12, atol=1e-14)
 
 
-def test_prefill_records_the_ops_of_an_uncached_call():
+@pytest.mark.parametrize("dtype,rtol", [("float64", 1e-12), ("float32", 1e-5)])
+def test_a_long_clone_decodes_up_to_max_patches_in_one_store(dtype, rtol):
+    # 48 tokens and a 200-patch reference, then one patch per call until the
+    # history is one patch short of max_patches: the store allocated at the
+    # prefill holds every row, and is never replaced.
+    rng = np.random.default_rng(43)
+    config = ModelConfig()
+    with precision(dtype):
+        state = init_model_state(config, seed=4)
+        tokens = rng.integers(0, 64, 48)
+        history = rng.standard_normal((config.max_patches - 1, config.d_patch))
+        full = conditioning(state, tokens, history)
+        cache = ConditioningCache()
+        parts = [conditioning(state, tokens, history[:200], cache)]
+        store = cache.store
+        layers = config.n_layers_semantic + config.n_layers_residual
+        assert store.shape == (layers, 2, 48 + config.max_patches, config.d_model)
+        assert store.dtype == np.dtype(dtype)
+        for start in range(200, history.shape[0]):
+            parts.append(conditioning(state, tokens, history[start:start + 1], cache))
+            assert cache.store is store
+        with pytest.raises(ShapeError, match="max_patches"):
+            conditioning(state, tokens, history[:1], cache)
+    assert cache.patches == config.max_patches - 1
+    for i, name in enumerate(("h_final", "quantized", "h_residual")):
+        got, want = np.concatenate([part[i].data for part in parts]), full[i].data
+        assert got.shape == want.shape == (config.max_patches, config.d_model)
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= rtol, (name, err)
+
+
+def test_prefill_records_the_ops_of_an_uncached_call(monkeypatch):
     history = RNG.standard_normal((5, CFG.d_patch))
     with record() as plain:
-        expected = conditioning(STATE, [1, 2, 3], history)
+        expected, keys_and_values = _attended_keys_and_values(monkeypatch, STATE, [1, 2, 3],
+                                                              history)
     cache = ConditioningCache()
     with record() as cached:
         got = conditioning(STATE, [1, 2, 3], history, cache)
     assert len(cached) == len(plain)
     for a, b in zip(got, expected):
         np.testing.assert_array_equal(a.data, b.data)
-    for stack, layers in ((cache.semantic, CFG.n_layers_semantic),
-                          (cache.residual, CFG.n_layers_residual)):
-        assert len(stack) == layers
-        assert all(k.shape == v.shape == (3 + 5, CFG.d_model) for k, v in stack)
+    # Rows [0, 3 + 5) of every layer hold the keys and values the uncached
+    # call attended with.
+    layers = CFG.n_layers_semantic + CFG.n_layers_residual
+    assert cache.store.shape == (layers, 2, 3 + CFG.max_patches, CFG.d_model)
+    assert keys_and_values.shape == (layers, 2, 3 + 5, CFG.d_model)
+    assert cache.store[:, :, :3 + 5].tobytes() == keys_and_values.tobytes()
 
 
 def test_cache_rejects_other_tokens():
@@ -484,16 +539,22 @@ def test_a_decode_reaching_max_patches_is_rejected():
     assert got[0].data.shape == (1, CFG.d_model)
 
 
-def test_decode_writes_keys_and_values_in_place():
-    history = RNG.standard_normal((4, CFG.d_patch))
-    cache = ConditioningCache()
-    conditioning(STATE, [1, 2], history[:2], cache)
-    conditioning(STATE, [1, 2], history[2:3], cache)
-    buffers = [k.base for k, _ in cache.semantic + cache.residual]
-    conditioning(STATE, [1, 2], history[3:4], cache)
-    for (k, v), buffer in zip(cache.semantic + cache.residual, buffers):
-        assert k.shape == v.shape == (2 + 4, CFG.d_model)
-        assert k.base is buffer
+def test_decode_writes_keys_and_values_in_place(monkeypatch):
+    with precision("float64"):
+        history = RNG.standard_normal((4, CFG.d_patch))
+        _, keys_and_values = _attended_keys_and_values(monkeypatch, STATE64, [1, 2], history)
+        cache = ConditioningCache()
+        conditioning(STATE64, [1, 2], history[:2], cache)
+        store = cache.store
+        prefilled = store[:, :, :2 + 2].copy()
+        conditioning(STATE64, [1, 2], history[2:3], cache)
+        conditioning(STATE64, [1, 2], history[3:4], cache)
+    assert cache.store is store
+    assert cache.tokens.size + cache.patches == 2 + 4
+    # The decodes wrote rows 4 and 5 after the prefill's, which they left as
+    # they were, and the rows are those of an uncached call.
+    assert store[:, :, :2 + 2].tobytes() == prefilled.tobytes()
+    np.testing.assert_allclose(store[:, :, :2 + 4], keys_and_values, rtol=1e-12, atol=1e-14)
 
 
 def test_a_decode_that_raises_leaves_the_cache_unchanged():
@@ -501,17 +562,15 @@ def test_a_decode_that_raises_leaves_the_cache_unchanged():
     cache, clean = ConditioningCache(), ConditioningCache()
     for c in (cache, clean):
         conditioning(STATE, [1, 2], history[:3], c)
-    before = [(k.copy(), v.copy()) for k, v in cache.semantic + cache.residual]
+    store, before = cache.store, _cache_bytes(cache)
     poisoned = history[3:].copy()
     poisoned[0] = np.nan
     with pytest.raises(NonFiniteError):
         conditioning(STATE, [1, 2], poisoned, cache)
-    # The semantic stack wrote its rows after the cached ones before the
-    # quantizer raised; the cache's views do not reach them.
-    assert np.isnan(cache.semantic[0][0].base[2 + 3]).all()
-    for (k, v), (k_before, v_before) in zip(cache.semantic + cache.residual, before):
-        assert k.tobytes() == k_before.tobytes() and v.tobytes() == v_before.tobytes()
-    assert cache.patches == 3
+    # The semantic stack wrote its rows after the filled ones before the
+    # quantizer raised; the cache does not count them as filled.
+    assert np.isnan(store[0, 0, 2 + 3]).all()
+    assert cache.store is store and _cache_bytes(cache) == before
     got = conditioning(STATE, [1, 2], history[3:], cache)
     want = conditioning(STATE, [1, 2], history[3:], clean)
     for a, b in zip(got, want):
@@ -520,5 +579,17 @@ def test_a_decode_that_raises_leaves_the_cache_unchanged():
 
 def test_cached_keys_need_a_single_sequence():
     x = constant(RNG.standard_normal((4, CFG.d_model)).astype(np.float32))
+    store = np.zeros((1, 2, 2 + CFG.max_patches, CFG.d_model), dtype=np.float32)
     with pytest.raises(ShapeError, match="batch"):
-        transformer_stack(STATE, "sem", x, 1, None, batch=2, past=[])
+        transformer_stack(STATE, "sem", x, 1, None, batch=2, past=store)
+
+
+def test_a_past_without_a_packing_is_rejected():
+    # Only the packing says how many of a store's rows are filled.
+    store = np.zeros((1, 2, 2 + CFG.max_patches, CFG.d_model), dtype=np.float32)
+    emb = encode_patches(STATE, RNG.standard_normal((2, CFG.d_patch)))
+    with pytest.raises(ValueError, match="packing"):
+        semantic_hiddens(STATE, [1, 2], emb, past=store)
+    text_h = narrow(semantic_hiddens(STATE, [1, 2], emb), 0, 0, 2)
+    with pytest.raises(ValueError, match="packing"):
+        residual_hiddens(STATE, text_h, emb, emb, past=store)

@@ -100,6 +100,24 @@ def test_train_config_needs_a_finite_positive_learning_rate(learning_rate):
         TrainConfig(learning_rate=learning_rate)
 
 
+@pytest.mark.parametrize("field,value", [("seed", -1), ("prompt_speakers", 0)])
+def test_train_config_rejects_a_negative_seed_and_no_speakers(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value,match", [("max_text_len", 5, "max_text_len"),
+                                               ("max_patches", 17, "max_patches")])
+def test_train_rejects_prompts_the_model_cannot_hold(field, value, match):
+    # Prompts of up to 6 tokens, 3 patches each; nothing is sampled or stepped.
+    cfg = ModelConfig(**{**CFG.__dict__, field: value})
+    state = init_model_state(cfg, seed=0)
+    before = [p.data.copy() for _, p in state.parameters()]
+    with pytest.raises(ValueError, match=match):
+        train(TrainConfig(train_steps=1, batch_size=1, prompt_max_tokens=6), SPEC, state)
+    assert all(np.array_equal(a, p.data) for a, (_, p) in zip(before, state.parameters()))
+
+
 def test_training_example_invariants():
     with pytest.raises(ValueError):
         TrainingExample((1,), np.zeros((2, 4)), np.array([True, True]))
