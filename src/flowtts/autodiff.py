@@ -42,6 +42,7 @@ __all__ = [
     "primitive_forward_set",
     "matmul",
     "linear",
+    "stacked_linear",
     "add",
     "mul",
     "gelu",
@@ -143,8 +144,12 @@ def parameter(data, dtype=None) -> Tensor:
 
 
 def zero_grads(tensors) -> None:
+    """Zero the gradients of ``tensors`` in place; a tensor with none keeps
+    none.  In place, so a gradient that is a view into a shared buffer (a
+    ``ModelState`` parameter's) stays that view."""
     for t in tensors:
-        t.grad = None
+        if t.grad is not None:
+            t.grad.fill(0)
 
 
 # --------------------------------------------------------------------------
@@ -298,6 +303,48 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     push_op(out, adjoint)
     return out
+
+
+def stacked_linear(x: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, ...]:
+    """``linear(x, w[i], b[i])`` for each of s stacked affine maps, with
+    w (s, d_in, d_out) and b (s, d_out): s (n, d_out) tensors from one product.
+
+    One tape entry in place of s ``linear`` calls, with their outputs and
+    operand gradients bitwise: the stacked product runs the same product per
+    map, and the adjoint sums x's gradient over the maps last first, as s
+    separate entries would replay.  While recording, the outputs' gradients
+    are views into one (s, n, d_out) array, which the adjoint reads whole.
+    """
+    x, w, b = _wrap(x), _wrap(w, x), _wrap(b, x)
+    xd, wd, bd = x.data, w.data, b.data
+    if xd.ndim != 2 or wd.ndim != 3 or xd.shape[1] != wd.shape[1] \
+            or bd.shape != (wd.shape[0], wd.shape[2]):
+        raise ShapeError(f"stacked_linear: shapes {xd.shape}, {wd.shape} and {bd.shape} "
+                         f"are not (n, d_in), (s, d_in, d_out) and (s, d_out)")
+    data = np.matmul(xd, wd)
+    np.add(data, bd[:, None, :], out=data)
+    requires_grad = x.requires_grad or w.requires_grad or b.requires_grad
+    outs = tuple(_from_array(part, requires_grad) for part in data)
+    if not requires_grad or _ACTIVE_TAPE.get() is None:
+        return outs
+    stacked = _from_array(data, True)
+    stacked.grad = np.zeros_like(data)
+    for out, grad in zip(outs, stacked.grad):
+        out.grad = grad
+
+    def adjoint(g: np.ndarray) -> None:
+        _accumulate(b, np.add.reduce(g, axis=1))
+        if x.requires_grad:
+            parts = np.matmul(g, wd.swapaxes(1, 2))
+            gx = parts[-1]
+            for part in parts[-2::-1]:
+                gx += part
+            _accumulate(x, gx)
+        if w.requires_grad:
+            _accumulate(w, np.matmul(xd.T, g))
+
+    push_op(stacked, adjoint)
+    return outs
 
 
 def add(a: Tensor, b) -> Tensor:
@@ -731,6 +778,7 @@ def primitive_forward_set() -> dict[str, Callable]:
         # Extras used by the model; held to the same gradient contract.
         "attention": attention,
         "linear": linear,
+        "stacked_linear": stacked_linear,
         "layer_norm_affine": layer_norm_affine,
         "repeat_rows": repeat_rows,
         "tile_rows": tile_rows,
@@ -747,7 +795,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, step: float = 1e-5) -> 
     ``f`` must return a scalar tensor.  Run under float64: central
     differences with step ~1e-5 are meaningless in float32.
     """
-    x.grad = None
+    zero_grads([x])
     with record() as tape:
         y = f(x)
     if not isinstance(y, Tensor) or y.data.size != 1:

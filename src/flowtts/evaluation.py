@@ -245,7 +245,11 @@ def write_embedding(path, vector) -> None:
 
 
 def read_embedding(path) -> np.ndarray:
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except ValueError as exc:  # a path no file can have, such as one with a NUL byte
+        raise OSError(f"cannot open embedding file {path!r}: {exc}") from None
+    with fh:
         blob = fh.read()
     if len(blob) < 8 or blob[:4] != EMBEDDING_MAGIC:
         raise EmbeddingFileError(f"bad magic in {path}")

@@ -9,6 +9,7 @@ text and acoustic segments).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ from .autodiff import (
     narrow,
     parameter,
     push_op,
+    stacked_linear,
 )
 
 __all__ = [
@@ -97,6 +99,8 @@ class ModelConfig:
 
 
 def _stack_layout(prefix: str, n_layers: int, d: int):
+    # Each block's wq, wk, wv and its bq, bk, bv are adjacent: ModelState
+    # views each triple as one stacked tensor for the q/k/v product.
     for i in range(n_layers):
         base = f"{prefix}.l{i}"
         yield f"{base}.ln1.g", (d,), "ones"
@@ -150,13 +154,45 @@ def param_layout(config: ModelConfig):
 class ModelState:
     """All learnable parameter tensors plus the sizing/quantizer config.
 
+    Every parameter value lives in one flat array, ``data``, and every
+    parameter gradient in a second, ``grad``, both in ``param_layout``
+    order: ``params[name].data`` and ``params[name].grad`` are views into
+    them.  Adjoints accumulate into those views in place, so zeroing the
+    gradients and an optimizer step are each one pass over a flat array.
+    ``qkv[prefix]`` views a block's adjacent wq, wk, wv as one (3, d, d)
+    weight and bq, bk, bv as one (3, d) bias, over the same memory.
+
     Immutable during inference: concurrent read-only forward passes are safe.
     Training mutates parameter values under a single writer.
     """
 
-    def __init__(self, config: ModelConfig, params: dict[str, Tensor]):
+    def __init__(self, config: ModelConfig, dtype=None):
+        """All-zero parameters of ``config``'s layout, in ``dtype`` (by
+        default the active one)."""
         self.config = config
-        self.params = params
+        layout = [(name, shape) for name, shape, _ in param_layout(config)]
+        starts = list(itertools.accumulate((math.prod(shape) for _, shape in layout), initial=0))
+        dtype = active_dtype() if dtype is None else dtype
+        self.data = np.zeros(starts[-1], dtype=dtype)
+        # np.zeros (calloc) leaves the pages untouched until a backward pass
+        # writes them; zeros_like writes every one, and inference would hold
+        # the memory.
+        self.grad = np.zeros(starts[-1], dtype=dtype)
+        self.params = {name: self._view(start, shape)
+                       for (name, shape), start in zip(layout, starts)}
+        offsets = dict(zip(self.params, starts))
+        d = config.d_model
+        attention_prefixes = [name[:-len(".wq")] for name in self.params
+                              if name.endswith(".attn.wq")]
+        self.qkv = {prefix: (self._view(offsets[f"{prefix}.wq"], (3, d, d)),
+                             self._view(offsets[f"{prefix}.bq"], (3, d)))
+                    for prefix in attention_prefixes}
+
+    def _view(self, start: int, shape: tuple[int, ...]) -> Tensor:
+        stop = start + math.prod(shape)
+        t = parameter(self.data[start:stop].reshape(shape), dtype=self.data.dtype)
+        t.grad = self.grad[start:stop].reshape(shape)
+        return t
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
@@ -164,25 +200,24 @@ class ModelState:
     def parameters(self):
         return self.params.items()
 
+    def zero_grads(self) -> None:
+        self.grad.fill(0)
+
     @property
     def dtype(self) -> np.dtype:
-        return next(iter(self.params.values())).data.dtype
+        return self.data.dtype
 
 
 def init_model_state(config: ModelConfig, seed: int = 0) -> ModelState:
     """Fresh random state; weights are scaled-normal (std 0.02), biases zero."""
     rng = RngHub(seed).stream("init")
-    dtype = active_dtype()
-    params: dict[str, Tensor] = {}
+    state = ModelState(config)
     for name, shape, kind in param_layout(config):
         if kind == "normal":
-            arr = (rng.standard_normal(shape) * INIT_STD).astype(dtype)
+            state.params[name].data[...] = rng.standard_normal(shape) * INIT_STD
         elif kind == "ones":
-            arr = np.ones(shape, dtype=dtype)
-        else:
-            arr = np.zeros(shape, dtype=dtype)
-        params[name] = parameter(arr, dtype=dtype)
-    return ModelState(config, params)
+            state.params[name].data[...] = 1
+    return state
 
 
 # --------------------------------------------------------------------------
@@ -272,9 +307,7 @@ def _ln(state: ModelState, prefix: str, x: Tensor) -> Tensor:
 def _attention(state: ModelState, prefix: str, x: Tensor, mask: Tensor | None, batch: int,
                past: np.ndarray | None, past_rows: int) -> Tensor:
     params = state.params
-    q = linear(x, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
-    k = linear(x, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
-    v = linear(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
+    q, k, v = stacked_linear(x, *state.qkv[prefix])
     if past is not None:
         rows = past_rows + k.data.shape[0]
         past[0, past_rows:rows] = k.data

@@ -20,14 +20,11 @@ from .autodiff import (
     RngHub,
     ShapeError,
     Tensor,
-    active_dtype,
     add,
     bce_with_logits,
     mul,
-    parameter,
     record,
     rng_stream,
-    zero_grads,
 )
 from .fileio import write_atomic
 from .flowmatch import (
@@ -296,29 +293,43 @@ class LossRecord:
 
 
 class _Adam:
-    """Adam moments (b1 0.9, b2 0.999, eps 1e-8) over the named parameters."""
+    """Adam moments (b1 0.9, b2 0.999, eps 1e-8) over a state's flat
+    parameters.
+
+    Each step runs the same elementwise ops over every parameter, so each
+    gets bitwise the update it would get on its own:
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps).  They run chunk by chunk
+    into two chunk-sized scratch arrays, which keeps each chunk's operands in
+    cache and allocates nothing per step.
+    """
+
+    CHUNK = 16384  # elements
 
     def __init__(self, state: ModelState, lr: float):
         self.lr = lr
         self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in state.parameters()}
-        self.v = {name: np.zeros_like(p.data) for name, p in state.parameters()}
+        self.m = np.zeros_like(state.data)
+        self.v = np.zeros_like(state.data)
+        self._scratch = np.empty((2, min(self.CHUNK, state.data.size)), dtype=state.data.dtype)
 
     def step(self, state: ModelState) -> None:
         self.t += 1
         bc1 = 1.0 - self.b1 ** self.t
         bc2 = 1.0 - self.b2 ** self.t
-        for name, p in state.parameters():
-            g = p.grad if p.grad is not None else 0.0
-            m = self.m[name]
-            v = self.v[name]
+        for lo in range(0, state.data.size, self.CHUNK):
+            chunk = slice(lo, lo + self.CHUNK)
+            g, m, v, p = state.grad[chunk], self.m[chunk], self.v[chunk], state.data[chunk]
+            a, b = self._scratch[:, :g.size]
             m *= self.b1
-            m += (1.0 - self.b1) * g
+            m += np.multiply(g, 1.0 - self.b1, out=a)
             v *= self.b2
-            v += (1.0 - self.b2) * np.square(g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data -= (self.lr * update).astype(p.data.dtype, copy=False)
+            v += np.multiply(np.square(g, out=a), 1.0 - self.b2, out=a)
+            np.sqrt(np.divide(v, bc2, out=b), out=b)
+            b += self.eps
+            np.divide(np.divide(m, bc1, out=a), b, out=a)
+            p -= np.multiply(a, self.lr, out=a)
 
 
 def train(config: TrainConfig, spec: SyntheticSpec,
@@ -346,7 +357,6 @@ def train(config: TrainConfig, spec: SyntheticSpec,
     rngs = RngHub(config.seed)
     data_rng = rngs.stream("data")
     optimizer = _Adam(state, config.learning_rate)
-    params = [p for _, p in state.parameters()]
     history: list[LossRecord] = []
 
     for step in range(config.train_steps):
@@ -363,7 +373,7 @@ def train(config: TrainConfig, spec: SyntheticSpec,
         value = loss.item()
         if not math.isfinite(value):
             raise TrainingDiverged(step)
-        zero_grads(params)
+        state.zero_grads()
         tape.backward(loss)
         optimizer.step(state)
         history.append(LossRecord(step=step, total=value, fm=parts.fm, stop=parts.stop))
@@ -543,16 +553,29 @@ def _read_config_block(reader: _Reader) -> dict:
     return values
 
 
+MAX_TENSOR_RANK = 64  # numpy's limit on array dimensions
+
+
 def _read_tensors(reader: _Reader) -> dict[str, np.ndarray]:
     (count,) = reader.unpack("<I")
     raw: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
+        try:
+            name = reader.take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"tensor name before offset {reader.pos} is not UTF-8") from None
         (rank,) = reader.unpack("<B")
-        shape = tuple(reader.unpack("<" + "Q" * rank)) if rank else ()
-        size = int(np.prod(shape)) if shape else 1
-        values = np.frombuffer(reader.take(4 * size), dtype="<f4").reshape(shape)
+        if rank > MAX_TENSOR_RANK:
+            raise CheckpointShapeError(f"tensor {name!r}: rank {rank} exceeds {MAX_TENSOR_RANK}")
+        shape = reader.unpack("<" + "Q" * rank)
+        # Exact in Python integers, so no shape overflows or wraps; take()
+        # rejects a count beyond the bytes left before anything is read.
+        data = reader.take(4 * math.prod(shape))
+        try:
+            values = np.frombuffer(data, dtype="<f4").reshape(shape)
+        except ValueError:  # an empty shape with a dimension numpy cannot index
+            raise CheckpointShapeError(f"tensor {name!r}: no array has shape {shape}") from None
         if name in raw:
             raise CheckpointError(f"duplicate tensor name {name!r}")
         raw[name] = values
@@ -625,10 +648,10 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> ModelSt
             raise CheckpointError(f"config field {key!r}: checkpoint has {getattr(config, key)}, "
                                   f"expected_config has {getattr(reference, key)}")
 
-    dtype = active_dtype()
-    params = {name: parameter(tensors[name].astype(dtype), dtype=dtype)
-              for name in expected_shapes}
-    return ModelState(reference, params)
+    state = ModelState(reference)
+    for name, p in state.parameters():
+        p.data[...] = tensors[name]
+    return state
 
 
 def write_latents(path, patches: np.ndarray, frame_ms: int) -> None:

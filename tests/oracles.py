@@ -160,3 +160,30 @@ def block_mask(text_lengths, history_lengths, dtype):
     pos = np.r_[text_positions, np.repeat(text_lengths, history_lengths) + history_positions]
     allowed = (seq[:, None] == seq[None, :]) & (pos[None, :] <= pos[:, None])
     return np.where(allowed, 0.0, MASK_VALUE).astype(dtype)
+
+
+class PerTensorAdam:
+    """Adam written tensor by tensor, each reading its own ``.grad`` (0 where
+    it has none), as the optimizer was before the flat buffers: the
+    reference the flat update is checked against."""
+
+    def __init__(self, state, lr):
+        self.lr = lr
+        self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
+        self.t = 0
+        self.m = {name: np.zeros_like(p.data) for name, p in state.parameters()}
+        self.v = {name: np.zeros_like(p.data) for name, p in state.parameters()}
+
+    def step(self, state):
+        self.t += 1
+        bc1 = 1.0 - self.b1 ** self.t
+        bc2 = 1.0 - self.b2 ** self.t
+        for name, p in state.parameters():
+            g = p.grad if p.grad is not None else 0.0
+            m, v = self.m[name], self.v[name]
+            m *= self.b1
+            m += (1.0 - self.b1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * np.square(g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data -= (self.lr * update).astype(p.data.dtype, copy=False)

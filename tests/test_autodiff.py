@@ -37,8 +37,10 @@ from flowtts.autodiff import (
     rng_stream,
     sigmoid,
     softmax,
+    stacked_linear,
     tensor_sum,
     tile_rows,
+    zero_grads,
 )
 from flowtts.model import MASK_VALUE, ModelConfig, init_model_state, semantic_hiddens
 
@@ -354,6 +356,9 @@ PRIMITIVE_CASES = {
     "attention": lambda x: _scalarize(mul(_attention_of_blocks(x), constant(_FIXED["like_attn"]))),
     "repeat_rows": lambda x: _scalarize(mul(repeat_rows(x, 2), constant(_FIXED["like_rep"]))),
     "tile_rows": lambda x: _scalarize(mul(tile_rows(x, 2), constant(_FIXED["like_rep"]))),
+    "stacked_linear": lambda x: _scalarize(mul(
+        concat(stacked_linear(x, constant(_FIXED["stack_w"]), constant(_FIXED["stack_b"])), 0),
+        constant(_FIXED["like_stack"]))),
 }
 
 _FIXED: dict = {}
@@ -379,7 +384,7 @@ def _attention_of_blocks(x):
 
 def _shapes_for(name: str):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
-    if name in ("matmul", "linear"):
+    if name in ("matmul", "linear", "stacked_linear"):
         return [(int(rng.integers(1, 8)), int(rng.integers(1, 8))) for _ in range(3)]
     if name == "attention":
         return list(_ATTENTION_CASES)
@@ -420,6 +425,10 @@ def test_primitive_gradient_soundness(name):
                 _FIXED["like_attn"] = rng.standard_normal((batch * tq, shape[1]))
             if name in ("repeat_rows", "tile_rows"):
                 _FIXED["like_rep"] = rng.standard_normal((shape[0] * 2, shape[1]))
+            if name == "stacked_linear":
+                _FIXED["stack_w"] = rng.standard_normal((3, shape[1], 4))
+                _FIXED["stack_b"] = rng.standard_normal((3, 4))
+                _FIXED["like_stack"] = rng.standard_normal((3 * shape[0], 4))
             assert grad_check(PRIMITIVE_CASES[name], x) <= 1e-4, f"{name} @ {shape}"
 
 
@@ -476,6 +485,84 @@ def test_fused_primitive_is_bitwise_the_composition_it_replaces(name, shapes):
         assert a.tobytes() == b.tobytes()
 
 
+# The stacked q/k/v projection against the three linear calls it replaces.
+
+def _stacked_case(rows, dtype, seed):
+    # x, the stacked weight and bias, and a weight for each output's loss term
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(shape).astype(dtype)
+            for shape in ((rows, 8), (3, 8, 5), (3, 5), (3, rows, 5))]
+
+
+def _stacked_loss(outs, weights):
+    # q, k and v each weigh in, so every one gets a gradient.
+    loss = tensor_sum(mul(outs[0], constant(weights[0])))
+    for out, weight in zip(outs[1:], weights[1:]):
+        loss = add(loss, tensor_sum(mul(out, constant(weight))))
+    return loss
+
+
+@pytest.mark.parametrize("operand", range(3))
+def test_stacked_linear_gradients_match_finite_differences_for_every_operand(operand):
+    x, w, b, weights = _stacked_case(3, np.float64, 7 + operand)
+    with precision("float64"):
+        def f(t):
+            args = [constant(x), constant(w), constant(b)]
+            args[operand] = t
+            return _stacked_loss(stacked_linear(*args), weights)
+
+        assert grad_check(f, parameter([x, w, b][operand])) <= 1e-4
+
+
+@pytest.mark.parametrize("rows", [1, 2, 4, 49, 130, 192])
+def test_stacked_linear_is_bitwise_three_linear_calls(rows):
+    # float32 and d_model 64, as the model runs: each output, the gradient of
+    # x (summed over v, k, q, the order three tape entries replay in) and
+    # those of the stacked weight and bias.
+    rng = np.random.default_rng(rows)
+    x, w, b, weights = (rng.standard_normal(shape).astype(np.float32)
+                        for shape in ((rows, 64), (3, 64, 64), (3, 64), (3, rows, 64)))
+    xs, ws, bs = parameter(x), parameter(w), parameter(b)
+    with record() as tape:
+        stacked = stacked_linear(xs, ws, bs)
+        loss = _stacked_loss(stacked, weights)
+    tape.backward(loss)
+
+    xl = parameter(x)
+    wl = [parameter(w[i].copy()) for i in range(3)]
+    bl = [parameter(b[i].copy()) for i in range(3)]
+    with record() as tape:
+        separate = [linear(xl, wl[i], bl[i]) for i in range(3)]
+        loss_l = _stacked_loss(separate, weights)
+    tape.backward(loss_l)
+
+    assert loss.data.tobytes() == loss_l.data.tobytes()
+    for i in range(3):
+        assert stacked[i].data.tobytes() == separate[i].data.tobytes()
+        assert ws.grad[i].tobytes() == wl[i].grad.tobytes()
+        assert bs.grad[i].tobytes() == bl[i].grad.tobytes()
+    assert xs.grad.dtype == np.float32 and xs.grad.tobytes() == xl.grad.tobytes()
+
+
+def test_stacked_linear_records_one_entry_and_no_gradient_buffer_when_not_recording():
+    x, w, b, weights = _stacked_case(4, np.float32, 3)
+    with record() as tape:
+        outs = stacked_linear(parameter(x), constant(w), constant(b))
+    assert len(tape) == 1
+    assert all(np.shares_memory(out.grad, outs[0].grad.base) for out in outs)
+    outs = stacked_linear(parameter(x), constant(w), constant(b))
+    assert [out.grad for out in outs] == [None] * 3
+
+
+def test_zero_grads_zeroes_in_place_and_leaves_none_as_none():
+    a, b = parameter(np.ones(3)), parameter(np.ones(2))
+    a.grad = np.full(3, 2.0)
+    held = a.grad
+    zero_grads([a, b])
+    assert a.grad is held and not held.any()
+    assert b.grad is None
+
+
 def test_fused_primitives_reject_operands_of_the_wrong_shape():
     x = constant(np.zeros((3, 4)))
     with pytest.raises(ShapeError, match="linear"):
@@ -484,6 +571,10 @@ def test_fused_primitives_reject_operands_of_the_wrong_shape():
         linear(x, constant(np.zeros((5, 2))), constant(np.zeros(2)))
     with pytest.raises(ShapeError, match="layer_norm_affine"):
         layer_norm_affine(x, constant(np.ones(3)), constant(np.zeros(4)))
+    with pytest.raises(ShapeError, match="stacked_linear"):
+        stacked_linear(x, constant(np.zeros((3, 5, 2))), constant(np.zeros((3, 2))))
+    with pytest.raises(ShapeError, match="stacked_linear"):
+        stacked_linear(x, constant(np.zeros((3, 4, 2))), constant(np.zeros(2)))
 
 
 def test_registry_contains_contract_primitives():

@@ -2,6 +2,7 @@
 and output-file atomicity, driving main() in-process."""
 
 import os
+import struct
 import subprocess
 import sys
 
@@ -366,6 +367,53 @@ def test_synth_bad_checkpoint_exit_code(tmp_path):
     assert not (tmp_path / "x.jlat").exists()  # no partial outputs
 
 
+def _first_tensor_offset(blob: bytes) -> int:
+    # magic, version, config length and block, tensor count
+    (config_len,) = struct.unpack_from("<I", blob, 8)
+    return 12 + config_len + 4
+
+
+def _with_first_tensor_header(path, name: bytes, shape) -> bytes:
+    """The checkpoint at ``path`` with its first tensor's name and shape
+    rewritten, its data kept."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    start = _first_tensor_offset(blob)
+    (name_len,) = struct.unpack_from("<H", blob, start)
+    rank = blob[start + 2 + name_len]
+    data = start + 2 + name_len + 1 + 8 * rank
+    header = struct.pack(f"<H{len(name)}sB{len(shape)}Q", len(name), name, len(shape), *shape)
+    return blob[:start] + header + blob[data:]
+
+
+CORRUPT_CHECKPOINT_HEADERS = {
+    # rank 65: one more dimension than numpy allows
+    "rank-above-64": (b"enc.w1", (1,) * 65),
+    # 2**32 * 2**32 wraps to 0 elements in int64
+    "shape-product-wraps": (b"enc.w1", (2 ** 32, 2 ** 32)),
+    # (2**62 + 16) * 4 wraps to 64 elements in int64, the true size of enc.w1
+    "shape-product-wraps-to-the-size": (b"enc.w1", (2 ** 62 + 16, 4)),
+    "name-not-utf8": (b"enc.\xffw1", (4, 16)),
+}
+
+
+@pytest.mark.parametrize("name,shape", CORRUPT_CHECKPOINT_HEADERS.values(),
+                         ids=CORRUPT_CHECKPOINT_HEADERS.keys())
+def test_synth_corrupt_tensor_header_exits_with_model_code(tmp_path, tiny_checkpoint, capsys,
+                                                           name, shape):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_with_first_tensor_header(tiny_checkpoint, name, shape))
+    out = tmp_path / "x.jlat"
+    code = main(["synth", "--checkpoint", str(bad), "--tokens", "1",
+                 "--out", str(out), "--seed", "0"])
+    err = capsys.readouterr().err
+    assert code == EXIT_MODEL
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if line.startswith("ERROR ")]) == 1
+    assert not out.exists()
+    assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
+
+
 def test_synth_missing_checkpoint_is_io_error(tmp_path):
     code = main(["synth", "--checkpoint", str(tmp_path / "absent.ckpt"), "--tokens", "1",
                  "--out", str(tmp_path / "x.jlat"), "--seed", "0"])
@@ -422,6 +470,21 @@ def test_eval_sim_pairs_with_bom_read_as_without(tmp_path, capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert outputs[0].splitlines()[1] == "p1,0.000000"
+
+
+def test_eval_sim_path_with_a_nul_byte_is_io_error(tmp_path, capsys):
+    a = tmp_path / "a.jemb"
+    write_embedding(a, np.array([1.0, 0.0, 0.0]))
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text(f"p1\t{a}\t{a}\x00.jemb\n", encoding="utf-8")
+    out = tmp_path / "sim.csv"
+    code = main(["eval", "sim", "--pairs", str(pairs), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if line.startswith("ERROR ")]) == 1
+    assert not out.exists()
+    assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
 
 
 def test_eval_cer_with_bom_lexicon_and_rows(tmp_path, capsys):
@@ -503,6 +566,29 @@ def test_eval_tally_output_file_atomic(tmp_path):
 # --------------------------------------------------------------------------
 # Entry point
 # --------------------------------------------------------------------------
+
+IMPORT_PROBE = """
+import gc, sys
+def top_level():
+    return {name.partition(".")[0] for name in sys.modules}
+import numpy, scipy.special  # flowtts's two dependencies, with what they load
+dependencies = top_level()
+import flowtts.cli
+from flowtts.autodiff import Tensor
+from flowtts.model import ModelState
+print(sorted(top_level() - dependencies - set(sys.stdlib_module_names) - {"flowtts"}))
+print(sum(isinstance(o, (Tensor, ModelState)) for o in gc.get_objects()))
+"""
+
+
+def test_importing_the_cli_loads_only_numpy_and_scipy_and_builds_no_parameters():
+    # A fresh interpreter's import is most of every workload's setup time:
+    # flowtts itself adds no third-party package and allocates no model.
+    result = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "0"]
+
 
 def test_console_entry_point_help():
     result = subprocess.run([sys.executable, "-m", "flowtts.cli", "--help"],
