@@ -175,7 +175,8 @@ class Tape:
         return len(self._entries)
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(t) into ``t.grad`` for every tensor on the tape."""
+        """Accumulate d(loss)/d(t) into ``t.grad``, in place where it already
+        exists, for every tensor on the tape."""
         if self._consumed:
             raise RecordError("backward was already run on this record; re-record the forward pass")
         if loss.data.size != 1:
@@ -207,6 +208,11 @@ def push_op(out: Tensor, adjoint: Callable[[np.ndarray], None]) -> None:
 
     No-op when nothing is recording or the output does not need gradients,
     so the same ops serve inference without bookkeeping overhead.
+
+    The adjoint must add into each input's ``.grad`` in place, through
+    ``_accumulate``, never rebind it: a parameter's ``.grad`` is a view into
+    its state's flat gradient buffer, which the optimizer reads, so a
+    gradient assigned as a new array would be lost without an error.
     """
     if out.requires_grad:
         tape = _ACTIVE_TAPE.get()

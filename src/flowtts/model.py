@@ -9,7 +9,6 @@ text and acoustic segments).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -156,8 +155,8 @@ class ModelState:
 
     Every parameter value lives in one flat array, ``data``, and every
     parameter gradient in a second, ``grad``, both in ``param_layout``
-    order: ``params[name].data`` and ``params[name].grad`` are views into
-    them.  Adjoints accumulate into those views in place, so zeroing the
+    order with the padding ALIGN adds: ``params[name].data`` and
+    ``params[name].grad`` are views into them.  Adjoints accumulate into those views in place, so zeroing the
     gradients and an optimizer step are each one pass over a flat array.
     ``qkv[prefix]`` views a block's adjacent wq, wk, wv as one (3, d, d)
     weight and bq, bk, bv as one (3, d) bias, over the same memory.
@@ -166,18 +165,27 @@ class ModelState:
     Training mutates parameter values under a single writer.
     """
 
-    def __init__(self, config: ModelConfig, dtype=None):
-        """All-zero parameters of ``config``'s layout, in ``dtype`` (by
-        default the active one)."""
+    # Each tensor starts on a multiple of ALIGN elements (16 bytes of
+    # float32), except wk, wv, bk and bv, which follow wq and bq directly so
+    # that qkv can view them as one tensor.  The padding stays zero.
+    ALIGN = 4
+    _STACKED_TAILS = (".attn.wk", ".attn.wv", ".attn.bk", ".attn.bv")
+
+    def __init__(self, config: ModelConfig):
+        """All-zero parameters of ``config``'s layout, in the active dtype."""
         self.config = config
         layout = [(name, shape) for name, shape, _ in param_layout(config)]
-        starts = list(itertools.accumulate((math.prod(shape) for _, shape in layout), initial=0))
-        dtype = active_dtype() if dtype is None else dtype
-        self.data = np.zeros(starts[-1], dtype=dtype)
+        starts, end = [], 0
+        for name, shape in layout:
+            if not name.endswith(self._STACKED_TAILS):
+                end = -(-end // self.ALIGN) * self.ALIGN
+            starts.append(end)
+            end += math.prod(shape)
+        self.data = np.zeros(end, dtype=active_dtype())
         # np.zeros (calloc) leaves the pages untouched until a backward pass
         # writes them; zeros_like writes every one, and inference would hold
         # the memory.
-        self.grad = np.zeros(starts[-1], dtype=dtype)
+        self.grad = np.zeros(end, dtype=active_dtype())
         self.params = {name: self._view(start, shape)
                        for (name, shape), start in zip(layout, starts)}
         offsets = dict(zip(self.params, starts))

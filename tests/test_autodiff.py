@@ -12,6 +12,7 @@ from flowtts.autodiff import (
     RecordError,
     ShapeError,
     Tensor,
+    _accumulate,
     active_dtype,
     add,
     attention,
@@ -594,7 +595,7 @@ def _transpose(x):
     out = Tensor(x.data.T.copy(), requires_grad=x.requires_grad, dtype=x.data.dtype)
 
     def adjoint(g):
-        x.grad = g.T.copy() if x.grad is None else x.grad + g.T
+        _accumulate(x, g.T)
 
     push_op(out, adjoint)
     return out

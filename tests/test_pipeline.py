@@ -25,7 +25,7 @@ from flowtts.autodiff import (
     rng_stream,
     zero_grads,
 )
-from flowtts.model import ModelConfig, init_model_state, step_hiddens
+from flowtts.model import ModelConfig, ModelState, init_model_state, step_hiddens
 from oracles import PerTensorAdam, two_call_sample_patch
 import flowtts.pipeline as pipeline
 from flowtts.pipeline import (
@@ -232,15 +232,25 @@ def _address(a):
 def test_parameters_stay_views_into_the_flat_buffers_after_a_training_step():
     state = init_model_state(CFG, seed=8)
     train(TrainConfig(train_steps=1, batch_size=2, seed=5), SPEC, state)
-    start = 0
+    end, padding = 0, np.ones(state.data.size, dtype=bool)
     for name, p in state.parameters():
-        # In layout order, back to back: the views tile both buffers.
+        start = (_address(p.data) - _address(state.data)) // state.data.itemsize
         for view, flat in ((p.data, state.data), (p.grad, state.grad)):
             assert np.shares_memory(view, flat), name
             assert _address(view) == _address(flat) + start * flat.itemsize, name
-        start += p.data.size
-    assert start == state.data.size == state.grad.size
+        # In layout order, each on the next ALIGN boundary, except the tails
+        # of a stacked q/k/v, which follow their head directly.
+        if name.endswith(ModelState._STACKED_TAILS):
+            assert start == end, name
+        else:
+            assert start % ModelState.ALIGN == 0 and end <= start < end + ModelState.ALIGN, name
+        end = start + p.data.size
+        padding[start:end] = False
+    assert end == state.data.size == state.grad.size
     assert np.any(state.grad != 0.0)
+    # The step leaves the padding between tensors zero.
+    assert padding.any()
+    assert not state.data[padding].any() and not state.grad[padding].any()
     for prefix, (w, b) in state.qkv.items():
         for stacked, names in ((w, ("wq", "wk", "wv")), (b, ("bq", "bk", "bv"))):
             for i, name in enumerate(names):
