@@ -565,16 +565,18 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice of ``length`` extents along ``axis`` starting at ``start``."""
+def narrow(x: Tensor, axis: int, start: int, length: int, step: int = 1) -> Tensor:
+    """Slice of ``length`` extents along ``axis``: ``start``, ``start + step``,
+    ...; contiguous with the default step 1.  The result is a view of
+    ``x``'s data, strided for a larger step, never a copy."""
     x = _wrap(x)
     extent = x.data.shape[axis]
-    if start < 0 or length < 0 or start + length > extent:
-        raise ShapeError(
-            f"slice: window [{start}, {start + length}) exceeds extent {extent} on axis {axis}"
-        )
+    stop = start + (length - 1) * step + 1 if length else start
+    if start < 0 or length < 0 or step < 1 or stop > extent:
+        raise ShapeError(f"slice: {length} extents from {start} in steps of {step} "
+                         f"exceed extent {extent} on axis {axis}")
     sl = [slice(None)] * x.data.ndim
-    sl[axis] = slice(start, start + length)
+    sl[axis] = slice(start, stop, step)
     out = _from_array(x.data[tuple(sl)], x.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:

@@ -8,9 +8,9 @@ deterministic under a fixed --seed (wall-clock RTF measurement excepted).
 Exit codes:
   0  success
   1  model errors: training diverged (NaN), a NaN or infinity met during
-     synthesis, checkpoint/latent format errors
+     synthesis, checkpoint/latent format errors, a trajectory with no audio
   2  I/O or configuration errors (missing files, unknown config keys, bad
-     synthesis arguments)
+     synthesis arguments, an eval rtf --wall-seconds not finite and > 0)
   3  empty token list
   4  malformed data rows (CER batch, votes, pair lists)
 """
@@ -276,8 +276,15 @@ def cmd_eval_rtf(args) -> int:
     if args.wall_seconds is not None:
         if not args.trajectory:
             raise ConfigError("eval rtf: --wall-seconds needs --trajectory")
+        if not (np.isfinite(args.wall_seconds) and args.wall_seconds > 0):
+            raise ConfigError(f"eval rtf: --wall-seconds must be finite and > 0, "
+                              f"got {args.wall_seconds:g}")
         patches, frame_ms = read_latents(args.trajectory)
-        value = rtf_value(args.wall_seconds, patches.shape[0], frame_ms)
+        try:
+            value = rtf_value(args.wall_seconds, patches.shape[0], frame_ms)
+        except ValueError:
+            raise LatentFileError(f"{args.trajectory}: no audio to time "
+                                  f"({patches.shape[0]} patches of {frame_ms} ms)") from None
     else:
         if not args.checkpoint or not args.tokens:
             raise ConfigError("eval rtf needs either --wall-seconds with --trajectory, "

@@ -25,7 +25,6 @@ from .autodiff import (
     embedding_lookup,
     linear,
     mse,
-    repeat_rows,
     rng_stream,
     tile_rows,
 )
@@ -149,12 +148,13 @@ def velocity_context(state: ModelState, h_final, z_prev: np.ndarray,
     if given not in (1, n) or cond.data.shape[1:] != (cfg.d_model,):
         raise ShapeError(f"velocity: h_final must have 1 or {n} rows of {cfg.d_model}, "
                          f"got shape {cond.data.shape}")
-    # Pair i reads its own h_final row (or the only one) or the null row; one
-    # gather whatever the flags, so the recorded ops do not depend on them.
+    # Pair i reads its own h_final row (or the only one) or the null row,
+    # once per token; one gather whatever the flags, so the recorded ops do
+    # not depend on them.
     own = np.arange(n) if given == n else np.zeros(n, dtype=np.int64)
     cond = embedding_lookup(concat([cond, state["vel.null"]], axis=0),
-                            np.where(enabled, own, given))
-    return VelocityContext(z_prev, tile_rows(state["vel.pos"], n), repeat_rows(cond, 2))
+                            np.repeat(np.where(enabled, own, given), 2))
+    return VelocityContext(z_prev, tile_rows(state["vel.pos"], n), cond)
 
 
 def velocity_batch(state: ModelState, z_t: np.ndarray, t_emb: np.ndarray,
@@ -167,7 +167,9 @@ def velocity_batch(state: ModelState, z_t: np.ndarray, t_emb: np.ndarray,
     its position row, the time embedding and its pair's conditioning row
     added.  ``t_emb`` (``timestep_embedding`` rows) has one row per token
     (2n rows, pair by pair) or one row for every token.  Output row i is the
-    velocity for pair i, read at the z_t position.
+    velocity for pair i, read at the z_t position: z_t is the last token of
+    its pair, so the stack's last block runs for the z_t tokens only (both
+    tokens still give it keys and values; see ``transformer_stack``).
     """
     dtype = state.dtype
     z_t = np.asarray(z_t, dtype=dtype)
@@ -180,8 +182,7 @@ def velocity_batch(state: ModelState, z_t: np.ndarray, t_emb: np.ndarray,
     interleaved[1::2] = z_t
     x = linear(constant(interleaved, dtype=dtype), state["vel.in.w"], state["vel.in.b"])
     x = add(add(add(x, context.pos), constant(t_emb, dtype=dtype)), context.cond)
-    hidden = transformer_stack(state, "vel", x, VELOCITY_LAYERS, None, batch=n)
-    at_z = embedding_lookup(hidden, np.arange(1, 2 * n, 2))
+    at_z = transformer_stack(state, "vel", x, VELOCITY_LAYERS, None, batch=n, last_only=True)
     return linear(at_z, state["vel.out.w"], state["vel.out.b"])
 
 

@@ -156,8 +156,9 @@ class ModelState:
     Every parameter value lives in one flat array, ``data``, and every
     parameter gradient in a second, ``grad``, both in ``param_layout``
     order with the padding ALIGN adds: ``params[name].data`` and
-    ``params[name].grad`` are views into them.  Adjoints accumulate into those views in place, so zeroing the
-    gradients and an optimizer step are each one pass over a flat array.
+    ``params[name].grad`` are views into them.  Adjoints accumulate into
+    those views in place, so zeroing the gradients and an optimizer step are
+    each one pass over a flat array.
     ``qkv[prefix]`` views a block's adjacent wq, wk, wv as one (3, d, d)
     weight and bq, bk, bv as one (3, d) bias, over the same memory.
 
@@ -312,18 +313,19 @@ def _ln(state: ModelState, prefix: str, x: Tensor) -> Tensor:
     return layer_norm_affine(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
 
 
-def _attention(state: ModelState, prefix: str, x: Tensor, mask: Tensor | None, batch: int,
-               past: np.ndarray | None, past_rows: int) -> Tensor:
-    params = state.params
-    q, k, v = stacked_linear(x, *state.qkv[prefix])
+def _qkv(state: ModelState, prefix: str, x: Tensor, past: np.ndarray | None,
+         past_rows: int) -> tuple[Tensor, Tensor, Tensor]:
+    """Queries, keys and values of ``x``'s rows, from one product.  With a
+    store ``past`` the keys and values are written after its filled rows,
+    and those returned are all the filled rows."""
+    q, k, v = stacked_linear(_ln(state, f"{prefix}.ln1", x), *state.qkv[f"{prefix}.attn"])
     if past is not None:
         rows = past_rows + k.data.shape[0]
         past[0, past_rows:rows] = k.data
         past[1, past_rows:rows] = v.data
         if past_rows:
             k, v = _cached_rows(past[0, :rows], k), _cached_rows(past[1, :rows], v)
-    merged = attention(q, k, v, state.config.n_heads, mask, batch)
-    return linear(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+    return q, k, v
 
 
 def _cached_rows(rows: np.ndarray, new: Tensor) -> Tensor:
@@ -336,10 +338,17 @@ def _cached_rows(rows: np.ndarray, new: Tensor) -> Tensor:
 
 
 def _block(state: ModelState, prefix: str, x: Tensor, mask: Tensor | None, batch: int,
-           past: np.ndarray | None, past_rows: int) -> Tensor:
+           past: np.ndarray | None, past_rows: int, last_only: bool) -> Tensor:
     params = state.params
-    x = add(x, _attention(state, f"{prefix}.attn", _ln(state, f"{prefix}.ln1", x), mask, batch,
-                          past, past_rows))
+    q, k, v = _qkv(state, prefix, x, past, past_rows)
+    seq = x.data.shape[0] // batch
+    if last_only and seq > 1:
+        # The last row of each sequence, as a strided view.  The sequences
+        # share the mask, so a last row's mask row is its last row.
+        x, q = narrow(x, 0, seq - 1, batch, seq), narrow(q, 0, seq - 1, batch, seq)
+        mask = None if mask is None else _from_array(mask.data[-1:], False)
+    attended = attention(q, k, v, state.config.n_heads, mask, batch)
+    x = add(x, linear(attended, params[f"{prefix}.attn.wo"], params[f"{prefix}.attn.bo"]))
     h = gelu(linear(_ln(state, f"{prefix}.ln2", x), params[f"{prefix}.mlp.w1"],
                     params[f"{prefix}.mlp.b1"]))
     return add(x, linear(h, params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"]))
@@ -347,7 +356,7 @@ def _block(state: ModelState, prefix: str, x: Tensor, mask: Tensor | None, batch
 
 def transformer_stack(state: ModelState, prefix: str, x: Tensor, n_layers: int,
                       mask: Tensor | None, batch: int = 1, past: np.ndarray | None = None,
-                      past_rows: int = 0) -> Tensor:
+                      past_rows: int = 0, last_only: bool = False) -> Tensor:
     """Pre-LN blocks over ``batch`` equal-length sequences stored row-block
     after row-block; ``mask`` is an additive (T, T) constant, or None where
     it would hide nothing (the conditioning stacks use ``Packing.mask``).
@@ -359,12 +368,21 @@ def transformer_stack(state: ModelState, prefix: str, x: Tensor, n_layers: int,
     the rows of ``x`` attend to all filled rows (``mask`` is then
     (T, past_rows + T)).  With ``past_rows`` 0 the layers attend to their
     fresh keys and values, recording the same ops as no store.
+
+    With ``last_only`` the result is the last row of each sequence, one row
+    per sequence, and the last block computes no other: every row still
+    gives its keys and values (to attention and the store), but the queries,
+    the output projection, the residual add, the MLP and the final norm run
+    on the last rows only, a strided ``narrow`` of the rows.  Where every
+    row is a last row (one row per sequence) nothing is selected, and the
+    ops are those of the full stack.
     """
     if past is not None and batch != 1:
         raise ShapeError("transformer_stack: cached keys and values need batch == 1")
     for i in range(n_layers):
         x = _block(state, f"{prefix}.l{i}", x, mask, batch,
-                   None if past is None else past[i], past_rows)
+                   None if past is None else past[i], past_rows,
+                   last_only and i == n_layers - 1)
     return _ln(state, f"{prefix}.lnf", x)
 
 
@@ -486,7 +504,8 @@ def fsq_quantize(h: Tensor, delta: float, bound: int) -> Tensor:
 
 def residual_hiddens(state: ModelState, text_hiddens: Tensor | None,
                      fsq_history: Tensor, acoustic_history: Tensor,
-                     past: np.ndarray | None = None, packing: Packing | None = None) -> Tensor:
+                     past: np.ndarray | None = None, packing: Packing | None = None,
+                     last_only: bool = False) -> Tensor:
     """Causal hidden states over [text hiddens] ++ [proj(skeleton ⊕ acoustic)].
 
     Row (n_text - 1 + i) is the residual hidden for step i.
@@ -501,6 +520,9 @@ def residual_hiddens(state: ModelState, text_hiddens: Tensor | None,
     come from ``packing``, by default this one sequence's with no store.
     With a ``packing`` passed in, the text hiddens and the histories hold its
     sequences one after another, and the rows are in the packed order.
+
+    With ``last_only`` the result is the last row only, and the stack's last
+    block computes no other (see ``transformer_stack``).
     """
     cfg = state.config
     k = fsq_history.data.shape[0]
@@ -521,7 +543,8 @@ def residual_hiddens(state: ModelState, text_hiddens: Tensor | None,
                       state["res.proj.w"], state["res.proj.b"])
         parts.append(add(hist, embedding_lookup(state["res.pos_hist"], packing.history_positions)))
     return transformer_stack(state, "res", _join_rows(parts), cfg.n_layers_residual,
-                             packing.mask(state.dtype), past=past, past_rows=packing.past_rows)
+                             packing.mask(state.dtype), past=past, past_rows=packing.past_rows,
+                             last_only=last_only)
 
 
 def stop_logits(state: ModelState, h_fsq: Tensor) -> Tensor:
@@ -556,6 +579,11 @@ class ConditioningCache:
         self.store: np.ndarray | None = None
 
 
+def _last_row(t: Tensor) -> Tensor:
+    rows = t.data.shape[0]
+    return t if rows == 1 else narrow(t, 0, rows - 1, 1)
+
+
 def conditioning(state: ModelState, text_tokens, history,
                  cache: ConditioningCache | None = None) -> tuple[Tensor, Tensor, Tensor]:
     """Teacher-forced conditioning for every step 0..len(history).
@@ -568,9 +596,12 @@ def conditioning(state: ModelState, text_tokens, history,
     With a ``cache``, ``history`` holds only the patches the cache does not
     hold yet: all of them at the first call (prefill), which also keeps what
     later calls need, then at least one new patch per call (decode), which
-    runs against the cached keys and values and returns the new steps' rows.
-    Other text tokens or no new patch raise ValueError; cached plus new
-    patches reaching max_patches raise ShapeError.
+    runs against the cached keys and values.  A cached call returns one row,
+    that of its last step (the row synthesis reads): the residual stack's
+    last block runs for that row alone (``transformer_stack``'s
+    ``last_only``), while every row still gives the cache its keys and
+    values.  Other text tokens or no new patch raise ValueError; cached plus
+    new patches reaching max_patches raise ShapeError.
 
     This is ``conditioning_batch`` of a batch of one.
     """
@@ -586,7 +617,8 @@ def conditioning_batch(state: ModelState, texts, histories,
     quantizer run once however many there are, and no sequence sees
     another.  The result has the rows of sequence 0 (steps 0..k_0), then
     those of sequence 1, and so on.  A ``cache`` takes exactly one sequence,
-    and its ``histories[0]`` holds only the patches the cache does not hold.
+    and its ``histories[0]`` holds only the patches the cache does not hold;
+    the result is then the one row of the call's last step.
     """
     cfg = state.config
     histories = [_as_patch_matrix(h, cfg.d_patch, state.dtype) for h in histories]
@@ -616,7 +648,7 @@ def conditioning_batch(state: ModelState, texts, histories,
 
     embeddings = encode_patches(state, np.concatenate(histories))
     hiddens = semantic_hiddens(state, np.concatenate(tokens), embeddings, semantic_past, packing)
-    # Prefill returns steps 0..k; decode returns steps done+1..done+k.
+    # Prefill quantizes steps 0..k; decode steps done+1..done+k.
     rows = packing.step_rows()
     quantized = fsq_quantize(embedding_lookup(hiddens, rows), cfg.fsq_delta, cfg.fsq_bound)
     # Decode's cached residual keys and values already hold the text rows.
@@ -625,14 +657,20 @@ def conditioning_batch(state: ModelState, texts, histories,
     # first one is the last skeleton of the previous call.
     skeletons = quantized if fresh else concat([constant(cache.last_quantized), quantized], axis=0)
     paired = embedding_lookup(skeletons, packing.history_steps())
-    residual = residual_hiddens(state, text_hiddens, paired, embeddings, residual_past, packing)
-    h_res = embedding_lookup(residual, rows)
+    if cache is None:
+        residual = residual_hiddens(state, text_hiddens, paired, embeddings, packing=packing)
+        h_res = embedding_lookup(residual, rows)
+        return add(quantized, h_res), quantized, h_res
 
-    if cache is not None:
-        cache.tokens = tokens[0]
-        cache.patches = done + lengths[0]
-        cache.last_quantized = quantized.data[-1:]
-        cache.store = store
+    # A cached call returns the row of its last step only, so the residual
+    # stack's last block computes that row alone.
+    h_res = residual_hiddens(state, text_hiddens, paired, embeddings, residual_past, packing,
+                             last_only=True)
+    quantized = _last_row(quantized)
+    cache.tokens = tokens[0]
+    cache.patches = done + lengths[0]
+    cache.last_quantized = quantized.data
+    cache.store = store
     return add(quantized, h_res), quantized, h_res
 
 
@@ -650,17 +688,12 @@ def step_hiddens(state: ModelState, text_tokens, patch_history,
                  cache: ConditioningCache | None = None) -> StepHiddens:
     """Conditioning for the next patch: the last row of ``conditioning``.
 
-    Without a ``cache`` the whole prefix is computed.  Synthesis passes one
-    cache for all its steps and hands over each patch once: the reference
-    at the first step, then only the patch that step adds.
+    Without a ``cache`` the whole prefix is computed, and the last row is
+    taken from it.  Synthesis passes one cache for all its steps and hands
+    over each patch once: the reference at the first step, then only the
+    patch that step adds; a cached call returns the last row alone.
     """
-    h_final, quantized, h_res = conditioning(state, text_tokens, patch_history, cache)
-    i = quantized.data.shape[0] - 1
-    h_fsq = narrow(quantized, 0, i, 1)
+    h_final, h_fsq, h_res = map(_last_row, conditioning(state, text_tokens, patch_history, cache))
     logit = stop_logits(state, h_fsq)
-    return StepHiddens(
-        h_quantized=h_fsq,
-        h_residual=narrow(h_res, 0, i, 1),
-        h_final=narrow(h_final, 0, i, 1),
-        stop_logit=float(logit.data[0, 0]),
-    )
+    return StepHiddens(h_quantized=h_fsq, h_residual=h_res, h_final=h_final,
+                       stop_logit=float(logit.data[0, 0]))

@@ -696,6 +696,33 @@ def test_attention_with_cached_keys_matches_the_last_rows_of_the_full_call(queri
     np.testing.assert_allclose(tail, full[past:], rtol=0, atol=1e-6)
 
 
+@pytest.mark.parametrize("axis,start,length,step", [
+    (0, 1, 4, 2),  # the last row of each of four 2-row sequences
+    (0, 3, 2, 4),  # the last row of each of two 4-row sequences
+    (1, 0, 3, 3),  # columns
+    (0, 5, 1, 9),  # one row: the step reaches past the end
+])
+def test_strided_slice_is_a_view_with_sound_gradients(axis, start, length, step):
+    rng = np.random.default_rng(start * 7 + step)
+    with precision("float64"):
+        x = parameter(rng.standard_normal((8, 7)))
+        y = narrow(x, axis, start, length, step)
+        assert np.shares_memory(y.data, x.data)
+        picked = start + step * np.arange(length)
+        np.testing.assert_array_equal(y.data, np.take(x.data, picked, axis=axis))
+        like = constant(rng.standard_normal(y.data.shape))
+        assert grad_check(lambda t: tensor_sum(mul(narrow(t, axis, start, length, step), like)),
+                          x) <= 1e-6
+
+
+def test_a_slice_past_the_extent_or_with_a_step_below_one_is_rejected():
+    x = constant(np.ones((8, 3)))
+    assert narrow(x, 0, 1, 4, 2).data.shape == (4, 3)  # rows 1, 3, 5, 7
+    for args in ((0, 1, 5, 2), (0, 0, 2, 0), (0, -1, 1, 1), (1, 0, 2, 3)):
+        with pytest.raises(ShapeError, match="slice"):
+            narrow(x, *args)
+
+
 # --------------------------------------------------------------------------
 # Thread isolation of the tape and the default dtype
 # --------------------------------------------------------------------------

@@ -506,6 +506,32 @@ def test_eval_rtf_arithmetic(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "0.1136"
 
 
+@pytest.mark.parametrize("patches,frame_ms", [(0, 40), (250, 0)], ids=["no-patches", "frame-ms-0"])
+def test_eval_rtf_of_a_trajectory_with_no_audio_exits_with_model_code(tmp_path, capsys,
+                                                                      patches, frame_ms):
+    from flowtts.pipeline import write_latents
+    traj = tmp_path / "t.jlat"
+    write_latents(traj, np.zeros((patches, 4), dtype=np.float32), frame_ms)
+    code = main(["eval", "rtf", "--trajectory", str(traj), "--wall-seconds", "1.136"])
+    captured = capsys.readouterr()
+    assert code == EXIT_MODEL
+    assert "Traceback" not in captured.err and "no audio" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("wall_seconds", ["-1", "0", "nan", "inf", "-inf"])
+def test_eval_rtf_rejects_wall_seconds_that_are_not_finite_and_positive(tmp_path, capsys,
+                                                                        wall_seconds):
+    from flowtts.pipeline import write_latents
+    traj = tmp_path / "t.jlat"
+    write_latents(traj, np.zeros((250, 4), dtype=np.float32), 40)
+    code = main(["eval", "rtf", "--trajectory", str(traj), f"--wall-seconds={wall_seconds}"])
+    captured = capsys.readouterr()
+    _assert_rejected_as_config_error(code, captured.err)
+    assert "--wall-seconds" in captured.err
+    assert captured.out == ""
+
+
 def test_eval_rtf_live_measurement(tmp_path, tiny_checkpoint, capsys):
     code = main(["eval", "rtf", "--checkpoint", tiny_checkpoint, "--tokens", "1,2",
                  "--seed", "0"])

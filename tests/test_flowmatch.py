@@ -7,7 +7,19 @@ from functools import partial
 import numpy as np
 import pytest
 
-from flowtts.autodiff import ShapeError, constant, grad_check, parameter, precision
+from flowtts.autodiff import (
+    ShapeError,
+    add,
+    constant,
+    embedding_lookup,
+    grad_check,
+    linear,
+    mul,
+    parameter,
+    precision,
+    record,
+    tensor_sum,
+)
 from flowtts.flowmatch import (
     alpha,
     cfg_combine,
@@ -21,7 +33,7 @@ from flowtts.flowmatch import (
     velocity_batch,
     velocity_context,
 )
-from flowtts.model import ModelConfig, init_model_state
+from flowtts.model import VELOCITY_LAYERS, ModelConfig, init_model_state, transformer_stack
 from flowtts.autodiff import rng_stream
 from oracles import two_call_sample_patch
 
@@ -116,6 +128,63 @@ def test_velocity_batch_matches_single():
     for i in range(n):
         single = velocity(STATE, z_t[i], t_values[i], conds[i], z_prev[i], True).data[0]
         np.testing.assert_allclose(batched[i], single, rtol=2e-6, atol=2e-7)
+
+
+def _untrimmed_velocity_batch(state, z_t, t_emb, context):
+    """``velocity_batch`` without the last-block rule: the whole stack over
+    both tokens of every pair, then a gather of the z_t rows."""
+    n = z_t.shape[0]
+    tokens = np.empty((2 * n, z_t.shape[1]), dtype=state.dtype)
+    tokens[0::2], tokens[1::2] = context.z_prev, z_t
+    x = linear(constant(tokens, dtype=state.dtype), state["vel.in.w"], state["vel.in.b"])
+    x = add(add(add(x, context.pos), constant(t_emb, dtype=state.dtype)), context.cond)
+    hidden = transformer_stack(state, "vel", x, VELOCITY_LAYERS, None, batch=n)
+    at_z = embedding_lookup(hidden, np.arange(1, 2 * n, 2))
+    return linear(at_z, state["vel.out.w"], state["vel.out.b"])
+
+
+def _velocity_case(state, n, seed):
+    rng = np.random.default_rng(seed)
+    z_t = rng.standard_normal((n, CFG.d_patch)).astype(state.dtype)
+    z_prev = rng.standard_normal((n, CFG.d_patch))
+    h = rng.standard_normal((n, CFG.d_model))
+    t_emb = np.repeat(timestep_embedding(rng.uniform(size=n), CFG.d_model, state.dtype), 2, axis=0)
+    context = velocity_context(state, h, z_prev, rng.uniform(size=n) < 0.7)
+    return z_t, t_emb, context
+
+
+# float32 is not bitwise: the trimmed last block forms n rows' products where
+# the untrimmed one forms 2n, and BLAS may sum them in another order.
+@pytest.mark.parametrize("dtype,rtol", [("float64", 1e-12), ("float32", 1e-5)])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_velocity_batch_is_the_untrimmed_stack_read_at_z_t(dtype, rtol, n):
+    with precision(dtype):
+        state = init_model_state(CFG, seed=21)
+        z_t, t_emb, context = _velocity_case(state, n, seed=n)
+        got = velocity_batch(state, z_t, t_emb, context).data
+        want = _untrimmed_velocity_batch(state, z_t, t_emb, context).data
+    assert got.shape == want.shape == (n, CFG.d_patch)
+    assert got.dtype == np.dtype(dtype)
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.max(np.abs(want)))
+
+
+def test_velocity_batch_gradients_are_those_of_the_untrimmed_stack():
+    # Every parameter's float64 gradient: the strided selections of the last
+    # block route each z_t row's gradient back to its own row.
+    n = 3
+    with precision("float64"):
+        state = init_model_state(CFG, seed=21)
+        weights = constant(np.random.default_rng(9).standard_normal((n, CFG.d_patch)))
+        grads = []
+        for fn in (velocity_batch, _untrimmed_velocity_batch):
+            state.zero_grads()
+            with record() as tape:
+                loss = tensor_sum(mul(fn(state, *_velocity_case(state, n, seed=4)), weights))
+            tape.backward(loss)
+            grads.append(state.grad.copy())
+    assert np.any(grads[1])
+    np.testing.assert_allclose(grads[0], grads[1], rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(grads[1])))
 
 
 # --------------------------------------------------------------------------

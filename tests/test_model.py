@@ -13,6 +13,7 @@ from flowtts.autodiff import (
     ShapeError,
     attention,
     constant,
+    gelu,
     grad_check,
     mul,
     narrow,
@@ -153,7 +154,12 @@ def test_one_row_calls_hand_attention_no_mask(monkeypatch):
     history = RNG.standard_normal((3, CFG.d_patch))
     cache = ConditioningCache()
     conditioning(STATE, [1, 2], history[:2], cache)  # prefill of 4 rows: masked
-    assert len(masks) == calls_per_pass and all(m is not None for m in masks)
+    # The semantic layer's 4 query rows get the causal mask.  The residual
+    # layer is its stack's last block, whose one query row, the last, gets
+    # the mask's last row, which hides nothing.
+    assert [m.data.shape for m in masks] == [(4, 4), (1, 4)]
+    assert masks[1].data.tobytes() == masks[0].data[-1:].tobytes()
+    assert not masks[1].data.any()
     masks.clear()
     conditioning(STATE, [1, 2], history[2:3], cache)  # decode of one patch
     conditioning(STATE, [7], history[:0])  # one text row, no cache
@@ -392,14 +398,16 @@ def test_step_hiddens_rejects_full_history():
 # --------------------------------------------------------------------------
 
 def _cached_conditioning(state, tokens, history, prefill, chunk=1):
-    """Rows of ``conditioning`` for every step, from one prefill over
-    ``history[:prefill]`` and decode calls handing over ``chunk`` new patches
-    each."""
+    """The rows of ``conditioning`` from one prefill over ``history[:prefill]``
+    and decode calls handing over ``chunk`` new patches each, and the step
+    of each row: a cached call returns the row of its last step."""
     cache = ConditioningCache()
     parts = [conditioning(state, tokens, history[:prefill], cache)]
+    steps = [prefill]
     for start in range(prefill, history.shape[0], chunk):
         parts.append(conditioning(state, tokens, history[start:start + chunk], cache))
-    return [np.concatenate([part[i].data for part in parts]) for i in range(3)]
+        steps.append(min(start + chunk, history.shape[0]))
+    return [np.concatenate([part[i].data for part in parts]) for i in range(3)], steps
 
 
 def _cache_bytes(cache):
@@ -437,11 +445,14 @@ def test_cached_decode_matches_full_recompute(dtype, rtol):
         tokens = rng.integers(0, 64, 48)
         history = rng.standard_normal((248, 16))
         full = conditioning(state, tokens, history)
-        cached = _cached_conditioning(state, tokens, history, 200)
+        cached, steps = _cached_conditioning(state, tokens, history, 200)
+    # One row per call: the prefill's is step 200, each decode's the next.
+    assert steps == list(range(200, 249))
     for name, got, want in zip(("h_final", "quantized", "h_residual"), cached, full):
-        assert got.shape == want.data.shape == (249, 64)
+        assert want.data.shape == (249, 64)
+        assert got.shape == (49, 64)
         assert got.dtype == np.dtype(dtype)
-        err = np.max(np.abs(got - want.data)) / np.max(np.abs(want.data))
+        err = np.max(np.abs(got - want.data[200:])) / np.max(np.abs(want.data))
         assert err <= rtol, (name, err)
 
 
@@ -449,9 +460,12 @@ def test_decode_of_several_patches_per_call_matches_full_recompute():
     with precision("float64"):
         history = RNG.standard_normal((13, CFG.d_patch))
         full = conditioning(STATE64, [4, 1, 7], history)
-        cached = _cached_conditioning(STATE64, [4, 1, 7], history, 1, chunk=3)
+        cached, steps = _cached_conditioning(STATE64, [4, 1, 7], history, 1, chunk=3)
+    # Each call returns the row of its last step: the prefill's step 1, then
+    # one row per chunk of three patches.
+    assert steps == [1, 4, 7, 10, 13]
     for got, want in zip(cached, full):
-        np.testing.assert_allclose(got, want.data, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(got, want.data[steps], rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("dtype,rtol", [("float64", 1e-12), ("float32", 1e-5)])
@@ -478,14 +492,16 @@ def test_a_long_clone_decodes_up_to_max_patches_in_one_store(dtype, rtol):
         with pytest.raises(ShapeError, match="max_patches"):
             conditioning(state, tokens, history[:1], cache)
     assert cache.patches == config.max_patches - 1
+    # One row per call, of its last step: steps 200 to max_patches - 1.
     for i, name in enumerate(("h_final", "quantized", "h_residual")):
         got, want = np.concatenate([part[i].data for part in parts]), full[i].data
-        assert got.shape == want.shape == (config.max_patches, config.d_model)
-        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert want.shape == (config.max_patches, config.d_model)
+        assert got.shape == (config.max_patches - 200, config.d_model)
+        err = np.max(np.abs(got - want[200:])) / np.max(np.abs(want))
         assert err <= rtol, (name, err)
 
 
-def test_prefill_records_the_ops_of_an_uncached_call(monkeypatch):
+def test_prefill_records_the_ops_of_an_uncached_call_up_to_the_last_block(monkeypatch):
     history = RNG.standard_normal((5, CFG.d_patch))
     with record() as plain:
         expected, keys_and_values = _attended_keys_and_values(monkeypatch, STATE, [1, 2, 3],
@@ -493,15 +509,98 @@ def test_prefill_records_the_ops_of_an_uncached_call(monkeypatch):
     cache = ConditioningCache()
     with record() as cached:
         got = conditioning(STATE, [1, 2, 3], history, cache)
-    assert len(cached) == len(plain)
+    # The residual stack's last block adds two selections (its residual
+    # rows and its queries), and the last step's quantized row takes the
+    # place of the uncached call's residual gather.
+    assert len(cached) == len(plain) + 2
+    # The prefill returns the last step's row.  Not bitwise: its last block
+    # forms one row's products where the uncached call forms all eight.
     for a, b in zip(got, expected):
-        np.testing.assert_array_equal(a.data, b.data)
-    # Rows [0, 3 + 5) of every layer hold the keys and values the uncached
-    # call attended with.
+        assert a.data.shape == (1, CFG.d_model)
+        np.testing.assert_allclose(a.data, b.data[-1:], rtol=1e-5, atol=1e-6)
+    # Rows [0, 3 + 5) of every layer hold, bytewise, the keys and values the
+    # uncached call attended with.
     layers = CFG.n_layers_semantic + CFG.n_layers_residual
     assert cache.store.shape == (layers, 2, 3 + CFG.max_patches, CFG.d_model)
     assert keys_and_values.shape == (layers, 2, 3 + 5, CFG.d_model)
     assert cache.store[:, :, :3 + 5].tobytes() == keys_and_values.tobytes()
+
+
+@pytest.mark.parametrize("dtype,rtol", [("float64", 1e-12), ("float32", 1e-5)])
+@pytest.mark.parametrize("patches", [0, 1, 7])
+def test_a_cached_prefill_returns_the_last_row_of_an_uncached_call(dtype, rtol, patches):
+    with precision(dtype):
+        state = init_model_state(CFG, seed=3)
+        history = np.random.default_rng(patches).standard_normal((patches, CFG.d_patch))
+        want = conditioning(state, [4, 1, 7], history)
+        got = conditioning(state, [4, 1, 7], history, ConditioningCache())
+    for a, b in zip(got, want):
+        assert b.data.shape == (patches + 1, CFG.d_model)
+        assert a.data.shape == (1, CFG.d_model) and a.data.dtype == np.dtype(dtype)
+        np.testing.assert_allclose(a.data, b.data[-1:], rtol=rtol,
+                                   atol=rtol * np.max(np.abs(b.data)))
+
+
+@pytest.mark.parametrize("batch,seq,mask", [
+    (1, 6, "causal"),  # one causal sequence, as the conditioning stacks see it
+    (1, 8, "packed"),  # two packed sequences: the last row sees only its own
+    (3, 4, None),  # three unmasked sequences, as the velocity net sees its pairs
+    (2, 1, None),  # every row a last row: nothing to select
+])
+def test_last_only_is_the_last_row_of_each_sequence_of_the_full_stack(batch, seq, mask):
+    with precision("float64"):
+        state = init_model_state(CFG, seed=3)
+        x = constant(RNG.standard_normal((batch * seq, CFG.d_model)))
+        if mask == "causal":
+            mask = Packing([2], [4]).mask(np.float64)
+        elif mask == "packed":
+            mask = Packing([2, 3], [1, 2]).mask(np.float64)
+        full = transformer_stack(state, "vel", x, 2, mask, batch)
+        last = transformer_stack(state, "vel", x, 2, mask, batch, last_only=True)
+    assert last.data.shape == (batch, CFG.d_model)
+    np.testing.assert_allclose(last.data, full.data[seq - 1::seq], rtol=1e-12, atol=1e-14)
+
+
+def test_the_prefill_runs_the_last_residual_mlp_for_one_row(monkeypatch):
+    shapes = []
+
+    def recording(x):
+        shapes.append(x.data.shape)
+        return gelu(x)
+
+    monkeypatch.setattr("flowtts.model.gelu", recording)
+    rng = np.random.default_rng(47)
+    config = ModelConfig()
+    state = init_model_state(config, seed=4)
+    conditioning(state, rng.integers(0, 64, 48), rng.standard_normal((200, 16)),
+                 ConditioningCache())
+    # The encoder's, then the MLPs of the two semantic and two residual
+    # blocks: all 48 + 200 rows but in the residual stack's last block.
+    width = 4 * config.d_model
+    assert shapes == [(200, config.d_model)] + [(248, width)] * 3 + [(1, width)]
+
+
+def test_a_one_patch_decode_selects_nothing_and_records_no_more_ops_than_before(monkeypatch):
+    history = RNG.standard_normal((5, CFG.d_patch))
+    cache = ConditioningCache()
+    step_hiddens(STATE, [1, 2], history[:3], cache)
+    selections = []
+
+    def recording(*args, **kwargs):
+        selections.append(args[1:])
+        return narrow(*args, **kwargs)
+
+    monkeypatch.setattr("flowtts.model.narrow", recording)
+    with record() as decode:
+        conditioning(STATE, [1, 2], history[3:4], cache)
+    with record() as step:
+        step_hiddens(STATE, [1, 2], history[4:5], cache)
+    # Every row is its sequence's last: the stacks run as without the rule,
+    # and the result needs no slicing.  Before the rule a decode recorded 41
+    # entries (a gather of its residual rows among them) and step_hiddens 45
+    # (three one-row slices more).
+    assert selections == []
+    assert len(decode) <= 41 and len(step) <= 45
 
 
 def test_cache_rejects_other_tokens():

@@ -542,8 +542,10 @@ def test_synthesize_runs_the_stacks_over_one_new_patch_per_step(monkeypatch):
     out = synthesize(_never_stopping_state(), [4, 5], refs, rng=rng_stream(1, "synth"),
                      max_patches=8)
     assert out.shape[0] == 5
-    # Prefill: 2 text rows + 3 reference rows; then one row per new patch.
-    assert rows == {"semantic_hiddens": [5, 1, 1, 1, 1], "residual_hiddens": [5, 1, 1, 1, 1]}
+    # The semantic stack returns the prefill's 2 text rows + 3 reference
+    # rows, then one row per new patch.  The residual stack takes the same
+    # rows but returns only the last of each call, the one synthesis reads.
+    assert rows == {"semantic_hiddens": [5, 1, 1, 1, 1], "residual_hiddens": [1, 1, 1, 1, 1]}
 
 
 def test_synthesize_hands_step_hiddens_the_references_once_then_one_patch_per_call(monkeypatch):
