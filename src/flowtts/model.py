@@ -504,8 +504,7 @@ def fsq_quantize(h: Tensor, delta: float, bound: int) -> Tensor:
 
 def residual_hiddens(state: ModelState, text_hiddens: Tensor | None,
                      fsq_history: Tensor, acoustic_history: Tensor,
-                     past: np.ndarray | None = None, packing: Packing | None = None,
-                     last_only: bool = False) -> Tensor:
+                     past: np.ndarray | None = None, packing: Packing | None = None) -> Tensor:
     """Causal hidden states over [text hiddens] ++ [proj(skeleton ⊕ acoustic)].
 
     Row (n_text - 1 + i) is the residual hidden for step i.
@@ -521,8 +520,8 @@ def residual_hiddens(state: ModelState, text_hiddens: Tensor | None,
     With a ``packing`` passed in, the text hiddens and the histories hold its
     sequences one after another, and the rows are in the packed order.
 
-    With ``last_only`` the result is the last row only, and the stack's last
-    block computes no other (see ``transformer_stack``).
+    A call with a ``past`` returns the last row only, and the stack's last
+    block computes no other (``transformer_stack``'s ``last_only``).
     """
     cfg = state.config
     k = fsq_history.data.shape[0]
@@ -544,7 +543,7 @@ def residual_hiddens(state: ModelState, text_hiddens: Tensor | None,
         parts.append(add(hist, embedding_lookup(state["res.pos_hist"], packing.history_positions)))
     return transformer_stack(state, "res", _join_rows(parts), cfg.n_layers_residual,
                              packing.mask(state.dtype), past=past, past_rows=packing.past_rows,
-                             last_only=last_only)
+                             last_only=past is not None)
 
 
 def stop_logits(state: ModelState, h_fsq: Tensor) -> Tensor:
@@ -664,8 +663,7 @@ def conditioning_batch(state: ModelState, texts, histories,
 
     # A cached call returns the row of its last step only, so the residual
     # stack's last block computes that row alone.
-    h_res = residual_hiddens(state, text_hiddens, paired, embeddings, residual_past, packing,
-                             last_only=True)
+    h_res = residual_hiddens(state, text_hiddens, paired, embeddings, residual_past, packing)
     quantized = _last_row(quantized)
     cache.tokens = tokens[0]
     cache.patches = done + lengths[0]

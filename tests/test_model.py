@@ -513,11 +513,24 @@ def test_prefill_records_the_ops_of_an_uncached_call_up_to_the_last_block(monkey
     # rows and its queries), and the last step's quantized row takes the
     # place of the uncached call's residual gather.
     assert len(cached) == len(plain) + 2
-    # The prefill returns the last step's row.  Not bitwise: its last block
-    # forms one row's products where the uncached call forms all eight.
-    for a, b in zip(got, expected):
-        assert a.data.shape == (1, CFG.d_model)
-        np.testing.assert_allclose(a.data, b.data[-1:], rtol=1e-5, atol=1e-6)
+
+    # The same call with the stacks given no store, the residual one still
+    # trimmed to its last row, returns the prefill's row bitwise: the store
+    # does not change what the prefill computes.
+    def storeless(state, prefix, x, n_layers, mask, batch=1, past=None, past_rows=0,
+                  last_only=False):
+        assert past_rows == 0
+        return transformer_stack(state, prefix, x, n_layers, mask, batch, last_only=last_only)
+
+    with monkeypatch.context() as patched:
+        patched.setattr("flowtts.model.transformer_stack", storeless)
+        trimmed = conditioning(STATE, [1, 2, 3], history, ConditioningCache())
+    for a, b, c in zip(got, trimmed, expected):
+        assert a.data.shape == b.data.shape == (1, CFG.d_model)
+        np.testing.assert_array_equal(a.data, b.data)
+        # Against the untrimmed call, whose last block forms the products of
+        # all eight rows, the row agrees to rounding.
+        np.testing.assert_allclose(a.data, c.data[-1:], rtol=1e-5, atol=1e-6)
     # Rows [0, 3 + 5) of every layer hold, bytewise, the keys and values the
     # uncached call attended with.
     layers = CFG.n_layers_semantic + CFG.n_layers_residual
