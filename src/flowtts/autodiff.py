@@ -22,7 +22,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -391,14 +390,22 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+# scipy.special's erf ufunc, bound at the first gelu call: importing scipy is
+# most of the time `import flowtts` would take, and only the model needs it.
+_erf = None
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) Gaussian error linear unit."""
+    global _erf
+    if _erf is None:
+        from scipy.special import erf as _erf
     x = _wrap(x)
     # erf is most of the forward time; it and the two passes after it run in
     # place, which gives the same bits as 0.5 * (1.0 + erf(x / sqrt(2))).
     dtype = x.data.dtype
     cdf = x.data / _scalar(_SQRT2, dtype)
-    erf(cdf, out=cdf)
+    _erf(cdf, out=cdf)
     cdf += _scalar(1.0, dtype)
     cdf *= _scalar(0.5, dtype)
     out = _from_array((x.data * cdf).astype(x.data.dtype, copy=False), x.requires_grad)

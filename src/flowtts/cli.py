@@ -18,10 +18,12 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import logging
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .evaluation import (
     read_embedding,
     read_votes_csv,
 )
-from .fileio import write_atomic
+from .fileio import checked_path, open_input, write_atomic
 from .flowmatch import DEFAULT_CFG_SCALE, DEFAULT_STEPS
 from .model import ModelConfig, NonFiniteError, init_model_state
 from .pipeline import (
@@ -86,7 +88,7 @@ _TRAIN_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 def parse_config_file(path: str) -> dict[str, str]:
     """Parse a flat key=value UTF-8 config file (BOM allowed) with '#' comments."""
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open_input(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -175,6 +177,9 @@ def _synthesize(state, tokens, *args, **kwargs):
 def cmd_train(args) -> int:
     # The seed: --seed, else $JAITTS_SEED, else the config file's, else 0.
     overrides = {"seed": _resolve_seed(args.seed, fallback=None), "train_steps": args.steps}
+    # A path no file can have fails now, not after the training it would end.
+    checked_path(args.out_checkpoint)
+    checked_path(args.loss_csv)
     file_values = parse_config_file(args.config) if args.config else {}
     model_config, train_config = build_configs(file_values, overrides)
 
@@ -242,15 +247,14 @@ def cmd_eval_cer(args) -> int:
         results, mean = evaluate_cer_rows(rows, config)
     except ValueError as exc:
         raise MalformedRowError(str(exc)) from None
-    lines = ["id,cer"] + [f"{row_id},{value:.6f}" for row_id, value in results]
-    lines.append(f"mean,{mean:.6f}")
-    _emit(args.out, lines)
+    _emit(args.out, [("id", "cer"), *((row_id, f"{value:.6f}") for row_id, value in results),
+                     ("mean", f"{mean:.6f}")])
     return EXIT_OK
 
 
 def cmd_eval_sim(args) -> int:
     results = []
-    with open(args.pairs, "r", encoding="utf-8-sig") as fh:
+    with open_input(args.pairs, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -266,9 +270,8 @@ def cmd_eval_sim(args) -> int:
             except ValueError as exc:
                 raise MalformedRowError(f"pairs row {lineno}: {exc}") from None
     mean = sum(v for _, v in results) / len(results) if results else 0.0
-    lines = ["id,sim"] + [f"{pair_id},{value:.6f}" for pair_id, value in results]
-    lines.append(f"mean,{mean:.6f}")
-    _emit(args.out, lines)
+    _emit(args.out, [("id", "sim"), *((pair_id, f"{value:.6f}") for pair_id, value in results),
+                     ("mean", f"{mean:.6f}")])
     return EXIT_OK
 
 
@@ -318,16 +321,24 @@ def cmd_eval_tally(args) -> int:
         report = aggregate_tally(votes, ours)
     except ValueError as exc:
         raise MalformedRowError(str(exc)) from None
-    lines = ["competitor,wins,ties,losses"]
-    for name, counts in report.per_competitor.items():
-        lines.append(f"{name},{counts.wins},{counts.ties},{counts.losses}")
-    lines.append(f"overall,{report.overall.wins},{report.overall.ties},{report.overall.losses}")
-    _emit(args.out, lines)
+    rows = [("competitor", "wins", "ties", "losses")]
+    for name, counts in [*report.per_competitor.items(), ("overall", report.overall)]:
+        rows.append((name, counts.wins, counts.ties, counts.losses))
+    _emit(args.out, rows)
     return EXIT_OK
 
 
-def _emit(path: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
+def _emit(path: str | None, rows: list[tuple]) -> None:
+    """Write ``rows`` as CSV to ``path``, or to stdout without one.
+
+    A field is quoted where it holds a comma, a double quote, a CR or an LF,
+    and each row ends in "\n".  csv.writer quotes the characters of its line
+    terminator, so it writes "\r\n" rows, which become "\n" ones here; with a
+    "\n" terminator it would leave a CR bare.
+    """
+    records: list[str] = []
+    csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n").writerows(rows)
+    text = "".join(record[:-2] + "\n" for record in records)
     if path:
         write_atomic(path, text.encode("utf-8"))
     else:

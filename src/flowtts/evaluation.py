@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import write_atomic
+from .fileio import open_input, write_atomic
 from .thai_text import NormalizationConfig, normalize
 
 __all__ = [
@@ -213,7 +213,7 @@ VOTES_HEADER = ("model_a", "model_b", "outcome")
 def read_votes_csv(path) -> list[PairwiseVote]:
     """Read votes from UTF-8 CSV `model_a,model_b,outcome` (BOM allowed); header optional."""
     votes: list[PairwiseVote] = []
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with open_input(path, "r", encoding="utf-8-sig", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -246,11 +246,7 @@ def write_embedding(path, vector) -> None:
 
 
 def read_embedding(path) -> np.ndarray:
-    try:
-        fh = open(path, "rb")
-    except ValueError as exc:  # a path no file can have, such as one with a NUL byte
-        raise OSError(f"cannot open embedding file {path!r}: {exc}") from None
-    with fh:
+    with open_input(path) as fh:
         blob = fh.read()
     if len(blob) < 8 or blob[:4] != EMBEDDING_MAGIC:
         raise EmbeddingFileError(f"bad magic in {path}")
@@ -268,7 +264,7 @@ def read_embedding(path) -> np.ndarray:
 def read_cer_batch(path) -> list[tuple[str, str, str]]:
     """Read `id<TAB>reference<TAB>hypothesis` rows from a UTF-8 TSV file (BOM allowed)."""
     rows: list[tuple[str, str, str]] = []
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open_input(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -267,11 +267,10 @@ class Packing:
         self._mask: Tensor | None = None
 
     def step_rows(self) -> np.ndarray:
-        """Rows that condition the steps of this call: per sequence, its last
-        text row (step 0), then its history rows.  With cached rows only the
-        history rows: the call that cached the last row returned its step."""
-        if self.past_rows:
-            return np.arange(self.rows)
+        """Rows that condition the steps of an uncached call: per sequence,
+        its last text row (step 0), then its history rows.  (With cached
+        rows every row is a step: the call that cached the last text row
+        returned step 0.)"""
         rows, text_end, history_start = [], -1, self.text_rows
         for n, k in zip(self.text_lengths, self.history_lengths):
             text_end += n
@@ -647,9 +646,11 @@ def conditioning_batch(state: ModelState, texts, histories,
 
     embeddings = encode_patches(state, np.concatenate(histories))
     hiddens = semantic_hiddens(state, np.concatenate(tokens), embeddings, semantic_past, packing)
-    # Prefill quantizes steps 0..k; decode steps done+1..done+k.
-    rows = packing.step_rows()
-    quantized = fsq_quantize(embedding_lookup(hiddens, rows), cfg.fsq_delta, cfg.fsq_bound)
+    # Prefill quantizes steps 0..k; decode steps done+1..done+k, which are
+    # its rows as they stand.
+    rows = packing.step_rows() if fresh else None
+    quantized = fsq_quantize(hiddens if rows is None else embedding_lookup(hiddens, rows),
+                             cfg.fsq_delta, cfg.fsq_bound)
     # Decode's cached residual keys and values already hold the text rows.
     text_hiddens = narrow(hiddens, 0, 0, packing.text_rows) if fresh else None
     # History step i pairs patch i with the skeleton of step i; decode's

@@ -26,7 +26,7 @@ from .autodiff import (
     record,
     rng_stream,
 )
-from .fileio import write_atomic
+from .fileio import open_input, write_atomic
 from .flowmatch import (
     DEFAULT_CFG_SCALE,
     DEFAULT_STEPS,
@@ -603,7 +603,7 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> ModelSt
     (as f32 for version 1 files, whose fields are f32); the first that
     differs raises CheckpointError naming it.
     """
-    with open(path, "rb") as fh:
+    with open_input(path) as fh:
         reader = _Reader(fh.read(), CheckpointTruncatedError)
     magic = reader.take(4)
     if magic != CHECKPOINT_MAGIC:
@@ -672,7 +672,7 @@ def write_latents(path, patches: np.ndarray, frame_ms: int) -> None:
 
 def read_latents(path) -> tuple[np.ndarray, int]:
     """Read a latent trajectory file; returns (patches, frame_ms)."""
-    with open(path, "rb") as fh:
+    with open_input(path) as fh:
         reader = _Reader(fh.read(), LatentFileError)
     magic = reader.take(4)
     if magic != LATENT_MAGIC:

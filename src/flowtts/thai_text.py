@@ -14,6 +14,8 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 
+from .fileio import open_input
+
 __all__ = [
     "NormalizationConfig",
     "numerals_to_thai",
@@ -145,7 +147,7 @@ class NormalizationConfig:
 def load_lexicon(path) -> dict[str, str]:
     """Load a transliteration lexicon: UTF-8 TSV `latin<TAB>thai` (BOM allowed), '#' comments."""
     lexicon: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open_input(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

@@ -2,6 +2,9 @@
 finite differences (float64), determinism, and record (tape) semantics."""
 
 import math
+import os
+import subprocess
+import sys
 import threading
 import zlib
 
@@ -105,6 +108,35 @@ def test_layer_norm_is_bitwise_the_np_mean_formulation(dtype):
             assert y.data.dtype == x.grad.dtype == np.dtype(dtype)
             np.testing.assert_array_equal(y.data, y_ref)
             np.testing.assert_array_equal(x.grad, grad_ref)
+
+
+# gelu's first call loads scipy; from then on it is scipy's erf ufunc in
+# place: bitwise the out-of-place x * (0.5 * (1 + erf(x / sqrt 2))) in the
+# input's dtype.  The probe runs that first call in a fresh interpreter.
+GELU_PROBE = """
+import math, sys
+import numpy as np
+from flowtts.autodiff import constant, gelu
+dtype = np.dtype(sys.argv[1])
+x = (np.random.default_rng(43).standard_normal((9, 70)) * 4).astype(dtype)
+x[0, :6] = [0.0, -0.0, 1e-30, -1e-30, 30.0, -30.0]
+assert "scipy" not in sys.modules
+got = gelu(constant(x, dtype=dtype)).data
+assert "scipy" in sys.modules
+from scipy.special import erf
+one, half, sqrt2 = (dtype.type(v) for v in (1.0, 0.5, math.sqrt(2.0)))
+want = x * (half * (one + erf(x / sqrt2)))
+assert got.dtype == want.dtype == dtype
+print(got.tobytes() == want.tobytes(), gelu(constant(x, dtype=dtype)).data.tobytes() == want.tobytes())
+"""
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_gelu_is_bitwise_scipys_erf_from_its_first_call(dtype):
+    result = subprocess.run([sys.executable, "-c", GELU_PROBE, dtype], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["True", "True"]
 
 
 def test_sum_and_item():

@@ -1,10 +1,15 @@
 """CLI tests: subcommand behavior, determinism, exit codes, config parsing,
 and output-file atomicity, driving main() in-process."""
 
+import csv
+import hashlib
+import importlib.util
+import io
 import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +29,7 @@ from flowtts.cli import ConfigError
 from flowtts.evaluation import write_embedding
 from flowtts.flowmatch import DEFAULT_CFG_SCALE, DEFAULT_STEPS
 from flowtts.model import ModelConfig, init_model_state
-from flowtts.pipeline import load_checkpoint, read_latents, save_checkpoint
+from flowtts.pipeline import load_checkpoint, read_latents, save_checkpoint, write_latents
 
 TINY_CONFIG = """
 # tiny geometry for fast tests
@@ -590,6 +595,160 @@ def test_eval_tally_output_file_atomic(tmp_path):
 
 
 # --------------------------------------------------------------------------
+# Paths no file can have
+# --------------------------------------------------------------------------
+
+# Every path argument, each in a command whose other paths are good: a path
+# holding a NUL byte fails as a missing file does (exit 2, one ERROR line)
+# and leaves nothing behind, not even the other outputs of the command.
+NUL_PATH_ARGUMENTS = {
+    "train --config": ["train", "--config", "{bad}", "--out-checkpoint", "{dir}/m.ckpt",
+                       "--loss-csv", "{dir}/loss.csv", "--steps", "0"],
+    "train --out-checkpoint": ["train", "--config", "{cfg}", "--out-checkpoint", "{bad}",
+                               "--loss-csv", "{dir}/loss.csv", "--steps", "0"],
+    "train --loss-csv": ["train", "--config", "{cfg}", "--out-checkpoint", "{dir}/m.ckpt",
+                         "--loss-csv", "{bad}", "--steps", "0"],
+    "synth --checkpoint": ["synth", "--checkpoint", "{bad}", "--tokens", "1,2",
+                           "--out", "{dir}/x.jlat"],
+    "synth --ref-latents": ["synth", "--checkpoint", "{ckpt}", "--tokens", "1,2",
+                            "--ref-latents", "{bad}", "--out", "{dir}/x.jlat"],
+    "synth --out": ["synth", "--checkpoint", "{ckpt}", "--tokens", "1,2", "--max-patches", "2",
+                    "--out", "{bad}"],
+    "eval rtf --checkpoint": ["eval", "rtf", "--checkpoint", "{bad}", "--tokens", "1,2"],
+    "eval rtf --trajectory": ["eval", "rtf", "--trajectory", "{bad}", "--wall-seconds", "1"],
+    "eval sim --pairs": ["eval", "sim", "--pairs", "{bad}", "--out", "{dir}/sim.csv"],
+    "eval sim --out": ["eval", "sim", "--pairs", "{pairs}", "--out", "{bad}"],
+    "eval cer --input": ["eval", "cer", "--input", "{bad}", "--out", "{dir}/cer.csv"],
+    "eval cer --out": ["eval", "cer", "--input", "{rows}", "--out", "{bad}"],
+    "eval tally --votes": ["eval", "tally", "--votes", "{bad}", "--ours", "ours",
+                           "--out", "{dir}/tally.csv"],
+    "eval tally --out": ["eval", "tally", "--votes", "{votes}", "--ours", "ours", "--out", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("argv", NUL_PATH_ARGUMENTS.values(), ids=NUL_PATH_ARGUMENTS.keys())
+def test_a_path_with_a_nul_byte_is_an_io_error_and_leaves_nothing_behind(
+        tmp_path, tiny_config_path, tiny_checkpoint, capsys, argv):
+    embedding = tmp_path / "a.jemb"
+    write_embedding(embedding, np.array([1.0, 0.0, 0.0]))
+    write_latents(tmp_path / "ref.jlat", np.zeros((2, 4), dtype=np.float32), 40)
+    (tmp_path / "pairs.tsv").write_text(f"p1\t{embedding}\t{embedding}\n", encoding="utf-8")
+    (tmp_path / "rows.tsv").write_text("r1\tสวัสดี\tสวัสดี\n", encoding="utf-8")
+    (tmp_path / "votes.csv").write_text("ours,x,A\n", encoding="utf-8")
+    before = sorted(os.listdir(tmp_path))
+    paths = {"bad": f"{tmp_path}/nul\x00.out", "dir": str(tmp_path), "cfg": tiny_config_path,
+             "ckpt": tiny_checkpoint, "pairs": str(tmp_path / "pairs.tsv"),
+             "rows": str(tmp_path / "rows.tsv"), "votes": str(tmp_path / "votes.csv")}
+    code = main([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if line.startswith("ERROR ")]) == 1
+    assert "NUL byte" in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+# --------------------------------------------------------------------------
+# CSV output
+# --------------------------------------------------------------------------
+
+ODD_IDS = ["a,b", 'say "hi"', ' padded ', "plain"]
+
+
+@pytest.mark.parametrize("command", ["cer", "sim"])
+def test_eval_csv_ids_with_commas_and_quotes_parse_back(tmp_path, capsys, command):
+    embedding = tmp_path / "a.jemb"
+    write_embedding(embedding, np.array([1.0, 0.0, 0.0]))
+    rows = tmp_path / "rows.tsv"
+    if command == "cer":
+        rows.write_text("".join(f"{i}\tสวัสดี\tสวัสดี\n" for i in ODD_IDS), encoding="utf-8")
+        argv = ["eval", "cer", "--input", str(rows)]
+    else:
+        rows.write_text("".join(f"{i}\t{embedding}\t{embedding}\n" for i in ODD_IDS),
+                        encoding="utf-8")
+        argv = ["eval", "sim", "--pairs", str(rows)]
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    with open(out, encoding="utf-8", newline="") as fh:
+        parsed = list(csv.reader(fh))
+    assert [len(row) for row in parsed] == [2] * (len(ODD_IDS) + 2)
+    assert [row[0] for row in parsed] == ["id", *ODD_IDS, "mean"]
+    # stdout carries the same bytes.
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+
+def test_eval_tally_names_with_a_cr_a_comma_and_a_quote_parse_back(tmp_path):
+    # The votes CSV can quote a CR into a name, which no TSV reader passes
+    # on; csv.writer with a "\n" terminator would leave it bare.
+    names = ["cr\rname", "comma,name", 'quote"name']
+    votes = tmp_path / "votes.csv"
+    with open(votes, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([("ours", name, "A") for name in names])
+    out = tmp_path / "tally.csv"
+    assert main(["eval", "tally", "--votes", str(votes), "--out", str(out)]) == EXIT_OK
+    with open(out, encoding="utf-8", newline="") as fh:
+        parsed = list(csv.reader(fh))
+    assert parsed == [["competitor", "wins", "ties", "losses"],
+                      *([name, "1", "0", "0"] for name in names), ["overall", "3", "0", "0"]]
+    assert out.read_bytes().count(b"\n") == len(names) + 2
+
+
+def _load_benchmark_inputs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# sha256 over the four eval_cer CSVs of a benchmark seed, in file order, as
+# the CLI wrote them when each row was joined by hand.
+BENCHMARK_CER_DIGESTS = {
+    1: "147dd3b17335a726889e0d7059885978d885c810a4c5f73388c22bbbf2e80148",
+    610: "20e9278fd829d8f32fda84714d0f65991b6cf15339b984e1c02e16fe8af1e211",
+    611: "1370875ecb0d1972a98790a197757d1206b6ff773ece2b0fb2219456871932a6",
+}
+
+
+@pytest.mark.parametrize("seed", BENCHMARK_CER_DIGESTS)
+def test_eval_cer_csvs_of_the_benchmark_files_are_unchanged(tmp_path, seed):
+    inputs = _load_benchmark_inputs()
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("\n".join(inputs.lexicon_tsv()) + "\n", encoding="utf-8")
+    rng = np.random.default_rng([seed, 2])
+    digest = hashlib.sha256()
+    for f in range(4):
+        rows = tmp_path / f"cer-{f}.tsv"
+        rows.write_text("\n".join(inputs.cer_tsv(rng, 200, 29, f"f{f}")) + "\n", encoding="utf-8")
+        out = tmp_path / f"cer-{f}.csv"
+        assert main(["eval", "cer", "--input", str(rows), "--lexicon", str(lexicon),
+                     "--out", str(out)]) == EXIT_OK
+        digest.update(out.read_bytes())
+    assert digest.hexdigest() == BENCHMARK_CER_DIGESTS[seed]
+
+
+def test_eval_csvs_of_plain_ids_are_unchanged(tmp_path, capsys):
+    # The fixtures above, byte for byte as the hand-joined rows gave them.
+    tsv = tmp_path / "pairs.tsv"
+    tsv.write_text("r1\tสวัสดี\tสวัสดี\nr2\tต่างๆ\tต่างต่าง\n", encoding="utf-8")
+    assert main(["eval", "cer", "--input", str(tsv)]) == EXIT_OK
+    assert capsys.readouterr().out == "id,cer\nr1,0.000000\nr2,0.000000\nmean,0.000000\n"
+    a, b = tmp_path / "a.jemb", tmp_path / "b.jemb"
+    write_embedding(a, np.array([1.0, 0.0, 0.0]))
+    write_embedding(b, np.array([0.0, 1.0, 0.0]))
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text(f"p1\t{a}\t{a}\np2\t{a}\t{b}\n", encoding="utf-8")
+    assert main(["eval", "sim", "--pairs", str(pairs)]) == EXIT_OK
+    assert capsys.readouterr().out == "id,sim\np1,1.000000\np2,0.000000\nmean,0.500000\n"
+    votes = tmp_path / "votes.csv"
+    _write_fig2_votes(votes)
+    assert main(["eval", "tally", "--votes", str(votes)]) == EXIT_OK
+    assert capsys.readouterr().out == ("competitor,wins,ties,losses\neleven_v3,161,19,20\n"
+                                       "speech-2.8-hd,122,40,38\noverall,283,59,58\n")
+
+
+# --------------------------------------------------------------------------
 # Entry point
 # --------------------------------------------------------------------------
 
@@ -597,7 +756,7 @@ IMPORT_PROBE = """
 import gc, sys
 def top_level():
     return {name.partition(".")[0] for name in sys.modules}
-import numpy, scipy.special  # flowtts's two dependencies, with what they load
+import numpy  # with what it loads
 dependencies = top_level()
 import flowtts.cli
 from flowtts.autodiff import Tensor
@@ -607,13 +766,40 @@ print(sum(isinstance(o, (Tensor, ModelState)) for o in gc.get_objects()))
 """
 
 
-def test_importing_the_cli_loads_only_numpy_and_scipy_and_builds_no_parameters():
-    # A fresh interpreter's import is most of every workload's setup time:
-    # flowtts itself adds no third-party package and allocates no model.
-    result = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True,
+def _probe(code: str, *args: str) -> list[str]:
+    result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["[]", "0"]
+    return result.stdout.splitlines()
+
+
+def test_importing_the_cli_loads_only_numpy_and_builds_no_parameters():
+    # A fresh interpreter's import is most of every workload's setup time:
+    # flowtts itself adds no third-party package, not even scipy, which the
+    # first gelu call loads, and allocates no model.
+    assert _probe(IMPORT_PROBE) == ["[]", "0"]
+
+
+SCIPY_PROBE = """
+import sys
+from flowtts.cli import main
+loaded = lambda: str("scipy" in sys.modules)
+print(loaded())
+print(main(["eval", "cer", "--input", sys.argv[1], "--lexicon", sys.argv[2]]), loaded())
+import numpy as np
+from flowtts.autodiff import gelu
+gelu(np.ones((2, 3), dtype=np.float32))
+print(loaded())
+"""
+
+
+def test_eval_cer_leaves_scipy_unloaded_until_the_first_gelu(tmp_path):
+    rows = tmp_path / "rows.tsv"
+    rows.write_text("r1\tok ดี\tโอเคดี\n", encoding="utf-8")
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text("ok\tโอเค\n", encoding="utf-8")
+    assert _probe(SCIPY_PROBE, str(rows), str(lexicon)) == [
+        "False", "id,cer", "r1,0.000000", "mean,0.000000", "0 False", "True"]
 
 
 def test_console_entry_point_help():
