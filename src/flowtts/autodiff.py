@@ -39,21 +39,16 @@ __all__ = [
     "rng_stream",
     "RngHub",
     "primitive_forward_set",
-    "matmul",
     "linear",
     "stacked_linear",
     "add",
     "mul",
     "gelu",
-    "layer_norm",
     "layer_norm_affine",
-    "softmax",
-    "sigmoid",
     "embedding_lookup",
     "concat",
     "narrow",
     "attention",
-    "repeat_rows",
     "tile_rows",
     "tensor_sum",
     "mse",
@@ -72,11 +67,6 @@ class RecordError(RuntimeError):
 _DEFAULT_DTYPE: contextvars.ContextVar[np.dtype] = contextvars.ContextVar(
     "flowtts_default_dtype", default=np.dtype(np.float32))
 
-_DTYPE_ALIASES = {
-    "float32": np.dtype(np.float32),
-    "float64": np.dtype(np.float64),
-}
-
 
 def active_dtype() -> np.dtype:
     """Dtype used for tensors created without an explicit dtype."""
@@ -87,11 +77,7 @@ def active_dtype() -> np.dtype:
 def precision(dtype):
     """Temporarily switch the default dtype ("float32" or "float64") of the
     calling thread."""
-    if isinstance(dtype, str):
-        dtype = _DTYPE_ALIASES[dtype]
-    else:
-        dtype = np.dtype(dtype)
-    token = _DEFAULT_DTYPE.set(dtype)
+    token = _DEFAULT_DTYPE.set(np.dtype(dtype))
     try:
         yield
     finally:
@@ -269,26 +255,13 @@ def _wrap(x, like: Tensor | None = None) -> Tensor:
 # Primitives
 # --------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b, a)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.data.shape} and {b.data.shape} are not conformable")
-    out = _from_array(a.data @ b.data, a.requires_grad or b.requires_grad)
-
-    def adjoint(g: np.ndarray) -> None:
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
-
-    push_op(out, adjoint)
-    return out
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map x @ w + b of (n, d_in) rows, with w (d_in, d_out) and b (d_out,).
 
-    One tape entry in place of ``add(matmul(x, w), b)``; the output and every
-    operand gradient are bitwise the composition's (the bias is added in place
-    to the product, and the adjoint forms the same sums in the same order).
+    One tape entry in place of a taped product x @ w and an ``add`` of b; the
+    output and every operand gradient are bitwise that composition's (the bias
+    is added in place to the product, and the adjoint forms the same sums in
+    the same order).
     """
     x, w, b = _wrap(x), _wrap(w, x), _wrap(b, x)
     xd, wd, bd = x.data, w.data, b.data
@@ -419,7 +392,7 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """(xhat, 1 / std) of the last axis, shared by both layer norms.
+    """(xhat, 1 / std) of the last axis, for ``layer_norm_affine``.
 
     Row means as np.add.reduce(...) / d: bitwise what np.mean gives, without
     its Python-level wrapper, which dominates on the small rows used here.
@@ -447,28 +420,14 @@ def _normalize_adjoint(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.n
     return (inv * (g - gm - xhat * gx)).astype(xhat.dtype, copy=False)
 
 
-def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (no affine terms).
-
-    A zero-variance slice maps to exactly zero: the epsilon sits in the
-    denominator, so constant inputs cannot produce NaN.
-    """
-    x = _wrap(x)
-    xhat, inv = _normalize(x.data, eps)
-    out = _from_array(xhat, x.requires_grad)
-
-    def adjoint(g: np.ndarray) -> None:
-        _accumulate(x, _normalize_adjoint(g, xhat, inv))
-
-    push_op(out, adjoint)
-    return out
-
-
 def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """``layer_norm(x) * gain + bias`` with (d,) gain and bias over the last axis.
+    """Normalize the last axis to zero mean and unit variance, then scale by
+    ``gain`` and shift by ``bias``, both (d,).
 
-    One tape entry in place of ``add(mul(layer_norm(x), gain), bias)``; the
-    output and every operand gradient are bitwise the composition's.
+    A zero-variance row maps to exactly ``bias``: the epsilon sits in the
+    denominator, so constant inputs cannot produce NaN.  One tape entry in
+    place of a taped normalization, a ``mul`` by gain and an ``add`` of bias;
+    the output and every operand gradient are bitwise that composition's.
     """
     x = _wrap(x)
     gain, bias = _wrap(gain, x), _wrap(bias, x)
@@ -487,36 +446,6 @@ def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) 
         _accumulate(gain, _unbroadcast(g * xhat, d))
         if x.requires_grad:
             _accumulate(x, _normalize_adjoint(g * gd, xhat, inv))
-
-    push_op(out, adjoint)
-    return out
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Numerically stable softmax over the last axis."""
-    x = _wrap(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = _from_array(y.astype(x.data.dtype, copy=False), x.requires_grad)
-
-    def adjoint(g: np.ndarray) -> None:
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        _accumulate(x, (y * (g - dot)).astype(x.data.dtype, copy=False))
-
-    push_op(out, adjoint)
-    return out
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    x = _wrap(x)
-    y = np.where(x.data >= 0, 1.0 / (1.0 + np.exp(-x.data)),
-                 np.exp(x.data) / (1.0 + np.exp(x.data)))
-    y = y.astype(x.data.dtype, copy=False)
-    out = _from_array(y, x.requires_grad)
-
-    def adjoint(g: np.ndarray) -> None:
-        _accumulate(x, g * y * (1.0 - y))
 
     push_op(out, adjoint)
     return out
@@ -603,8 +532,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None, batch: int
     queries are the last Tq of each sequence's Tk positions (Tk > Tq when
     earlier keys and values come from a cache).  Head h owns columns
     [h * d_h, (h + 1) * d_h) with d_h = d / heads.  Per sequence and head the
-    output is softmax(q k^T * d_h^-1/2 + mask) v, and the heads are
-    concatenated along columns, so the result is shaped like ``q``.
+    output is P v, with P the row-normalized exp of q k^T * d_h^-1/2 + mask,
+    and the heads are concatenated along columns, so the result is shaped
+    like ``q``.
     ``mask`` is an additive (Tq, Tk) constant shared by every sequence, or
     None for unmasked attention; it receives no gradient.
 
@@ -641,7 +571,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None, batch: int
         return x.transpose(0, 2, 1, 3).reshape(-1, d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    # Same operation order as softmax(mul(q k^T, scale) + mask) @ v, in place.
+    # The per-head composition's operation order (scale, mask, subtract the
+    # row max, exp, divide by the row sum, @ v), in place.
     p = qh @ kh.swapaxes(-1, -2)
     p *= scale
     if mask_data is not None:
@@ -661,20 +592,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None, batch: int
         _accumulate(q, merge(ds @ kh))
         _accumulate(k, merge((qh.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)))
         _accumulate(v, merge(p.swapaxes(-1, -2) @ go))
-
-    push_op(out, adjoint)
-    return out
-
-
-def repeat_rows(x: Tensor, reps: int) -> Tensor:
-    """Repeat each row ``reps`` times: rows [a, b] -> [a, a, b, b] for reps=2."""
-    x = _wrap(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"repeat_rows: expected rank 2, got shape {x.data.shape}")
-    out = _from_array(np.repeat(x.data, reps, axis=0), x.requires_grad)
-
-    def adjoint(g: np.ndarray) -> None:
-        _accumulate(x, g.reshape(x.data.shape[0], reps, -1).sum(axis=1))
 
     push_op(out, adjoint)
     return out
@@ -777,25 +694,19 @@ def bce_with_logits(logits: Tensor, targets, row_weights=None) -> Tensor:
 def primitive_forward_set() -> dict[str, Callable]:
     """Registry of forward primitives; every entry has a registered adjoint."""
     return {
-        "matmul": matmul,
         "add": add,
         "mul": mul,
         "gelu": gelu,
-        "layer_norm": layer_norm,
-        "softmax": softmax,
         "embedding_lookup": embedding_lookup,
         "concat": concat,
         "slice": narrow,
         "sum": tensor_sum,
         "mse": mse,
-        "sigmoid": sigmoid,
         "bce_with_logits": bce_with_logits,
-        # Extras used by the model; held to the same gradient contract.
         "attention": attention,
         "linear": linear,
         "stacked_linear": stacked_linear,
         "layer_norm_affine": layer_norm_affine,
-        "repeat_rows": repeat_rows,
         "tile_rows": tile_rows,
     }
 

@@ -37,7 +37,7 @@ from .evaluation import (
     read_embedding,
     read_votes_csv,
 )
-from .fileio import checked_path, open_input, write_atomic
+from .fileio import checked_output_path, open_input, read_tsv_rows, write_atomic
 from .flowmatch import DEFAULT_CFG_SCALE, DEFAULT_STEPS
 from .model import ModelConfig, NonFiniteError, init_model_state
 from .pipeline import (
@@ -177,9 +177,11 @@ def _synthesize(state, tokens, *args, **kwargs):
 def cmd_train(args) -> int:
     # The seed: --seed, else $JAITTS_SEED, else the config file's, else 0.
     overrides = {"seed": _resolve_seed(args.seed, fallback=None), "train_steps": args.steps}
-    # A path no file can have fails now, not after the training it would end.
-    checked_path(args.out_checkpoint)
-    checked_path(args.loss_csv)
+    # An output path no file can have, or whose directory does not exist,
+    # fails now: not after the training it would end, nor after the other
+    # output is written.
+    checked_output_path(args.out_checkpoint)
+    checked_output_path(args.loss_csv)
     file_values = parse_config_file(args.config) if args.config else {}
     model_config, train_config = build_configs(file_values, overrides)
 
@@ -254,21 +256,16 @@ def cmd_eval_cer(args) -> int:
 
 def cmd_eval_sim(args) -> int:
     results = []
-    with open_input(args.pairs, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise MalformedRowError(f"pairs row {lineno}: expected `id<TAB>ref<TAB>hyp`")
-            pair_id, ref_path, hyp_path = parts
-            ref = read_embedding(ref_path)
-            hyp = read_embedding(hyp_path)
-            try:
-                results.append((pair_id, cosine_sim(ref, hyp)))
-            except ValueError as exc:
-                raise MalformedRowError(f"pairs row {lineno}: {exc}") from None
+    for lineno, fields in read_tsv_rows(args.pairs):
+        if len(fields) != 3:
+            raise MalformedRowError(f"pairs row {lineno}: expected `id<TAB>ref<TAB>hyp`")
+        pair_id, ref_path, hyp_path = fields
+        ref = read_embedding(ref_path)
+        hyp = read_embedding(hyp_path)
+        try:
+            results.append((pair_id, cosine_sim(ref, hyp)))
+        except ValueError as exc:
+            raise MalformedRowError(f"pairs row {lineno}: {exc}") from None
     mean = sum(v for _, v in results) / len(results) if results else 0.0
     _emit(args.out, [("id", "sim"), *((pair_id, f"{value:.6f}") for pair_id, value in results),
                      ("mean", f"{mean:.6f}")])

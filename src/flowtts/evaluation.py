@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import open_input, write_atomic
+from .fileio import open_input, read_tsv_rows, write_atomic
 from .thai_text import NormalizationConfig, normalize
 
 __all__ = [
@@ -262,17 +262,13 @@ def read_embedding(path) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def read_cer_batch(path) -> list[tuple[str, str, str]]:
-    """Read `id<TAB>reference<TAB>hypothesis` rows from a UTF-8 TSV file (BOM allowed)."""
+    """Read `id<TAB>reference<TAB>hypothesis` rows from a UTF-8 TSV file (BOM
+    allowed; rows as ``read_tsv_rows`` splits them)."""
     rows: list[tuple[str, str, str]] = []
-    with open_input(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"cer batch row {lineno}: expected 3 tab-separated fields")
-            rows.append((parts[0], parts[1], parts[2]))
+    for lineno, fields in read_tsv_rows(path):
+        if len(fields) != 3:
+            raise ValueError(f"cer batch row {lineno}: expected 3 tab-separated fields")
+        rows.append(tuple(fields))
     return rows
 
 

@@ -1,9 +1,10 @@
 """Independent oracles shared by the unit and acceptance suites.
 
 These stay deliberately naive: the hand-written numeral table, the memoized
-recursive edit distance, the row-by-row DP and the per-character
-normalization stages exist to check the production code, so they must not
-share its implementation strategy.
+recursive edit distance, the row-by-row DP, the per-character
+normalization stages and the taped primitives the fused ones replaced exist
+to check the production code, so they must not share its implementation
+strategy.
 """
 
 import functools
@@ -12,6 +13,7 @@ import unicodedata
 
 import numpy as np
 
+from flowtts.autodiff import Tensor, _accumulate, push_op
 from flowtts.flowmatch import cfg_combine, velocity
 from flowtts.model import MASK_VALUE
 from flowtts.thai_text import MAI_YAMOK
@@ -134,6 +136,52 @@ def char_loop_expand_mai_yamok(text: str) -> str:
 def category_strip_separators(text: str) -> str:
     """The per-character category filter that `_strip_separators` replaced."""
     return "".join(c for c in text if unicodedata.category(c)[0] not in ("P", "Z"))
+
+
+def _taped(data, inputs, adjoint):
+    out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs), dtype=data.dtype)
+    push_op(out, adjoint)
+    return out
+
+
+def matmul(a, b):
+    """Taped a @ b of rank-2 tensors: the product ``linear`` fuses with its
+    bias add."""
+
+    def adjoint(g):
+        _accumulate(a, g @ b.data.T)
+        _accumulate(b, a.data.T @ g)
+
+    return _taped(a.data @ b.data, (a, b), adjoint)
+
+
+def layer_norm(x, eps=1e-5):
+    """Taped normalization of the last axis to zero mean and unit variance,
+    with every row mean taken by np.mean: what ``layer_norm_affine`` fuses
+    with its gain and bias."""
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.mean(centered * centered, axis=-1, keepdims=True) + eps)
+    xhat = (centered * inv).astype(x.data.dtype, copy=False)
+
+    def adjoint(g):
+        gm = g.mean(axis=-1, keepdims=True)
+        gx = (g * xhat).mean(axis=-1, keepdims=True)
+        _accumulate(x, (inv * (g - gm - xhat * gx)).astype(x.data.dtype, copy=False))
+
+    return _taped(xhat, (x,), adjoint)
+
+
+def softmax(x):
+    """Taped, max-shifted softmax over the last axis: what ``attention``
+    fuses per head."""
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    y = (e / e.sum(axis=-1, keepdims=True)).astype(x.data.dtype, copy=False)
+
+    def adjoint(g):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        _accumulate(x, (y * (g - dot)).astype(x.data.dtype, copy=False))
+
+    return _taped(y, (x,), adjoint)
 
 
 def two_call_sample_patch(state, h_final, z_prev, steps, cfg_scale, rng):

@@ -254,6 +254,23 @@ def test_training_configs_that_cannot_run_fail_before_step_0(tmp_path, capsys, s
         assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["no-checkpoint", "old-checkpoint"])
+def test_train_with_a_loss_csv_in_a_missing_directory_writes_nothing(
+        tmp_path, tiny_config_path, monkeypatch, capsys, existing):
+    monkeypatch.chdir(tmp_path)
+    if existing:
+        (tmp_path / "m.ckpt").write_bytes(b"old checkpoint")
+    before = sorted(os.listdir(tmp_path))
+    code = main(["train", "--config", tiny_config_path, "--steps", "0",
+                 "--out-checkpoint", "m.ckpt", "--loss-csv", "missing/loss.csv"])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert "missing/loss.csv" in err and ".tmp-" not in err
+    assert sorted(os.listdir(tmp_path)) == before
+    if existing:
+        assert (tmp_path / "m.ckpt").read_bytes() == b"old checkpoint"
+
+
 # --------------------------------------------------------------------------
 # synth
 # --------------------------------------------------------------------------
@@ -652,7 +669,8 @@ def test_a_path_with_a_nul_byte_is_an_io_error_and_leaves_nothing_behind(
 # CSV output
 # --------------------------------------------------------------------------
 
-ODD_IDS = ["a,b", 'say "hi"', ' padded ', "plain"]
+# A TSV row ends only at LF, so an id may hold a lone CR, which the report quotes.
+ODD_IDS = ["a,b", 'say "hi"', ' padded ', "cr\rid", "plain"]
 
 
 @pytest.mark.parametrize("command", ["cer", "sim"])
@@ -675,12 +693,12 @@ def test_eval_csv_ids_with_commas_and_quotes_parse_back(tmp_path, capsys, comman
     assert [row[0] for row in parsed] == ["id", *ODD_IDS, "mean"]
     # stdout carries the same bytes.
     assert main(argv) == EXIT_OK
-    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+    assert capsys.readouterr().out == out.read_bytes().decode("utf-8")
 
 
 def test_eval_tally_names_with_a_cr_a_comma_and_a_quote_parse_back(tmp_path):
-    # The votes CSV can quote a CR into a name, which no TSV reader passes
-    # on; csv.writer with a "\n" terminator would leave it bare.
+    # The votes CSV can quote a CR into a name; csv.writer with a "\n"
+    # terminator would leave it bare.
     names = ["cr\rname", "comma,name", 'quote"name']
     votes = tmp_path / "votes.csv"
     with open(votes, "w", encoding="utf-8", newline="") as fh:
@@ -692,6 +710,16 @@ def test_eval_tally_names_with_a_cr_a_comma_and_a_quote_parse_back(tmp_path):
     assert parsed == [["competitor", "wins", "ties", "losses"],
                       *([name, "1", "0", "0"] for name in names), ["overall", "3", "0", "0"]]
     assert out.read_bytes().count(b"\n") == len(names) + 2
+
+
+def test_an_output_that_cannot_be_created_is_reported_under_its_own_path(tmp_path, capsys):
+    rows = tmp_path / "rows.tsv"
+    rows.write_text("r1\tสวัสดี\tสวัสดี\n", encoding="utf-8")
+    out = f"{tmp_path}/missing/cer.csv"
+    assert main(["eval", "cer", "--input", str(rows), "--out", out]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert repr(out) in err and ".tmp-" not in err
+    assert os.listdir(tmp_path) == ["rows.tsv"]
 
 
 def _load_benchmark_inputs():

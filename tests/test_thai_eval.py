@@ -518,6 +518,18 @@ def test_cer_batch_with_bom_reads_as_without(tmp_path):
     assert read_cer_batch(marked) == read_cer_batch(plain) == [("r1", "กขค", "กค")]
 
 
+def test_cer_batch_rows_end_at_lf_and_drop_the_cr_of_a_crlf_ending(tmp_path):
+    rows = [("r1", "กขค", "กค"), ("r2", "a b", "ab")]
+    lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+    lf.write_bytes("".join("\t".join(r) + "\n" for r in rows).encode("utf-8"))
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_cer_batch(crlf) == read_cer_batch(lf) == rows
+    # A lone CR is part of its field, not a row end; only a CRLF's CR goes.
+    lone = tmp_path / "lone.tsv"
+    lone.write_bytes(b"a\rb\tx\tx\r\n\r\nc\tx\ty\r\r\n")
+    assert read_cer_batch(lone) == [("a\rb", "x", "x"), ("c", "x", "y\r")]
+
+
 def test_votes_with_bom_header_reads_as_without(tmp_path):
     plain, marked = _with_and_without_bom(tmp_path, "votes.csv",
                                           "model_a,model_b,outcome\nours,x,A\n")
