@@ -55,6 +55,24 @@ def _rand(shape):
 # Forward examples
 # --------------------------------------------------------------------------
 
+# The oracles' taped product, normalization and softmax are the references
+# the fused primitives are checked against, so they are checked too.
+def test_matmul_identity():
+    a = _rand((3, 5))
+    out = matmul(constant(np.eye(3)), constant(a))
+    np.testing.assert_array_equal(out.data, a.astype(np.float32))
+
+
+def test_softmax_rows_sum_to_one():
+    y = softmax(constant(_rand((6, 9)))).data
+    np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-6)
+
+
+def test_layer_norm_constant_vector_is_zero():
+    y = layer_norm(constant(np.full((4,), 3.7))).data
+    np.testing.assert_array_equal(y, np.zeros(4, dtype=np.float32))
+
+
 def test_layer_norm_affine_maps_a_constant_row_to_the_bias():
     bias = _rand(4)
     y = layer_norm_affine(constant(np.full((4,), 3.7)), constant(_rand(4)), constant(bias)).data
@@ -345,14 +363,17 @@ def _scalarize(y):
 
 
 PRIMITIVE_CASES = {
+    "matmul": lambda x: _scalarize(matmul(x, constant(_FIXED["mat_b"]))),
     "linear": lambda x: _scalarize(mul(linear(x, constant(_FIXED["mat_b"]), constant(_FIXED["vec"])),
                                        constant(_FIXED["like_out"]))),
     "add": lambda x: _scalarize(add(x, constant(_FIXED["like"]))),
     "mul": lambda x: _scalarize(mul(x, constant(_FIXED["like"]))),
     "gelu": lambda x: _scalarize(gelu(x)),
+    "layer_norm": lambda x: _scalarize(mul(layer_norm(x), constant(_FIXED["like"]))),
     "layer_norm_affine": lambda x: _scalarize(mul(
         layer_norm_affine(x, constant(_FIXED["gain"]), constant(_FIXED["bias"])),
         constant(_FIXED["like"]))),
+    "softmax": lambda x: _scalarize(mul(softmax(x), constant(_FIXED["like"]))),
     "embedding_lookup": lambda x: _scalarize(embedding_lookup(x, _FIXED["ids"])),
     "concat": lambda x: _scalarize(concat([x, constant(_FIXED["like"])], axis=0)),
     "slice": lambda x: _scalarize(narrow(x, 0, 1, 2)),
@@ -389,7 +410,7 @@ def _attention_of_blocks(x):
 
 def _shapes_for(name: str):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
-    if name in ("linear", "stacked_linear"):
+    if name in ("matmul", "linear", "stacked_linear"):
         return [(int(rng.integers(1, 8)), int(rng.integers(1, 8))) for _ in range(3)]
     if name == "attention":
         return list(_ATTENTION_CASES)
@@ -404,7 +425,11 @@ def _shapes_for(name: str):
     return shapes
 
 
-@pytest.mark.parametrize("name", sorted(primitive_forward_set()))
+# The oracles' taped primitives the fused ones are checked against.
+ORACLE_PRIMITIVES = ["matmul", "layer_norm", "softmax"]
+
+
+@pytest.mark.parametrize("name", sorted(primitive_forward_set()) + ORACLE_PRIMITIVES)
 def test_primitive_gradient_soundness(name):
     if name not in PRIMITIVE_CASES:
         pytest.fail(f"no gradient-soundness case for registered primitive {name!r}")
@@ -413,7 +438,7 @@ def test_primitive_gradient_soundness(name):
         for shape in _shapes_for(name):
             x = parameter(rng.standard_normal(shape))
             _FIXED["like"] = rng.standard_normal(shape)
-            if name == "linear":
+            if name in ("matmul", "linear"):
                 _FIXED["mat_b"] = rng.standard_normal((shape[-1], 3))
                 _FIXED["vec"] = rng.standard_normal(3)
                 _FIXED["like_out"] = rng.standard_normal((shape[0], 3))
