@@ -49,7 +49,6 @@ __all__ = [
     "concat",
     "narrow",
     "attention",
-    "tile_rows",
     "tensor_sum",
     "mse",
     "bce_with_logits",
@@ -244,16 +243,12 @@ def _scalar(value: float, dtype: np.dtype) -> np.ndarray:
     return s
 
 
-def _wrap(x, like: Tensor | None = None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.data.dtype if like is not None else _DEFAULT_DTYPE.get()
-    return Tensor(x, requires_grad=False, dtype=dtype)
-
-
 # --------------------------------------------------------------------------
 # Primitives
 # --------------------------------------------------------------------------
+# Operands are Tensors, taken as given: nothing is cast.  Their requires_grad
+# flags are combined with `|`, which reads every one, so a raw array or
+# number raises at the call rather than in the adjoint.
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map x @ w + b of (n, d_in) rows, with w (d_in, d_out) and b (d_out,).
@@ -263,14 +258,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     is added in place to the product, and the adjoint forms the same sums in
     the same order).
     """
-    x, w, b = _wrap(x), _wrap(w, x), _wrap(b, x)
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or bd.shape != wd.shape[1:]:
         raise ShapeError(f"linear: shapes {xd.shape}, {wd.shape} and {bd.shape} "
                          f"are not (n, d_in), (d_in, d_out) and (d_out,)")
     data = xd @ wd
     np.add(data, bd, out=data)
-    out = _from_array(data, x.requires_grad or w.requires_grad or b.requires_grad)
+    out = _from_array(data, x.requires_grad | w.requires_grad | b.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
         _accumulate(b, _unbroadcast(g, bd.shape))
@@ -293,7 +287,6 @@ def stacked_linear(x: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, ...]:
     separate entries would replay.  While recording, the outputs' gradients
     are views into one (s, n, d_out) array, which the adjoint reads whole.
     """
-    x, w, b = _wrap(x), _wrap(w, x), _wrap(b, x)
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim != 2 or wd.ndim != 3 or xd.shape[1] != wd.shape[1] \
             or bd.shape != (wd.shape[0], wd.shape[2]):
@@ -301,7 +294,7 @@ def stacked_linear(x: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, ...]:
                          f"are not (n, d_in), (s, d_in, d_out) and (s, d_out)")
     data = np.matmul(xd, wd)
     np.add(data, bd[:, None, :], out=data)
-    requires_grad = x.requires_grad or w.requires_grad or b.requires_grad
+    requires_grad = x.requires_grad | w.requires_grad | b.requires_grad
     outs = tuple(_from_array(part, requires_grad) for part in data)
     if not requires_grad or _ACTIVE_TAPE.get() is None:
         return outs
@@ -325,14 +318,12 @@ def stacked_linear(x: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, ...]:
     return outs
 
 
-def add(a: Tensor, b) -> Tensor:
-    a = _wrap(a)
-    b = _wrap(b, a)
+def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         data = a.data + b.data
     except ValueError:
         raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
-    out = _from_array(data, a.requires_grad or b.requires_grad)
+    out = _from_array(data, a.requires_grad | b.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
         _accumulate(a, _unbroadcast(g, a.data.shape))
@@ -342,14 +333,12 @@ def add(a: Tensor, b) -> Tensor:
     return out
 
 
-def mul(a: Tensor, b) -> Tensor:
-    a = _wrap(a)
-    b = _wrap(b, a)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     try:
         data = a.data * b.data
     except ValueError:
         raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
-    out = _from_array(data, a.requires_grad or b.requires_grad)
+    out = _from_array(data, a.requires_grad | b.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
         _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
@@ -373,7 +362,6 @@ def gelu(x: Tensor) -> Tensor:
     global _erf
     if _erf is None:
         from scipy.special import erf as _erf
-    x = _wrap(x)
     # erf is most of the forward time; it and the two passes after it run in
     # place, which gives the same bits as 0.5 * (1.0 + erf(x / sqrt(2))).
     dtype = x.data.dtype
@@ -429,8 +417,6 @@ def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) 
     place of a taped normalization, a ``mul`` by gain and an ``add`` of bias;
     the output and every operand gradient are bitwise that composition's.
     """
-    x = _wrap(x)
-    gain, bias = _wrap(gain, x), _wrap(bias, x)
     gd = gain.data
     d = x.data.shape[-1:]
     if gd.shape != d or bias.data.shape != d:
@@ -439,7 +425,7 @@ def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) 
     xhat, inv = _normalize(x.data, eps)
     data = xhat * gd
     np.add(data, bias.data, out=data)
-    out = _from_array(data, x.requires_grad or gain.requires_grad or bias.requires_grad)
+    out = _from_array(data, x.requires_grad | gain.requires_grad | bias.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
         _accumulate(bias, _unbroadcast(g, d))
@@ -453,7 +439,6 @@ def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Gather rows ``table[ids]``; the adjoint scatter-adds into the table."""
-    table = _wrap(table)
     idx = np.asarray(ids)
     if table.data.ndim != 2:
         raise ShapeError(f"embedding_lookup: table must be rank 2, got shape {table.data.shape}")
@@ -477,7 +462,6 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = [_wrap(p) for p in parts]
     if not parts:
         raise ShapeError("concat: need at least one tensor")
     try:
@@ -486,7 +470,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         raise ShapeError(
             f"concat: shapes {[p.data.shape for p in parts]} do not align on axis {axis}"
         ) from None
-    out = _from_array(data, any(p.requires_grad for p in parts))
+    out = _from_array(data, any([p.requires_grad for p in parts]))
 
     def adjoint(g: np.ndarray) -> None:
         start = 0
@@ -505,7 +489,6 @@ def narrow(x: Tensor, axis: int, start: int, length: int, step: int = 1) -> Tens
     """Slice of ``length`` extents along ``axis``: ``start``, ``start + step``,
     ...; contiguous with the default step 1.  The result is a view of
     ``x``'s data, strided for a larger step, never a copy."""
-    x = _wrap(x)
     extent = x.data.shape[axis]
     stop = start + (length - 1) * step + 1 if length else start
     if start < 0 or length < 0 or step < 1 or stop > extent:
@@ -535,13 +518,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None, batch: int
     output is P v, with P the row-normalized exp of q k^T * d_h^-1/2 + mask,
     and the heads are concatenated along columns, so the result is shaped
     like ``q``.
-    ``mask`` is an additive (Tq, Tk) constant shared by every sequence, or
-    None for unmasked attention; it receives no gradient.
+    ``mask`` is an additive (Tq, Tk) ndarray of q's dtype shared by every
+    sequence, or None for unmasked attention; it receives no gradient.
 
     The adjoint is closed-form: with P the attention weights,
     dS = P * (dP - rowsum(dP * P)).
     """
-    q, k, v = _wrap(q), _wrap(k, q), _wrap(v, q)
     if q.data.ndim != 2 or k.data.shape != v.data.shape or k.data.ndim != 2 \
             or k.data.shape[1] != q.data.shape[1]:
         raise ShapeError(
@@ -558,9 +540,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None, batch: int
         )
     seq, key_seq = rows // batch, key_rows // batch
     dh = d // heads
-    mask_data = None if mask is None else _wrap(mask, q).data
-    if mask_data is not None and mask_data.shape != (seq, key_seq):
-        raise ShapeError(f"attention: mask shape {mask_data.shape}, expected {(seq, key_seq)}")
+    if mask is not None and mask.shape != (seq, key_seq):
+        raise ShapeError(f"attention: mask shape {mask.shape}, expected {(seq, key_seq)}")
     scale = _scalar(1.0 / math.sqrt(dh), q.data.dtype)
 
     def split(x: np.ndarray) -> np.ndarray:
@@ -575,13 +556,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None, batch: int
     # row max, exp, divide by the row sum, @ v), in place.
     p = qh @ kh.swapaxes(-1, -2)
     p *= scale
-    if mask_data is not None:
-        p += mask_data
+    if mask is not None:
+        p += mask
     # The ufunc reductions are what p.max and p.sum call, minus their wrappers.
     p -= np.maximum.reduce(p, axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= np.add.reduce(p, axis=-1, keepdims=True)
-    out = _from_array(merge(p @ vh), q.requires_grad or k.requires_grad or v.requires_grad)
+    out = _from_array(merge(p @ vh), q.requires_grad | k.requires_grad | v.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
         go = split(g)
@@ -597,23 +578,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None, batch: int
     return out
 
 
-def tile_rows(x: Tensor, reps: int) -> Tensor:
-    """Tile the whole row block ``reps`` times: rows [a, b] -> [a, b, a, b]."""
-    x = _wrap(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"tile_rows: expected rank 2, got shape {x.data.shape}")
-    out = _from_array(np.tile(x.data, (reps, 1)), x.requires_grad)
-
-    def adjoint(g: np.ndarray) -> None:
-        _accumulate(x, g.reshape(reps, x.data.shape[0], -1).sum(axis=0))
-
-    push_op(out, adjoint)
-    return out
-
-
 def tensor_sum(x: Tensor) -> Tensor:
     """Full reduction to a scalar."""
-    x = _wrap(x)
     out = _from_array(np.asarray(x.data.sum(), dtype=x.data.dtype), x.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
@@ -635,14 +601,12 @@ def _row_weights(row_weights, shape: tuple[int, ...], op: str) -> np.ndarray | N
     return (w / max(per_row, 1)).reshape((-1,) + (1,) * (len(shape) - 1))
 
 
-def mse(a: Tensor, b, row_weights=None) -> Tensor:
+def mse(a: Tensor, b: Tensor, row_weights=None) -> Tensor:
     """Mean squared error over all elements.
 
     With ``row_weights`` (one per row along the first axis) it is instead
     sum_r w_r * mean(row r of (a - b)^2); weights 1/rows give the mean.
     """
-    a = _wrap(a)
-    b = _wrap(b, a)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mse: shapes {a.data.shape} and {b.data.shape} differ")
     weights = _row_weights(row_weights, a.data.shape, "mse")
@@ -652,7 +616,7 @@ def mse(a: Tensor, b, row_weights=None) -> Tensor:
         value = np.mean(diff * diff)
     else:
         value = np.add.reduce(weights * (diff * diff), axis=None)
-    out = _from_array(np.asarray(value, dtype=a.data.dtype), a.requires_grad or b.requires_grad)
+    out = _from_array(np.asarray(value, dtype=a.data.dtype), a.requires_grad | b.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
         scaled = (2.0 / n) * g * diff if weights is None else (2.0 * g) * weights * diff
@@ -671,7 +635,6 @@ def bce_with_logits(logits: Tensor, targets, row_weights=None) -> Tensor:
     sum_r w_r * mean(row r of the cross-entropy).  Targets are treated as
     constants; gradients flow to the logits only.
     """
-    logits = _wrap(logits)
     t = np.asarray(targets, dtype=logits.data.dtype)
     if t.shape != logits.data.shape:
         raise ShapeError(f"bce_with_logits: shapes {logits.data.shape} and {t.shape} differ")
@@ -707,7 +670,6 @@ def primitive_forward_set() -> dict[str, Callable]:
         "linear": linear,
         "stacked_linear": stacked_linear,
         "layer_norm_affine": layer_norm_affine,
-        "tile_rows": tile_rows,
     }
 
 

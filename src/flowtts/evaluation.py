@@ -127,8 +127,8 @@ def cosine_sim(a, b) -> float:
         raise ValueError(f"cosine_sim: need equal nonzero lengths, got {a.size} and {b.size}")
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine_sim: zero-norm vector")
+    if not (0.0 < na < np.inf and 0.0 < nb < np.inf):  # also false for a NaN norm
+        raise ValueError("cosine_sim: a vector has zero norm or a NaN or infinite value")
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
@@ -213,18 +213,22 @@ VOTES_HEADER = ("model_a", "model_b", "outcome")
 def read_votes_csv(path) -> list[PairwiseVote]:
     """Read votes from UTF-8 CSV `model_a,model_b,outcome` (BOM allowed); header optional."""
     votes: list[PairwiseVote] = []
+    lineno = 0
     with open_input(path, "r", encoding="utf-8-sig", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if lineno == 1 and tuple(cell.strip() for cell in row) == VOTES_HEADER:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"votes row {lineno}: expected 3 fields, got {len(row)}")
-            try:
-                votes.append(PairwiseVote(row[0].strip(), row[1].strip(), row[2].strip()))
-            except ValueError as exc:
-                raise ValueError(f"votes row {lineno}: {exc}") from None
+        try:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if lineno == 1 and tuple(cell.strip() for cell in row) == VOTES_HEADER:
+                    continue
+                if len(row) != 3:
+                    raise ValueError(f"votes row {lineno}: expected 3 fields, got {len(row)}")
+                try:
+                    votes.append(PairwiseVote(row[0].strip(), row[1].strip(), row[2].strip()))
+                except ValueError as exc:
+                    raise ValueError(f"votes row {lineno}: {exc}") from None
+        except csv.Error as exc:
+            raise ValueError(f"votes row {lineno + 1}: {exc}") from None
     return votes
 
 

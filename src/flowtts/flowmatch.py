@@ -26,7 +26,6 @@ from .autodiff import (
     linear,
     mse,
     rng_stream,
-    tile_rows,
 )
 from .model import ModelState, VELOCITY_LAYERS, transformer_stack
 
@@ -121,7 +120,7 @@ class VelocityContext:
     """
 
     z_prev: np.ndarray  # (n, d_patch)
-    pos: Tensor  # (2n, d_model): vel.pos tiled once per pair
+    pos: Tensor  # (2n, d_model): the two vel.pos rows, gathered once per pair
     cond: Tensor  # (2n, d_model): each pair's conditioning row, once per token
 
 
@@ -154,7 +153,7 @@ def velocity_context(state: ModelState, h_final, z_prev: np.ndarray,
     own = np.arange(n) if given == n else np.zeros(n, dtype=np.int64)
     cond = embedding_lookup(concat([cond, state["vel.null"]], axis=0),
                             np.repeat(np.where(enabled, own, given), 2))
-    return VelocityContext(z_prev, tile_rows(state["vel.pos"], n), cond)
+    return VelocityContext(z_prev, embedding_lookup(state["vel.pos"], np.tile([0, 1], n)), cond)
 
 
 def velocity_batch(state: ModelState, z_t: np.ndarray, t_emb: np.ndarray,

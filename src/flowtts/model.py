@@ -264,7 +264,7 @@ class Packing:
         first = self.past_rows - self.text_rows if self.past_rows else 0
         self.history_positions = first + _ranges(self.history_lengths)
         self.rows = (0 if self.past_rows else self.text_rows) + sum(self.history_lengths)
-        self._mask: Tensor | None = None
+        self._mask: np.ndarray | None = None
 
     def step_rows(self) -> np.ndarray:
         """Rows that condition the steps of an uncached call: per sequence,
@@ -287,7 +287,7 @@ class Packing:
             start += k + 1
         return np.array(steps, dtype=np.int64)
 
-    def mask(self, dtype) -> Tensor | None:
+    def mask(self, dtype) -> np.ndarray | None:
         """Additive (rows, past_rows + rows) mask of the rule above, or None
         when it hides nothing (one row).  It is built at the first call and
         belongs to this packing, so both stacks share it."""
@@ -298,9 +298,8 @@ class Packing:
             if not self.past_rows:
                 seq = np.concatenate([np.repeat(owner, self.text_lengths), seq])
                 pos = np.concatenate([self.text_positions, pos])
-            mask = np.zeros((self.rows, self.past_rows + self.rows), dtype=dtype)
+            self._mask = mask = np.zeros((self.rows, self.past_rows + self.rows), dtype=dtype)
             mask[:, self.past_rows:][(seq[:, None] != seq) | (pos > pos[:, None])] = MASK_VALUE
-            self._mask = constant(mask, dtype=dtype)
         return self._mask
 
 
@@ -336,7 +335,7 @@ def _cached_rows(rows: np.ndarray, new: Tensor) -> Tensor:
     return out
 
 
-def _block(state: ModelState, prefix: str, x: Tensor, mask: Tensor | None, batch: int,
+def _block(state: ModelState, prefix: str, x: Tensor, mask: np.ndarray | None, batch: int,
            past: np.ndarray | None, past_rows: int, last_only: bool) -> Tensor:
     params = state.params
     q, k, v = _qkv(state, prefix, x, past, past_rows)
@@ -345,7 +344,7 @@ def _block(state: ModelState, prefix: str, x: Tensor, mask: Tensor | None, batch
         # The last row of each sequence, as a strided view.  The sequences
         # share the mask, so a last row's mask row is its last row.
         x, q = narrow(x, 0, seq - 1, batch, seq), narrow(q, 0, seq - 1, batch, seq)
-        mask = None if mask is None else _from_array(mask.data[-1:], False)
+        mask = None if mask is None else mask[-1:]
     attended = attention(q, k, v, state.config.n_heads, mask, batch)
     x = add(x, linear(attended, params[f"{prefix}.attn.wo"], params[f"{prefix}.attn.bo"]))
     h = gelu(linear(_ln(state, f"{prefix}.ln2", x), params[f"{prefix}.mlp.w1"],
@@ -354,10 +353,10 @@ def _block(state: ModelState, prefix: str, x: Tensor, mask: Tensor | None, batch
 
 
 def transformer_stack(state: ModelState, prefix: str, x: Tensor, n_layers: int,
-                      mask: Tensor | None, batch: int = 1, past: np.ndarray | None = None,
+                      mask: np.ndarray | None, batch: int = 1, past: np.ndarray | None = None,
                       past_rows: int = 0, last_only: bool = False) -> Tensor:
     """Pre-LN blocks over ``batch`` equal-length sequences stored row-block
-    after row-block; ``mask`` is an additive (T, T) constant, or None where
+    after row-block; ``mask`` is an additive (T, T) ndarray, or None where
     it would hide nothing (the conditioning stacks use ``Packing.mask``).
 
     ``past`` is a key/value store of one sequence, shaped (n_layers, 2,

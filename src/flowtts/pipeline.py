@@ -22,6 +22,7 @@ from .autodiff import (
     Tensor,
     add,
     bce_with_logits,
+    constant,
     mul,
     record,
     rng_stream,
@@ -268,7 +269,7 @@ def total_loss(examples: TrainingExample | Sequence[TrainingExample], state: Mod
     l_fm = fm_loss(state, np.vstack(z0), np.vstack(z_prev), h_final, np.concatenate(t_values),
                    np.vstack(eps), np.repeat(flags, sizes), velocity_fn, weights)
 
-    total = add(l_fm, mul(l_stop, cfg.lambda_stop))
+    total = add(l_fm, mul(l_stop, constant(cfg.lambda_stop, dtype=dtype)))
     return total, LossParts(fm=l_fm.item(), stop=l_stop.item(), cond_enabled=tuple(flags))
 
 
@@ -550,7 +551,7 @@ def _read_config_block(reader: _Reader) -> dict:
     (length,) = reader.unpack("<I")
     try:
         values = json.loads(reader.take(length).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or an over-long integer
         raise CheckpointError(f"unreadable config block: {exc}") from None
     if not isinstance(values, dict):
         raise CheckpointError("config block is not a JSON object")

@@ -38,7 +38,6 @@ from flowtts.autodiff import (
     rng_stream,
     stacked_linear,
     tensor_sum,
-    tile_rows,
     zero_grads,
 )
 from flowtts.model import MASK_VALUE, ModelConfig, init_model_state, semantic_hiddens
@@ -91,8 +90,8 @@ def test_layer_norm_is_bitwise_the_np_mean_formulation(dtype):
             data = rng.standard_normal((rows, width)) * scale + shift
             g = constant(rng.standard_normal((rows, width)))
             results = []
-            for norm in (lambda x: layer_norm_affine(x, np.ones(width), np.zeros(width)),
-                         layer_norm):
+            gain, bias = constant(np.ones(width)), constant(np.zeros(width))
+            for norm in (lambda x: layer_norm_affine(x, gain, bias), layer_norm):
                 x = parameter(data)
                 with record() as tape:
                     y = norm(x)
@@ -280,7 +279,7 @@ def test_nested_record_raises():
 def test_backward_requires_scalar_loss():
     x = parameter(_rand((2, 2)))
     with record() as tape:
-        y = mul(x, 2.0)
+        y = mul(x, constant(2.0))
     with pytest.raises(ShapeError):
         tape.backward(y)
 
@@ -304,7 +303,7 @@ def test_determinism_bitwise():
         inp = constant(x.copy())
         with record() as tape:
             h = gelu(matmul(inp, p1))
-            loss = mse(matmul(h, p2), np.zeros((5, 4)))
+            loss = mse(matmul(h, p2), constant(np.zeros((5, 4))))
         tape.backward(loss)
         return loss.data.copy(), p1.grad.copy(), p2.grad.copy()
 
@@ -329,7 +328,7 @@ def test_grad_check_rejects_nonscalar():
     with precision("float64"):
         x = parameter(_rand(3))
         with pytest.raises(ShapeError):
-            grad_check(lambda t: mul(t, 2.0), x)
+            grad_check(lambda t: mul(t, constant(2.0)), x)
 
 
 def test_three_layer_mlp_matches_finite_differences():
@@ -338,7 +337,7 @@ def test_three_layer_mlp_matches_finite_differences():
         sizes = [(5, 8), (8, 8), (8, 3)]
         weights = [parameter(rng.standard_normal(s) * 0.5) for s in sizes]
         inp = constant(rng.standard_normal((4, 5)))
-        target = rng.standard_normal((4, 3))
+        target = constant(rng.standard_normal((4, 3)))
 
         def loss_of(w, index):
             def f(t):
@@ -381,7 +380,6 @@ PRIMITIVE_CASES = {
     "mse": lambda x: mse(x, constant(_FIXED["like"])),
     "bce_with_logits": lambda x: bce_with_logits(x, _FIXED["labels"]),
     "attention": lambda x: _scalarize(mul(_attention_of_blocks(x), constant(_FIXED["like_attn"]))),
-    "tile_rows": lambda x: _scalarize(mul(tile_rows(x, 2), constant(_FIXED["like_rep"]))),
     "stacked_linear": lambda x: _scalarize(mul(
         concat(stacked_linear(x, constant(_FIXED["stack_w"]), constant(_FIXED["stack_b"])), 0),
         constant(_FIXED["like_stack"]))),
@@ -414,7 +412,7 @@ def _shapes_for(name: str):
         return [(int(rng.integers(1, 8)), int(rng.integers(1, 8))) for _ in range(3)]
     if name == "attention":
         return list(_ATTENTION_CASES)
-    if name in ("embedding_lookup", "tile_rows"):
+    if name == "embedding_lookup":
         return [(int(rng.integers(2, 8)), int(rng.integers(1, 8))) for _ in range(3)]
     if name == "slice":
         return [(4, int(rng.integers(1, 8))) for _ in range(3)]
@@ -453,8 +451,6 @@ def test_primitive_gradient_soundness(name):
                 _FIXED["attn"] = _ATTENTION_CASES[shape]
                 heads, batch, _, tq, _ = _FIXED["attn"]
                 _FIXED["like_attn"] = rng.standard_normal((batch * tq, shape[1]))
-            if name == "tile_rows":
-                _FIXED["like_rep"] = rng.standard_normal((shape[0] * 2, shape[1]))
             if name == "stacked_linear":
                 _FIXED["stack_w"] = rng.standard_normal((3, shape[1], 4))
                 _FIXED["stack_b"] = rng.standard_normal((3, 4))
@@ -608,13 +604,48 @@ def test_fused_primitives_reject_operands_of_the_wrong_shape():
         stacked_linear(x, constant(np.zeros((3, 4, 2))), constant(np.zeros(2)))
 
 
+# Each registered primitive with operand shapes it accepts; a Tensor goes in
+# every position listed, the other arguments are fixed.
+RAW_OPERAND_CASES = {
+    "add": (add, [(3, 4), (3, 4)]),
+    "mul": (mul, [(3, 4), (3, 4)]),
+    "gelu": (gelu, [(3, 4)]),
+    "embedding_lookup": (lambda t: embedding_lookup(t, [0, 2]), [(3, 4)]),
+    "concat": (lambda a, b: concat([a, b]), [(3, 4), (2, 4)]),
+    "slice": (lambda x: narrow(x, 0, 1, 2), [(3, 4)]),
+    "sum": (tensor_sum, [(3, 4)]),
+    "mse": (mse, [(3, 4), (3, 4)]),
+    "bce_with_logits": (lambda z: bce_with_logits(z, np.ones((3, 4))), [(3, 4)]),
+    "attention": (lambda q, k, v: attention(q, k, v, 2, np.zeros((3, 3), np.float32)),
+                  [(3, 4)] * 3),
+    "linear": (linear, [(3, 4), (4, 2), (2,)]),
+    "stacked_linear": (stacked_linear, [(3, 4), (3, 4, 2), (3, 2)]),
+    "layer_norm_affine": (layer_norm_affine, [(3, 4), (4,), (4,)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(primitive_forward_set()))
+def test_primitives_reject_a_raw_array_or_number_operand(name):
+    # Nothing casts an operand: a raw array or number in a Tensor's place
+    # raises at the call, also next to operands that need gradients.  (An
+    # ndarray's .data is a memoryview, so which error depends on the op.)
+    fn, shapes = RAW_OPERAND_CASES[name]
+    values = [np.ones(shape, dtype=np.float32) for shape in shapes]
+    fn(*[parameter(v) for v in values])
+    for i, value in enumerate(values):
+        for raw in (value, 0.5):
+            args = [parameter(v) for v in values]
+            args[i] = raw
+            with pytest.raises((AttributeError, TypeError, NotImplementedError)):
+                fn(*args)
+
+
 def test_registry_contains_contract_primitives():
     # Exactly the primitives the model and its losses call: one nothing calls
     # cannot come back unnoticed.
     assert set(primitive_forward_set()) == {
         "add", "mul", "gelu", "embedding_lookup", "concat", "slice", "sum", "mse",
-        "bce_with_logits", "attention", "linear", "stacked_linear", "layer_norm_affine",
-        "tile_rows"}
+        "bce_with_logits", "attention", "linear", "stacked_linear", "layer_norm_affine"}
 
 
 # --------------------------------------------------------------------------
@@ -636,16 +667,16 @@ def _reference_attention(q, k, v, heads, mask, batch):
     """Per sequence and head: narrow, k^T, scale, mask, softmax, @ v; then
     concat.  The composition the fused primitive replaced."""
     rows, d = q.data.shape
-    seq, dh = rows // batch, d // heads
+    seq, dh, dtype = rows // batch, d // heads, q.data.dtype
     sequences = []
     for b in range(batch):
         qb, kb, vb = (narrow(t, 0, b * seq, seq) for t in (q, k, v))
         outputs = []
         for h in range(heads):
             qh, kh, vh = (narrow(t, 1, h * dh, dh) for t in (qb, kb, vb))
-            scores = mul(matmul(qh, _transpose(kh)), 1.0 / math.sqrt(dh))
+            scores = mul(matmul(qh, _transpose(kh)), constant(1.0 / math.sqrt(dh), dtype=dtype))
             if mask is not None:
-                scores = add(scores, mask)
+                scores = add(scores, constant(mask, dtype=dtype))
             outputs.append(matmul(softmax(scores), vh))
         sequences.append(concat(outputs, axis=1))
     return concat(sequences, axis=0)
@@ -659,8 +690,7 @@ _DEFAULT_ATTENTION_SHAPES = [(4, 1, 23, True), (4, 9, 2, False)]
 def _causal_mask(queries, dtype, past=0):
     """Additive (queries, past + queries) mask hiding from each query the
     keys after its own position, for queries that follow ``past`` keys."""
-    return constant(np.triu(np.full((queries, past + queries), MASK_VALUE, dtype=dtype), past + 1),
-                    dtype=dtype)
+    return np.triu(np.full((queries, past + queries), MASK_VALUE, dtype=dtype), past + 1)
 
 
 @pytest.mark.parametrize("heads,batch,seq,causal", _DEFAULT_ATTENTION_SHAPES)

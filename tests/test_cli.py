@@ -436,6 +436,40 @@ def test_synth_corrupt_tensor_header_exits_with_model_code(tmp_path, tiny_checkp
     assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
 
 
+def _with_config_block(path, config: bytes) -> bytes:
+    """The checkpoint at ``path`` with its config block replaced by ``config``."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    (config_len,) = struct.unpack_from("<I", blob, 8)
+    return blob[:8] + struct.pack("<I", len(config)) + config + blob[12 + config_len:]
+
+
+UNREADABLE_CONFIG_BLOCKS = {
+    # json raises RecursionError, not a JSONDecodeError, on deep nesting
+    "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000,
+    # int() refuses more than 4,300 digits with a plain ValueError
+    "int-of-5000-digits": b'{"d_model":' + b"1" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("config", UNREADABLE_CONFIG_BLOCKS.values(),
+                         ids=UNREADABLE_CONFIG_BLOCKS.keys())
+def test_synth_unreadable_config_block_exits_with_model_code(tmp_path, tiny_checkpoint, capsys,
+                                                             config):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_with_config_block(tiny_checkpoint, config))
+    out = tmp_path / "x.jlat"
+    code = main(["synth", "--checkpoint", str(bad), "--tokens", "1",
+                 "--out", str(out), "--seed", "0"])
+    err = capsys.readouterr().err
+    assert code == EXIT_MODEL
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("ERROR ")]
+    assert len(errors) == 1 and "unreadable config block" in errors[0]
+    assert not out.exists()
+    assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
+
+
 def test_synth_missing_checkpoint_is_io_error(tmp_path):
     code = main(["synth", "--checkpoint", str(tmp_path / "absent.ckpt"), "--tokens", "1",
                  "--out", str(tmp_path / "x.jlat"), "--seed", "0"])
@@ -477,6 +511,25 @@ def test_eval_sim_pairs(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[1] == "p1,1.000000"
     assert out[2] == "mean,1.000000"
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_eval_sim_non_finite_embedding_is_a_malformed_row(tmp_path, capsys, value):
+    # cosine_sim rejects it: inf gave a RuntimeWarning, NaN a similarity of "nan".
+    a = tmp_path / "a.jemb"
+    b = tmp_path / "b.jemb"
+    write_embedding(a, np.array([1.0, value, 0.0]))
+    write_embedding(b, np.array([1.0, 0.5, 0.0]))
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text(f"p1\t{a}\t{b}\n", encoding="utf-8")
+    out = tmp_path / "sim.csv"
+    code = main(["eval", "sim", "--pairs", str(pairs), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_ROWS
+    assert [line for line in err.splitlines() if line.startswith("ERROR ")] == [
+        "ERROR flowtts: pairs row 1: cosine_sim: "
+        "a vector has zero norm or a NaN or infinite value"]
+    assert not out.exists()
 
 
 def test_eval_sim_pairs_with_bom_read_as_without(tmp_path, capsys):
@@ -598,6 +651,22 @@ def test_eval_tally_malformed_row(tmp_path):
     votes.write_text("ours,x,A\nours,x\n", encoding="utf-8")
     code = main(["eval", "tally", "--votes", str(votes)])
     assert code == EXIT_BAD_ROWS
+
+
+def test_eval_tally_field_over_the_csv_size_limit_is_a_malformed_row(tmp_path, capsys):
+    # csv.reader raises _csv.Error, not ValueError, past its 131,072-character
+    # field limit.
+    votes = tmp_path / "votes.csv"
+    votes.write_text("ours,x,A\nours,x," + "A" * 131_073 + "\n", encoding="utf-8")
+    out = tmp_path / "report.csv"
+    code = main(["eval", "tally", "--votes", str(votes), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_ROWS
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("ERROR ")] == [
+        "ERROR flowtts: votes row 2: field larger than field limit (131072)"]
+    assert not out.exists()
+    assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
 
 
 def test_eval_tally_output_file_atomic(tmp_path):
@@ -815,8 +884,8 @@ loaded = lambda: str("scipy" in sys.modules)
 print(loaded())
 print(main(["eval", "cer", "--input", sys.argv[1], "--lexicon", sys.argv[2]]), loaded())
 import numpy as np
-from flowtts.autodiff import gelu
-gelu(np.ones((2, 3), dtype=np.float32))
+from flowtts.autodiff import constant, gelu
+gelu(constant(np.ones((2, 3), dtype=np.float32)))
 print(loaded())
 """
 

@@ -470,6 +470,27 @@ def test_velocity_input_rows_add_position_time_and_conditioning_in_order(monkeyp
     assert seen[0].tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("n", [1, 3, 9])
+def test_velocity_positions_are_bitwise_vel_pos_tiled_once_per_pair(dtype, n):
+    # The positions are a gather of vel.pos rows [0, 1] * n: values and the
+    # vel.pos gradient bitwise those of tiling the table, whose adjoint sums
+    # the n copies' gradients.
+    rng = np.random.default_rng(n)
+    with precision(dtype):
+        state = init_model_state(CFG, seed=21)
+        weights = rng.standard_normal((2 * n, CFG.d_model)).astype(dtype)
+        with record() as tape:
+            pos = velocity_context(state, np.zeros(CFG.d_model), np.zeros((n, CFG.d_patch)),
+                                   True).pos
+            loss = tensor_sum(mul(pos, constant(weights)))
+        tape.backward(loss)
+    table = state["vel.pos"]
+    assert pos.data.dtype == table.grad.dtype == np.dtype(dtype)
+    assert pos.data.tobytes() == np.tile(table.data, (n, 1)).tobytes()
+    assert table.grad.tobytes() == weights.reshape(n, 2, -1).sum(axis=0).tobytes()
+
+
 def test_velocity_context_rejects_conditioning_of_the_wrong_shape():
     z_prev = np.zeros((2, CFG.d_patch))
     for h_final in (np.zeros((3, CFG.d_model)), np.zeros((2, CFG.d_model + 1))):

@@ -110,7 +110,7 @@ def test_encode_wrong_patch_length():
 @pytest.mark.parametrize("n_text,k", [(1, 1), (3, 0), (4, 5)])
 def test_the_mask_of_one_sequence_is_the_causal_mask(dtype, n_text, k):
     n = n_text + k
-    mask = Packing([n_text], [k]).mask(dtype).data
+    mask = Packing([n_text], [k]).mask(dtype)
     assert mask.dtype == dtype
     assert mask.tobytes() == np.triu(np.full((n, n), MASK_VALUE, dtype=dtype), 1).tobytes()
 
@@ -120,7 +120,7 @@ def test_the_mask_of_one_sequence_is_the_causal_mask(dtype, n_text, k):
        st.sampled_from([np.float32, np.float64]))
 def test_the_mask_of_several_sequences_is_the_block_mask(lengths, dtype):
     text_lengths, history_lengths = zip(*lengths)
-    mask = Packing(text_lengths, history_lengths).mask(dtype).data
+    mask = Packing(text_lengths, history_lengths).mask(dtype)
     assert mask.dtype == dtype
     assert mask.tobytes() == block_mask(text_lengths, history_lengths, dtype).tobytes()
 
@@ -130,7 +130,7 @@ def test_a_decode_of_three_patches_sees_the_cached_rows_and_the_new_rows_up_to_i
     packing = Packing([2], [3], past_rows=6)
     assert packing.rows == 3
     assert packing.history_positions.tolist() == [4, 5, 6]
-    mask = packing.mask(np.float32).data
+    mask = packing.mask(np.float32)
     assert mask.shape == (3, 6 + 3)
     assert not mask[:, :6].any()
     assert mask[:, 6:].tobytes() == np.triu(np.full((3, 3), MASK_VALUE, np.float32), 1).tobytes()
@@ -156,9 +156,9 @@ def test_one_row_calls_hand_attention_no_mask(monkeypatch):
     # The semantic layer's 4 query rows get the causal mask.  The residual
     # layer is its stack's last block, whose one query row, the last, gets
     # the mask's last row, which hides nothing.
-    assert [m.data.shape for m in masks] == [(4, 4), (1, 4)]
-    assert masks[1].data.tobytes() == masks[0].data[-1:].tobytes()
-    assert not masks[1].data.any()
+    assert [m.shape for m in masks] == [(4, 4), (1, 4)]
+    assert masks[1].tobytes() == masks[0][-1:].tobytes()
+    assert not masks[1].any()
     masks.clear()
     conditioning(STATE, [1, 2], history[2:3], cache)  # decode of one patch
     conditioning(STATE, [7], history[:0])  # one text row, no cache

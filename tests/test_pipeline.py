@@ -365,7 +365,7 @@ def test_packed_batch_loss_and_gradients_equal_the_mean_of_per_example_losses():
             mean = losses[0]
             for loss in losses[1:]:
                 mean = add(mean, loss)
-            mean = mul(mean, 1.0 / len(examples))
+            mean = mul(mean, constant(1.0 / len(examples)))
         tape.backward(mean)
 
     assert packed.item() == pytest.approx(mean.item(), rel=1e-9)
