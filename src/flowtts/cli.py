@@ -8,7 +8,9 @@ deterministic under a fixed --seed (wall-clock RTF measurement excepted).
 Exit codes:
   0  success
   1  model errors: training diverged (NaN), a NaN or infinity met during
-     synthesis, checkpoint/latent format errors, a trajectory with no audio
+     synthesis, a numeric fault (overflow, invalid operation, division by
+     zero) in train, synth or eval rtf --checkpoint, checkpoint/latent
+     format errors, a trajectory with no audio
   2  I/O or configuration errors (missing files, unknown config keys, bad
      synthesis arguments, an eval rtf --wall-seconds not finite and > 0)
   3  empty token list
@@ -159,15 +161,29 @@ def _parse_tokens(raw: str) -> list[int]:
         raise ConfigError(f"tokens must be comma-separated integers, got {raw!r}") from None
 
 
+# numpy's error state for model work, entered once per command around the
+# whole computation: an overflow, an invalid operation or a division by zero
+# raises FloatingPointError, which ``main`` reports as a model error, in
+# place of a warning and an inf or NaN computed on.
+_NUMERIC_FAULTS = {"over": "raise", "invalid": "raise", "divide": "raise"}
+
+
 def _synthesize(state, tokens, *args, **kwargs):
-    """``synthesize``, with a bad argument (its ValueError) raised as a
-    ConfigError; a NonFiniteError stays a model error."""
+    """``synthesize`` under ``_NUMERIC_FAULTS``, with a bad argument (its
+    ValueError) raised as a ConfigError; a NonFiniteError stays a model
+    error, and so does a non-finite patch in the result."""
     try:
-        return synthesize(state, tokens, *args, **kwargs)
+        with np.errstate(**_NUMERIC_FAULTS):
+            patches = synthesize(state, tokens, *args, **kwargs)
     except NonFiniteError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # Every patch but the last went through the quantizer's finite check;
+    # a NaN weight makes a NaN patch without a floating-point fault.
+    if not np.isfinite(patches).all():
+        raise NonFiniteError("synthesize: non-finite patch")
+    return patches
 
 
 # --------------------------------------------------------------------------
@@ -191,7 +207,8 @@ def cmd_train(args) -> int:
     state = init_model_state(model_config, seed=train_config.seed)
     spec = default_synthetic_spec(model_config)
     try:
-        state, history = train(train_config, spec, state)
+        with np.errstate(**_NUMERIC_FAULTS):
+            state, history = train(train_config, spec, state)
     except TrainingDiverged as exc:
         logger.error("training aborted: %s", exc)
         return EXIT_MODEL
@@ -432,6 +449,11 @@ def main(argv=None) -> int:
         # infinity came from the checkpoint's weights or the reference latents.
         logger.error("synthesis aborted: %s (NaN or infinity in the checkpoint or the "
                      "reference latents)", exc)
+        return EXIT_MODEL
+    except FloatingPointError as exc:
+        # Under _NUMERIC_FAULTS: a value of the checkpoint, the reference
+        # latents or training left float range.
+        logger.error("numeric fault: %s", exc)
         return EXIT_MODEL
 
 

@@ -184,6 +184,20 @@ def softmax(x):
     return _taped(y, (x,), adjoint)
 
 
+def add_at_embedding_lookup(table, ids, unique=False):
+    """Taped gather ``table[ids]`` whose adjoint scatters with the row form
+    of np.add.at whatever the ids: what ``embedding_lookup``'s flat-index and
+    unique-id scatters replace.  ``unique`` is accepted and ignored."""
+    idx = np.asarray(ids)
+
+    def adjoint(g):
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        np.add.at(table.grad, idx, g)
+
+    return _taped(table.data[idx], (table,), adjoint)
+
+
 def two_call_sample_patch(state, h_final, z_prev, steps, cfg_scale, rng):
     """The guided Euler sampler written out with one velocity call per branch
     and step: the reference the one-call sampler is checked against."""

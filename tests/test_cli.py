@@ -334,6 +334,71 @@ def test_synth_nan_checkpoint_exits_with_model_code(tmp_path, nan_checkpoint, ca
     assert not [name for name in os.listdir(tmp_path) if name.startswith(out.name)]
 
 
+def _checkpoint_with(tmp_path, tiny_checkpoint, name, row, value):
+    state = load_checkpoint(tiny_checkpoint)
+    state.params[name].data[row] = value
+    path = tmp_path / f"{name}-{value}.ckpt"
+    save_checkpoint(state, path)
+    return str(path)
+
+
+def _assert_model_error_and_no_output(code, err, directory, *outputs):
+    assert code == EXIT_MODEL
+    assert "Traceback" not in err and "Warning" not in err
+    assert len([line for line in err.splitlines() if line.startswith("ERROR ")]) == 1
+    assert not [name for name in os.listdir(directory)
+                if name in outputs or name.startswith(".tmp-")]
+
+
+# A value near float32's maximum overflows a layer norm's variance; the
+# numeric fault is a model error, not a warning and an output computed on.
+@pytest.mark.parametrize("source", ["reference", "checkpoint"])
+def test_synth_numeric_fault_exits_with_model_code(tmp_path, tiny_checkpoint, capsys, source):
+    args = ["--checkpoint", tiny_checkpoint]
+    if source == "reference":
+        reference = tmp_path / "huge.jlat"
+        write_latents(reference, np.full((1, 4), 3e38, dtype=np.float32), 40)
+        args += ["--ref-latents", str(reference)]
+    else:
+        args = ["--checkpoint", _checkpoint_with(tmp_path, tiny_checkpoint, "sem.tok", 1, 3e38)]
+    out = tmp_path / "fault.jlat"
+    code = main(["synth", *args, "--tokens", "1,2", "--out", str(out), "--seed", "0"])
+    err = capsys.readouterr().err
+    _assert_model_error_and_no_output(code, err, tmp_path, out.name)
+    assert "numeric fault: overflow" in err
+
+
+def test_eval_rtf_numeric_fault_exits_with_model_code(tmp_path, tiny_checkpoint, capsys):
+    checkpoint = _checkpoint_with(tmp_path, tiny_checkpoint, "sem.tok", 1, 3e38)
+    code = main(["eval", "rtf", "--checkpoint", checkpoint, "--tokens", "1,2", "--seed", "0"])
+    captured = capsys.readouterr()
+    _assert_model_error_and_no_output(code, captured.err, tmp_path)
+    assert "numeric fault: overflow" in captured.err and captured.out == ""
+
+
+def test_train_numeric_fault_exits_with_model_code(tmp_path, capsys):
+    # Steps of 1e38 drive the weights out of float range.
+    config = tmp_path / "huge-lr.cfg"
+    config.write_text(TINY_CONFIG + "learning_rate=1e38\n", encoding="utf-8")
+    code = main(["train", "--config", str(config), "--out-checkpoint", str(tmp_path / "out.ckpt"),
+                 "--loss-csv", str(tmp_path / "out.csv"), "--steps", "3"])
+    err = capsys.readouterr().err
+    _assert_model_error_and_no_output(code, err, tmp_path, "out.ckpt", "out.csv")
+    assert "numeric fault" in err
+
+
+def test_synth_non_finite_last_patch_is_not_written(tmp_path, tiny_checkpoint, capsys):
+    # A NaN velocity bias makes a NaN patch without a floating-point fault;
+    # a patch that is the last one never reaches the quantizer's check.
+    checkpoint = _checkpoint_with(tmp_path, tiny_checkpoint, "vel.out.b", 0, np.nan)
+    out = tmp_path / "nan.jlat"
+    code = main(["synth", "--checkpoint", checkpoint, "--tokens", "1,2", "--out", str(out),
+                 "--seed", "0", "--max-patches", "1"])
+    err = capsys.readouterr().err
+    _assert_model_error_and_no_output(code, err, tmp_path, out.name)
+    assert "synthesis aborted" in err and "non-finite patch" in err
+
+
 # Arguments both synth and eval rtf pass to synthesize (a later --tokens wins).
 BAD_SYNTHESIS_ARGUMENTS = {
     "steps-0": ["--steps", "0"],
@@ -872,31 +937,35 @@ def _probe(code: str, *args: str) -> list[str]:
 
 def test_importing_the_cli_loads_only_numpy_and_builds_no_parameters():
     # A fresh interpreter's import is most of every workload's setup time:
-    # flowtts itself adds no third-party package, not even scipy, which the
-    # first gelu call loads, and allocates no model.
+    # flowtts itself adds no third-party package and allocates no model.
     assert _probe(IMPORT_PROBE) == ["[]", "0"]
 
 
-SCIPY_PROBE = """
+# numpy is the only runtime dependency: with scipy unimportable, training,
+# synthesis and evaluation all run.
+SCIPY_FREE_PROBE = """
 import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 from flowtts.cli import main
-loaded = lambda: str("scipy" in sys.modules)
-print(loaded())
-print(main(["eval", "cer", "--input", sys.argv[1], "--lexicon", sys.argv[2]]), loaded())
-import numpy as np
-from flowtts.autodiff import constant, gelu
-gelu(constant(np.ones((2, 3), dtype=np.float32)))
-print(loaded())
+config, checkpoint, loss_csv, latents, rows = sys.argv[1:]
+codes = [
+    main(["train", "--config", config, "--steps", "2", "--out-checkpoint", checkpoint,
+          "--loss-csv", loss_csv, "--seed", "1"]),
+    main(["synth", "--checkpoint", checkpoint, "--tokens", "1,2,3", "--out", latents,
+          "--seed", "1"]),
+    main(["eval", "cer", "--input", rows]),
+]
+print("exit codes", *codes)
 """
 
 
-def test_eval_cer_leaves_scipy_unloaded_until_the_first_gelu(tmp_path):
+def test_train_synth_and_eval_cer_run_with_scipy_unimportable(tmp_path, tiny_config_path):
     rows = tmp_path / "rows.tsv"
-    rows.write_text("r1\tok ดี\tโอเคดี\n", encoding="utf-8")
-    lexicon = tmp_path / "lex.tsv"
-    lexicon.write_text("ok\tโอเค\n", encoding="utf-8")
-    assert _probe(SCIPY_PROBE, str(rows), str(lexicon)) == [
-        "False", "id,cer", "r1,0.000000", "mean,0.000000", "0 False", "True"]
+    rows.write_text("r1\tok\tok\n", encoding="utf-8")
+    paths = [str(tmp_path / name) for name in ("tiny.ckpt", "loss.csv", "tiny.jlat")]
+    lines = _probe(SCIPY_FREE_PROBE, tiny_config_path, *paths, str(rows))
+    assert lines[-1] == "exit codes 0 0 0"
+    assert all(os.path.exists(path) for path in paths)
 
 
 def test_console_entry_point_help():

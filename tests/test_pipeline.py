@@ -13,6 +13,7 @@ import threading
 import numpy as np
 import pytest
 
+import flowtts.flowmatch as flowmatch
 import flowtts.model as model
 from flowtts.autodiff import (
     RngHub,
@@ -26,7 +27,7 @@ from flowtts.autodiff import (
     zero_grads,
 )
 from flowtts.model import ModelConfig, ModelState, init_model_state, step_hiddens
-from oracles import PerTensorAdam, two_call_sample_patch
+from oracles import PerTensorAdam, add_at_embedding_lookup, two_call_sample_patch
 import flowtts.pipeline as pipeline
 from flowtts.pipeline import (
     CheckpointError,
@@ -275,6 +276,25 @@ def test_flat_adam_is_bitwise_the_per_tensor_update(monkeypatch):
     reference_params, reference_losses = run()
     assert flat_losses == reference_losses
     assert flat_params.tobytes() == reference_params.tobytes()
+
+
+def test_scatters_keep_60_default_training_steps_bitwise(monkeypatch):
+    # embedding_lookup's adjoint scatters distinct ids (conditioning_batch's
+    # three gathers) with a fancy-index += and repeated ids with a flat-index
+    # np.add.at; the row-form np.add.at gives the same bits.
+    cfg = ModelConfig()
+
+    def run():
+        state = init_model_state(cfg, seed=3)
+        _, history = train(TrainConfig(train_steps=60, seed=3), default_synthetic_spec(cfg), state)
+        return state.data.copy(), [(r.total, r.fm, r.stop) for r in history]
+
+    params, losses = run()
+    for module in (model, flowmatch):
+        monkeypatch.setattr(module, "embedding_lookup", add_at_embedding_lookup)
+    reference_params, reference_losses = run()
+    assert losses == reference_losses
+    assert params.tobytes() == reference_params.tobytes()
 
 
 def test_train_reduces_loss_on_tiny_run():
