@@ -458,15 +458,11 @@ def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) 
     return out
 
 
-def embedding_lookup(table: Tensor, ids, unique: bool = False) -> Tensor:
+def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Gather rows ``table[ids]``; the adjoint scatter-adds into the table.
 
-    The scatter gives the bits of ``np.add.at(table.grad, ids, g)``.  A
-    caller whose ids never repeat passes ``unique=True``: the adjoint then
-    scatters with one fancy-index ``+=``, which for distinct ids gives those
-    bits for a fraction of the cost.  That is the caller's promise, not
-    checked: with a repeated id the ``+=`` keeps one of its contributions
-    only, and a uniqueness test would cost what it saves.
+    The scatter gives the bits of ``np.add.at(table.grad, ids, g)`` for any
+    ids, repeated or not.
     """
     idx = np.asarray(ids)
     if table.data.ndim != 2:
@@ -484,9 +480,7 @@ def embedding_lookup(table: Tensor, ids, unique: bool = False) -> Tensor:
             return
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
-        if unique:
-            table.grad[idx] += g
-        elif table.grad.flags.c_contiguous:
+        if table.grad.flags.c_contiguous:
             # One flat index per element: np.add.at then adds each element's
             # contributions in the order the row form does, so the same
             # bits, through numpy's 1-d indexed loop, 3-4x faster here.

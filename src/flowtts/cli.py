@@ -451,8 +451,9 @@ def main(argv=None) -> int:
                      "reference latents)", exc)
         return EXIT_MODEL
     except FloatingPointError as exc:
-        # Under _NUMERIC_FAULTS: a value of the checkpoint, the reference
-        # latents or training left float range.
+        # Under _NUMERIC_FAULTS: a value of the checkpoint or the reference
+        # latents left float range (train() reports its own as
+        # TrainingDiverged, with the step).
         logger.error("numeric fault: %s", exc)
         return EXIT_MODEL
 

@@ -646,20 +646,19 @@ def conditioning_batch(state: ModelState, texts, histories,
     embeddings = encode_patches(state, np.concatenate(histories))
     hiddens = semantic_hiddens(state, np.concatenate(tokens), embeddings, semantic_past, packing)
     # Prefill quantizes steps 0..k; decode steps done+1..done+k, which are
-    # its rows as they stand.  No step row or history step repeats, so the
-    # three gathers below scatter their gradients as unique ids.
+    # its rows as they stand.
     rows = packing.step_rows() if fresh else None
-    steps = hiddens if rows is None else embedding_lookup(hiddens, rows, unique=True)
+    steps = hiddens if rows is None else embedding_lookup(hiddens, rows)
     quantized = fsq_quantize(steps, cfg.fsq_delta, cfg.fsq_bound)
     # Decode's cached residual keys and values already hold the text rows.
     text_hiddens = narrow(hiddens, 0, 0, packing.text_rows) if fresh else None
     # History step i pairs patch i with the skeleton of step i; decode's
     # first one is the last skeleton of the previous call.
     skeletons = quantized if fresh else concat([constant(cache.last_quantized), quantized], axis=0)
-    paired = embedding_lookup(skeletons, packing.history_steps(), unique=True)
+    paired = embedding_lookup(skeletons, packing.history_steps())
     if cache is None:
         residual = residual_hiddens(state, text_hiddens, paired, embeddings, packing=packing)
-        h_res = embedding_lookup(residual, rows, unique=True)
+        h_res = embedding_lookup(residual, rows)
         return add(quantized, h_res), quantized, h_res
 
     # A cached call returns the row of its last step only, so the residual

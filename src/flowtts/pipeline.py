@@ -278,10 +278,11 @@ def total_loss(examples: TrainingExample | Sequence[TrainingExample], state: Mod
 # --------------------------------------------------------------------------
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss becomes non-finite; carries the failing step."""
+    """Raised when the loss becomes non-finite, or a floating-point fault
+    ends a step; carries the failing step."""
 
-    def __init__(self, step: int):
-        super().__init__(f"non-finite loss at step {step}")
+    def __init__(self, step: int, cause: str = "non-finite loss"):
+        super().__init__(f"{cause} at step {step}")
         self.step = step
 
 
@@ -342,8 +343,9 @@ def train(config: TrainConfig, spec: SyntheticSpec,
     """Jointly optimize all submodules on synthetic batches.
 
     Each step packs its batch into one forward and one backward pass
-    (``total_loss`` of the batch).  A non-finite loss, or a non-finite value
-    reaching the quantizer, raises TrainingDiverged with the step.
+    (``total_loss`` of the batch).  A non-finite loss, a non-finite value
+    reaching the quantizer, or a FloatingPointError in the step (under an
+    ``np.errstate`` that raises) raises TrainingDiverged with the step.
 
     Deterministic given the seed: data sampling, noise, times, and the
     conditioning drop all consume dedicated named streams.  Prompts the
@@ -369,18 +371,21 @@ def train(config: TrainConfig, spec: SyntheticSpec,
             synthetic_example(spec, state.config, *sample_prompt(config, state.config, data_rng))
             for _ in range(config.batch_size)
         ]
-        with record() as tape:
-            try:
+        try:
+            with record() as tape:
                 loss, parts = total_loss(examples, state, rngs)
-            except NonFiniteError:
-                # A NaN or infinity in the weights reached the quantizer.
-                raise TrainingDiverged(step) from None
-        value = loss.item()
-        if not math.isfinite(value):
-            raise TrainingDiverged(step)
-        state.zero_grads()
-        tape.backward(loss)
-        optimizer.step(state)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise TrainingDiverged(step)
+            state.zero_grads()
+            tape.backward(loss)
+            optimizer.step(state)
+        except NonFiniteError:
+            # A NaN or infinity in the weights reached the quantizer.
+            raise TrainingDiverged(step) from None
+        except FloatingPointError as exc:
+            # Under an error state that raises, a value left float range.
+            raise TrainingDiverged(step, str(exc)) from exc
         history.append(LossRecord(step=step, total=value, fm=parts.fm, stop=parts.stop))
     return state, history
 

@@ -184,10 +184,9 @@ def softmax(x):
     return _taped(y, (x,), adjoint)
 
 
-def add_at_embedding_lookup(table, ids, unique=False):
+def add_at_embedding_lookup(table, ids):
     """Taped gather ``table[ids]`` whose adjoint scatters with the row form
-    of np.add.at whatever the ids: what ``embedding_lookup``'s flat-index and
-    unique-id scatters replace.  ``unique`` is accepted and ignored."""
+    of np.add.at: what ``embedding_lookup``'s flat-index scatter replaces."""
     idx = np.asarray(ids)
 
     def adjoint(g):

@@ -193,12 +193,13 @@ def test_gelu_gradient_in_the_far_negative_tail_is_the_closed_form():
     np.testing.assert_allclose(t.grad, want, rtol=0, atol=1e-14)
 
 
-def _scatter_case(data, unique):
-    # A table, ids (distinct when ``unique``), row gradients over many
+def _scatter_case(data):
+    # A table, ids (distinct or repeating), row gradients over many
     # magnitudes, and an earlier gradient in one of three layouts: none, or
     # one from another use of the table, C- or Fortran-ordered.
     rows, width = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 5))
     dtype = np.dtype(data.draw(st.sampled_from(["float32", "float64"])))
+    unique = data.draw(st.booleans())
     ids = data.draw(st.lists(st.integers(0, rows - 1), unique=unique,
                              max_size=rows if unique else 3 * rows))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -211,31 +212,19 @@ def _scatter_case(data, unique):
     return rng.standard_normal((rows, width)), np.array(ids, dtype=np.int64), g, prior
 
 
-def _scatter(table_data, ids, g, prior, unique):
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_scatter_is_bitwise_np_add_at(data):
+    table_data, ids, g, prior = _scatter_case(data)
     table = parameter(table_data, dtype=g.dtype)
     table.grad = None if prior is None else prior.copy(order="A")
     with record() as tape:
-        loss = tensor_sum(mul(embedding_lookup(table, ids, unique=unique),
-                              constant(g, dtype=g.dtype)))
+        loss = tensor_sum(mul(embedding_lookup(table, ids), constant(g, dtype=g.dtype)))
     tape.backward(loss)
     want = np.zeros_like(table.data) if prior is None else prior.copy()
     np.add.at(want, ids, g)
     assert table.grad.dtype == g.dtype
-    return table.grad, want
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_unique_id_scatter_is_bitwise_np_add_at(data):
-    got, want = _scatter(*_scatter_case(data, unique=True), unique=True)
-    assert got.tobytes() == want.tobytes()
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_repeated_id_scatter_is_bitwise_np_add_at(data):
-    got, want = _scatter(*_scatter_case(data, unique=False), unique=False)
-    assert got.tobytes() == want.tobytes()
+    assert table.grad.tobytes() == want.tobytes()
 
 
 def test_sum_and_item():

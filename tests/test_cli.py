@@ -384,7 +384,7 @@ def test_train_numeric_fault_exits_with_model_code(tmp_path, capsys):
                  "--loss-csv", str(tmp_path / "out.csv"), "--steps", "3"])
     err = capsys.readouterr().err
     _assert_model_error_and_no_output(code, err, tmp_path, "out.ckpt", "out.csv")
-    assert "numeric fault" in err
+    assert "training aborted: overflow encountered" in err and "at step 1" in err
 
 
 def test_synth_non_finite_last_patch_is_not_written(tmp_path, tiny_checkpoint, capsys):

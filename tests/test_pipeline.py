@@ -279,9 +279,8 @@ def test_flat_adam_is_bitwise_the_per_tensor_update(monkeypatch):
 
 
 def test_scatters_keep_60_default_training_steps_bitwise(monkeypatch):
-    # embedding_lookup's adjoint scatters distinct ids (conditioning_batch's
-    # three gathers) with a fancy-index += and repeated ids with a flat-index
-    # np.add.at; the row-form np.add.at gives the same bits.
+    # embedding_lookup's adjoint scatters with a flat-index np.add.at; the
+    # row-form np.add.at it replaces gives the same bits.
     cfg = ModelConfig()
 
     def run():
@@ -312,6 +311,18 @@ def test_train_nan_abort_carries_step():
     with pytest.raises(TrainingDiverged) as err:
         train(TrainConfig(train_steps=2, batch_size=1, seed=0), SPEC, state)
     assert err.value.step == 0
+
+
+def test_train_floating_point_fault_aborts_with_the_failing_step():
+    # Under an error state that raises, steps of 1e38 overflow a value in
+    # the step after the first update: TrainingDiverged names that step.
+    state = init_model_state(CFG, seed=8)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with pytest.raises(TrainingDiverged, match="overflow encountered") as err:
+            train(TrainConfig(train_steps=3, batch_size=1, seed=0, learning_rate=1e38),
+                  SPEC, state)
+    assert err.value.step == 1
+    assert isinstance(err.value.__cause__, FloatingPointError)
 
 
 @pytest.mark.parametrize("name", ["sem.tok", "enc.w1"])
