@@ -400,7 +400,10 @@ def gelu(x: Tensor) -> Tensor:
     return out
 
 
-def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+_LAYER_NORM_EPS = 1e-5  # added to each row's variance
+
+
+def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(xhat, 1 / std) of the last axis, for ``layer_norm_affine``.
 
     Row means as np.add.reduce(...) / d: bitwise what np.mean gives, without
@@ -415,7 +418,7 @@ def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     centered = x - mean
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True)
     var /= width
-    var += _scalar(eps, x.dtype)
+    var += _scalar(_LAYER_NORM_EPS, x.dtype)
     inv = np.sqrt(var, out=var)
     np.divide(_scalar(1.0, x.dtype), inv, out=inv)
     np.multiply(centered, inv, out=centered)
@@ -429,7 +432,7 @@ def _normalize_adjoint(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.n
     return (inv * (g - gm - xhat * gx)).astype(xhat.dtype, copy=False)
 
 
-def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then scale by
     ``gain`` and shift by ``bias``, both (d,).
 
@@ -443,7 +446,7 @@ def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) 
     if gd.shape != d or bias.data.shape != d:
         raise ShapeError(f"layer_norm_affine: gain {gd.shape} and bias {bias.data.shape} "
                          f"for rows of shape {d}")
-    xhat, inv = _normalize(x.data, eps)
+    xhat, inv = _normalize(x.data)
     data = xhat * gd
     np.add(data, bias.data, out=data)
     out = _from_array(data, x.requires_grad | gain.requires_grad | bias.requires_grad)

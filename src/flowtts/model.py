@@ -267,10 +267,10 @@ class Packing:
         self._mask: np.ndarray | None = None
 
     def step_rows(self) -> np.ndarray:
-        """Rows that condition the steps of an uncached call: per sequence,
-        its last text row (step 0), then its history rows.  (With cached
-        rows every row is a step: the call that cached the last text row
-        returned step 0.)"""
+        """Rows that condition the steps of an uncached layout: per sequence,
+        its last text row (step 0), then its history rows.  It serves
+        uncached layouts only; a cached one has no text rows, and its rows
+        are steps as they stand."""
         rows, text_end, history_start = [], -1, self.text_rows
         for n, k in zip(self.text_lengths, self.history_lengths):
             text_end += n
@@ -311,18 +311,18 @@ def _ln(state: ModelState, prefix: str, x: Tensor) -> Tensor:
     return layer_norm_affine(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
 
 
-def _qkv(state: ModelState, prefix: str, x: Tensor, past: np.ndarray | None,
-         past_rows: int) -> tuple[Tensor, Tensor, Tensor]:
+def _qkv(state: ModelState, prefix: str, x: Tensor,
+         past: np.ndarray | None) -> tuple[Tensor, Tensor, Tensor]:
     """Queries, keys and values of ``x``'s rows, from one product.  With a
-    store ``past`` the keys and values are written after its filled rows,
-    and those returned are all the filled rows."""
+    store view ``past`` the keys and values are written into its last rows,
+    and those returned are all its rows."""
     q, k, v = stacked_linear(_ln(state, f"{prefix}.ln1", x), *state.qkv[f"{prefix}.attn"])
     if past is not None:
-        rows = past_rows + k.data.shape[0]
-        past[0, past_rows:rows] = k.data
-        past[1, past_rows:rows] = v.data
-        if past_rows:
-            k, v = _cached_rows(past[0, :rows], k), _cached_rows(past[1, :rows], v)
+        cached = past.shape[1] - k.data.shape[0]
+        past[0, cached:] = k.data
+        past[1, cached:] = v.data
+        if cached:
+            k, v = _cached_rows(past[0], k), _cached_rows(past[1], v)
     return q, k, v
 
 
@@ -336,9 +336,9 @@ def _cached_rows(rows: np.ndarray, new: Tensor) -> Tensor:
 
 
 def _block(state: ModelState, prefix: str, x: Tensor, mask: np.ndarray | None, batch: int,
-           past: np.ndarray | None, past_rows: int, last_only: bool) -> Tensor:
+           past: np.ndarray | None, last_only: bool) -> Tensor:
     params = state.params
-    q, k, v = _qkv(state, prefix, x, past, past_rows)
+    q, k, v = _qkv(state, prefix, x, past)
     seq = x.data.shape[0] // batch
     if last_only and seq > 1:
         # The last row of each sequence, as a strided view.  The sequences
@@ -354,18 +354,18 @@ def _block(state: ModelState, prefix: str, x: Tensor, mask: np.ndarray | None, b
 
 def transformer_stack(state: ModelState, prefix: str, x: Tensor, n_layers: int,
                       mask: np.ndarray | None, batch: int = 1, past: np.ndarray | None = None,
-                      past_rows: int = 0, last_only: bool = False) -> Tensor:
+                      last_only: bool = False) -> Tensor:
     """Pre-LN blocks over ``batch`` equal-length sequences stored row-block
     after row-block; ``mask`` is an additive (T, T) ndarray, or None where
     it would hide nothing (the conditioning stacks use ``Packing.mask``).
 
-    ``past`` is a key/value store of one sequence, shaped (n_layers, 2,
-    capacity, d): layer i's keys at ``past[i, 0]`` and values at
-    ``past[i, 1]``, of which the first ``past_rows`` rows are filled.  Each
-    layer writes the keys and values of ``x`` at the rows after them, and
-    the rows of ``x`` attend to all filled rows (``mask`` is then
-    (T, past_rows + T)).  With ``past_rows`` 0 the layers attend to their
-    fresh keys and values, recording the same ops as no store.
+    ``past`` views the key/value store rows of one sequence that this call
+    attends to, shaped (n_layers, 2, cached + T, d): layer i's keys at
+    ``past[i, 0]`` and values at ``past[i, 1]``, the cached rows first.
+    Each layer writes the keys and values of ``x`` into the last T rows, and
+    the rows of ``x`` attend to all of them (``mask`` is then
+    (T, cached + T)).  With nothing cached the layers attend to their fresh
+    keys and values, recording the same ops as no store.
 
     With ``last_only`` the result is the last row of each sequence, one row
     per sequence, and the last block computes no other: every row still
@@ -379,8 +379,7 @@ def transformer_stack(state: ModelState, prefix: str, x: Tensor, n_layers: int,
         raise ShapeError("transformer_stack: cached keys and values need batch == 1")
     for i in range(n_layers):
         x = _block(state, f"{prefix}.l{i}", x, mask, batch,
-                   None if past is None else past[i], past_rows,
-                   last_only and i == n_layers - 1)
+                   None if past is None else past[i], last_only and i == n_layers - 1)
     return _ln(state, f"{prefix}.lnf", x)
 
 
@@ -427,44 +426,27 @@ def _join_rows(parts: list[Tensor]) -> Tensor:
     return parts[0] if len(parts) == 1 else concat(parts, axis=0)
 
 
-def semantic_hiddens(state: ModelState, text_tokens, acoustic: Tensor,
-                     past: np.ndarray | None = None, packing: Packing | None = None) -> Tensor:
-    """Causal hidden states over [embedded text] ++ [acoustic embeddings].
+def semantic_hiddens(state: ModelState, ids, acoustic: Tensor, packing: Packing,
+                     past: np.ndarray | None = None) -> Tensor:
+    """Causal hidden states over [embedded text] ++ [acoustic embeddings],
+    in ``packing``'s rows: ``ids`` holds the checked token ids of its
+    sequences one after another and ``acoustic`` their patch embeddings.
 
-    Row (n_text - 1 + i) is the prediction hidden for patch i: it has seen
-    the full text plus acoustic context strictly before patch i.
-
-    ``past`` is this stack's key/value store (see ``transformer_stack``).
-    When it holds an earlier call's rows, over the same text and the first
-    h patches, the text is not recomputed: ``acoustic`` holds the embeddings
-    of patches h, h+1, ... and the result has one row per embedding.
-
-    Positions, text skipping, the mask and the number of filled store rows
-    come from ``packing``, by default this one sequence's with no store.
-    With a ``packing`` passed in, ``text_tokens`` holds the checked ids of
-    its sequences one after another and ``acoustic`` their embeddings in the
-    same order, and the rows are in the packed order.
+    Row (n_text - 1 + i) of a sequence is the prediction hidden for its
+    patch i: it has seen the full text plus acoustic context strictly
+    before patch i.  With cached rows the text is not recomputed, and
+    ``ids`` is not read.  ``past`` is this stack's store view (see
+    ``transformer_stack``).
     """
-    cfg = state.config
-    if packing is None:
-        if past is not None:
-            raise ValueError("semantic_hiddens: a past needs the packing that counts its rows")
-        ids = _check_tokens(cfg, text_tokens)
-        packing = Packing([ids.size], [acoustic.data.shape[0]])
-    else:
-        ids = np.asarray(text_tokens, dtype=np.int64)
-    ac_positions = packing.history_positions
-    if ac_positions.size and ac_positions.max() >= cfg.max_patches:
-        raise ShapeError(f"acoustic context of {ac_positions.max() + 1} patches exceeds "
-                         f"max_patches {cfg.max_patches}")
     parts = []
     if not packing.past_rows:
         parts.append(add(embedding_lookup(state["sem.tok"], ids),
                          embedding_lookup(state["sem.pos_text"], packing.text_positions)))
-    if ac_positions.size:
-        parts.append(add(acoustic, embedding_lookup(state["sem.pos_ac"], ac_positions)))
-    return transformer_stack(state, "sem", _join_rows(parts), cfg.n_layers_semantic,
-                             packing.mask(state.dtype), past=past, past_rows=packing.past_rows)
+    if packing.history_positions.size:
+        parts.append(add(acoustic, embedding_lookup(state["sem.pos_ac"],
+                                                    packing.history_positions)))
+    return transformer_stack(state, "sem", _join_rows(parts), state.config.n_layers_semantic,
+                             packing.mask(state.dtype), past=past)
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -501,36 +483,23 @@ def fsq_quantize(h: Tensor, delta: float, bound: int) -> Tensor:
 
 
 def residual_hiddens(state: ModelState, text_hiddens: Tensor | None,
-                     fsq_history: Tensor, acoustic_history: Tensor,
-                     past: np.ndarray | None = None, packing: Packing | None = None) -> Tensor:
-    """Causal hidden states over [text hiddens] ++ [proj(skeleton ⊕ acoustic)].
+                     fsq_history: Tensor, acoustic_history: Tensor, packing: Packing,
+                     past: np.ndarray | None = None) -> Tensor:
+    """Causal hidden states over [text hiddens] ++ [proj(skeleton ⊕ acoustic)],
+    in ``packing``'s rows: the text hiddens and the histories hold its
+    sequences one after another.
 
-    Row (n_text - 1 + i) is the residual hidden for step i.
-
-    ``past`` is this stack's key/value store (see ``transformer_stack``).
-    When it holds an earlier call's rows, over the same text hiddens and the
-    first h history steps, the text rows are not recomputed: the histories
-    hold steps h, h+1, ..., the result has one row per step, and
-    ``text_hiddens`` may be None.
-
-    Positions, text skipping, the mask and the number of filled store rows
-    come from ``packing``, by default this one sequence's with no store.
-    With a ``packing`` passed in, the text hiddens and the histories hold its
-    sequences one after another, and the rows are in the packed order.
-
-    A call with a ``past`` returns the last row only, and the stack's last
-    block computes no other (``transformer_stack``'s ``last_only``).
+    Row (n_text - 1 + i) of a sequence is its residual hidden for step i.
+    With cached rows the text rows are not recomputed, and ``text_hiddens``
+    may be None.  ``past`` is this stack's store view (see
+    ``transformer_stack``); a call with one returns the last row only, and
+    the stack's last block computes no other (``last_only``).
     """
-    cfg = state.config
     k = fsq_history.data.shape[0]
     if acoustic_history.data.shape[0] != k:
         raise ShapeError(
             f"history length mismatch: {k} quantized vs {acoustic_history.data.shape[0]} acoustic"
         )
-    if packing is None:
-        if past is not None:
-            raise ValueError("residual_hiddens: a past needs the packing that counts its rows")
-        packing = Packing([text_hiddens.data.shape[0]], [k])
     parts = []
     if not packing.past_rows:
         parts.append(add(text_hiddens,
@@ -539,9 +508,8 @@ def residual_hiddens(state: ModelState, text_hiddens: Tensor | None,
         hist = linear(concat([fsq_history, acoustic_history], axis=1),
                       state["res.proj.w"], state["res.proj.b"])
         parts.append(add(hist, embedding_lookup(state["res.pos_hist"], packing.history_positions)))
-    return transformer_stack(state, "res", _join_rows(parts), cfg.n_layers_residual,
-                             packing.mask(state.dtype), past=past, past_rows=packing.past_rows,
-                             last_only=past is not None)
+    return transformer_stack(state, "res", _join_rows(parts), state.config.n_layers_residual,
+                             packing.mask(state.dtype), past=past, last_only=past is not None)
 
 
 def stop_logits(state: ModelState, h_fsq: Tensor) -> Tensor:
@@ -635,16 +603,18 @@ def conditioning_batch(state: ModelState, texts, histories,
             raise ValueError("conditioning: the cache was filled for other text tokens")
         if not lengths[0]:
             raise ValueError("conditioning: a decode call needs at least one new patch")
+    packing = Packing([t.size for t in tokens], lengths, 0 if fresh else tokens[0].size + done)
     store = semantic_past = residual_past = None
     if cache is not None:
         layers = cfg.n_layers_semantic + cfg.n_layers_residual
         store = np.empty((layers, 2, tokens[0].size + cfg.max_patches, cfg.d_model),
                          dtype=state.dtype) if fresh else cache.store
-        semantic_past, residual_past = store[:cfg.n_layers_semantic], store[cfg.n_layers_semantic:]
-    packing = Packing([t.size for t in tokens], lengths, 0 if fresh else tokens[0].size + done)
+        # The rows this call attends to: the cached ones, then its own.
+        view = store[:, :, :packing.past_rows + packing.rows]
+        semantic_past, residual_past = view[:cfg.n_layers_semantic], view[cfg.n_layers_semantic:]
 
     embeddings = encode_patches(state, np.concatenate(histories))
-    hiddens = semantic_hiddens(state, np.concatenate(tokens), embeddings, semantic_past, packing)
+    hiddens = semantic_hiddens(state, np.concatenate(tokens), embeddings, packing, semantic_past)
     # Prefill quantizes steps 0..k; decode steps done+1..done+k, which are
     # its rows as they stand.
     rows = packing.step_rows() if fresh else None
@@ -657,13 +627,13 @@ def conditioning_batch(state: ModelState, texts, histories,
     skeletons = quantized if fresh else concat([constant(cache.last_quantized), quantized], axis=0)
     paired = embedding_lookup(skeletons, packing.history_steps())
     if cache is None:
-        residual = residual_hiddens(state, text_hiddens, paired, embeddings, packing=packing)
+        residual = residual_hiddens(state, text_hiddens, paired, embeddings, packing)
         h_res = embedding_lookup(residual, rows)
         return add(quantized, h_res), quantized, h_res
 
     # A cached call returns the row of its last step only, so the residual
     # stack's last block computes that row alone.
-    h_res = residual_hiddens(state, text_hiddens, paired, embeddings, residual_past, packing)
+    h_res = residual_hiddens(state, text_hiddens, paired, embeddings, packing, residual_past)
     quantized = _last_row(quantized)
     cache.tokens = tokens[0]
     cache.patches = done + lengths[0]

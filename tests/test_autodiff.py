@@ -39,7 +39,7 @@ from flowtts.autodiff import (
     tensor_sum,
     zero_grads,
 )
-from flowtts.model import MASK_VALUE, ModelConfig, init_model_state, semantic_hiddens
+from flowtts.model import MASK_VALUE, ModelConfig, Packing, init_model_state, semantic_hiddens
 from oracles import layer_norm, matmul, softmax
 
 RNG = np.random.default_rng(20240811)
@@ -916,7 +916,8 @@ def test_recording_in_one_thread_ignores_ops_of_another():
 
     def thread_b():
         assert a_recording.wait(timeout=30)
-        h = semantic_hiddens(state, [1, 2, 3], constant(np.zeros((0, 64), dtype=np.float32)))
+        h = semantic_hiddens(state, [1, 2, 3], constant(np.zeros((0, 64), dtype=np.float32)),
+                             Packing([3], [0]))
         assert h.requires_grad
         b_done.set()
 

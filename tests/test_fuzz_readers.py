@@ -3,17 +3,21 @@
 Each reader's valid input file is damaged by bit flips, truncation,
 insertion and duplication, then handed to ``main([...])``.  The command must
 return one of its documented exit codes without raising, leave no ``.tmp-``
-sibling, and write no output file unless it succeeded.  The examples are
-derandomized and few, and every run is tiny (no training steps, two patches
-of one Euler step), so the whole file costs seconds.
+sibling, and write no output file unless it succeeded.  The float readers
+(checkpoints and latent files) also get value mutations: an exponent bit of
+one stored float flipped, which keeps the file well formed.  The examples
+are derandomized and few, and every run is tiny (no training steps, two
+patches of one Euler step), so the whole file costs seconds.
 """
 
+import math
 import os
+import struct
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowtts.cli import main
@@ -113,6 +117,39 @@ def mutate(data: bytes, mutations) -> bytes:
     return bytes(buf)
 
 
+def _checkpoint_values(blob: bytes) -> list[int]:
+    """Byte offsets of every stored f32 value of a version 2 checkpoint."""
+    (config_length,) = struct.unpack_from("<I", blob, 8)
+    at = 16 + config_length  # past the config block and the tensor count
+    offsets = []
+    while at < len(blob):
+        (name_length,) = struct.unpack_from("<H", blob, at)
+        rank = blob[at + 2 + name_length]
+        at += 3 + name_length
+        shape = struct.unpack_from(f"<{rank}Q", blob, at)
+        at += 8 * rank
+        end = at + 4 * math.prod(shape)
+        offsets += range(at, end, 4)
+        at = end
+    return offsets
+
+
+# reader -> byte offsets of the f32 values its valid file stores
+STORED_VALUES = {
+    "load_checkpoint": _checkpoint_values(CHECKPOINT),
+    "read_latents": list(range(16, len(LATENTS), 4)),  # after magic, d_patch, n, frame_ms
+}
+
+
+def flip_exponent_bit(data: bytes, offset: int, bit: int) -> tuple[bytes, float]:
+    """``data`` with exponent bit ``bit`` (0-7) of the f32 at ``offset``
+    flipped, and the value it then holds."""
+    buf = bytearray(data)
+    (word,) = struct.unpack_from("<I", buf, offset)
+    struct.pack_into("<I", buf, offset, word ^ (1 << (23 + bit)))
+    return bytes(buf), struct.unpack_from("<f", buf, offset)[0]
+
+
 def run_mutated(reader: str, data: bytes) -> int:
     valid, argv, codes, outputs = READERS[reader]
     with tempfile.TemporaryDirectory() as directory:
@@ -136,5 +173,29 @@ def test_a_mutated_file_ends_in_a_documented_exit_code_and_leaves_no_partial_out
     @given(st.lists(MUTATION, min_size=1, max_size=4))
     def check(mutations):
         run_mutated(reader, mutate(READERS[reader][0], mutations))
+
+    check()
+
+
+@pytest.mark.parametrize("reader", sorted(STORED_VALUES))
+def test_a_flipped_exponent_bit_ends_in_a_documented_exit_code_without_a_traceback(reader,
+                                                                                    capsys):
+    offsets = STORED_VALUES[reader]
+
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(st.integers(0, len(offsets) - 1), st.integers(0, 7))
+    # The top bit scales a value in [2**-126, 1) by 2**128 and turns one in
+    # [1, 2) into a NaN or an infinity.
+    @example(0, 7)
+    def check(index, bit):
+        data, value = flip_exponent_bit(READERS[reader][0], offsets[index], bit)
+        capsys.readouterr()
+        code = run_mutated(reader, data)
+        assert "Traceback" not in capsys.readouterr().err
+        # A reference value of 1e25 or more already overflows the tiny
+        # model's first layer norm (1e20 does not); 1e30 leaves a margin.
+        # Most weights, by contrast, still give a finite model when scaled.
+        if reader == "read_latents" and not abs(value) < 1e30:
+            assert code == 1, f"reference value {value}: exit {code}"
 
     check()

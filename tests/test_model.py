@@ -136,6 +136,15 @@ def test_a_decode_of_three_patches_sees_the_cached_rows_and_the_new_rows_up_to_i
     assert mask[:, 6:].tobytes() == np.triu(np.full((3, 3), MASK_VALUE, np.float32), 1).tobytes()
 
 
+def test_the_steps_of_two_packed_sequences():
+    # Text rows 0-1 and 2-4, then history rows 5 and 6-7.  The steps are
+    # each sequence's last text row, then its history rows; history row 5
+    # pairs with step 0 (row 1), rows 6 and 7 with steps 2 and 3 (rows 4, 6).
+    packing = Packing([2, 3], [1, 2])
+    assert packing.step_rows().tolist() == [1, 5, 4, 6, 7]
+    assert packing.history_steps().tolist() == [0, 2, 3]
+
+
 def test_both_stacks_share_one_mask_per_packing():
     packing = Packing([2, 3], [1, 4])
     assert packing.mask(np.float32) is packing.mask(np.float32)
@@ -169,14 +178,23 @@ def test_one_row_calls_hand_attention_no_mask(monkeypatch):
 # Semantic transformer
 # --------------------------------------------------------------------------
 
-def test_semantic_requires_text():
+def _alone(tokens, acoustic):
+    """The packing of one sequence with no cached rows."""
+    return Packing([len(tokens)], [acoustic.data.shape[0]])
+
+
+def _semantic(tokens, acoustic):
+    return semantic_hiddens(STATE, tokens, acoustic, _alone(tokens, acoustic))
+
+
+def test_conditioning_requires_text():
     with pytest.raises(ValueError):
-        semantic_hiddens(STATE, [], encode_patches(STATE, np.zeros((0, CFG.d_patch))))
+        conditioning(STATE, [], np.zeros((0, CFG.d_patch)))
 
 
 def test_semantic_first_patch_prediction_from_text_alone():
     empty = encode_patches(STATE, np.zeros((0, CFG.d_patch)))
-    text_h = semantic_hiddens(STATE, [1, 2, 3], empty)
+    text_h = _semantic([1, 2, 3], empty)
     assert text_h.data.shape == (3, CFG.d_model)
     # The last text row is the prediction hidden for patch 0.
     _, quantized, _ = conditioning(STATE, [1, 2, 3], np.zeros((0, CFG.d_patch)))
@@ -190,8 +208,8 @@ def test_semantic_causality_appending_acoustic_leaves_text_hiddens():
     patches = RNG.standard_normal((3, CFG.d_patch))
     base = encode_patches(STATE, patches[:2])
     ext = encode_patches(STATE, patches)
-    h_base = semantic_hiddens(STATE, tokens, base).data
-    h_ext = semantic_hiddens(STATE, tokens, ext).data
+    h_base = _semantic(tokens, base).data
+    h_ext = _semantic(tokens, ext).data
     np.testing.assert_array_equal(h_base, h_ext[: h_base.shape[0]])
 
 
@@ -199,25 +217,24 @@ def test_semantic_causality_positionwise():
     # Hidden at position k is invariant to changes strictly after k.
     tokens = [2, 5, 9]
     patches = RNG.standard_normal((4, CFG.d_patch))
-    h_full = semantic_hiddens(STATE, tokens, encode_patches(STATE, patches)).data
+    h_full = _semantic(tokens, encode_patches(STATE, patches)).data
     mutated = patches.copy()
     mutated[3] += 2.0  # last acoustic position only
-    h_mut = semantic_hiddens(STATE, tokens, encode_patches(STATE, mutated)).data
+    h_mut = _semantic(tokens, encode_patches(STATE, mutated)).data
     np.testing.assert_array_equal(h_full[:-1], h_mut[:-1])
 
 
 def test_semantic_bitwise_stable():
     tokens = [1, 2]
     patches = RNG.standard_normal((2, CFG.d_patch))
-    a = semantic_hiddens(STATE, tokens, encode_patches(STATE, patches)).data
-    b = semantic_hiddens(STATE, tokens, encode_patches(STATE, patches)).data
+    a = _semantic(tokens, encode_patches(STATE, patches)).data
+    b = _semantic(tokens, encode_patches(STATE, patches)).data
     np.testing.assert_array_equal(a, b)
 
 
-def test_semantic_rejects_bad_tokens():
-    empty = encode_patches(STATE, np.zeros((0, CFG.d_patch)))
+def test_conditioning_rejects_bad_tokens():
     with pytest.raises(ValueError):
-        semantic_hiddens(STATE, [CFG.vocab_size], empty)
+        conditioning(STATE, [CFG.vocab_size], np.zeros((0, CFG.d_patch)))
 
 
 # --------------------------------------------------------------------------
@@ -310,7 +327,7 @@ def test_fsq_straight_through_gradient():
 
 def _text_hiddens(tokens, patches):
     emb = encode_patches(STATE, patches)
-    text_h = narrow(semantic_hiddens(STATE, tokens, emb), 0, 0, len(tokens))
+    text_h = narrow(_semantic(tokens, emb), 0, 0, len(tokens))
     return text_h, emb
 
 
@@ -318,7 +335,7 @@ def test_residual_empty_history():
     text_h, _ = _text_hiddens([3, 1], np.zeros((0, CFG.d_patch)))
     empty = encode_patches(STATE, np.zeros((0, CFG.d_patch)))
     empty_fsq = fsq_quantize(empty, CFG.fsq_delta, CFG.fsq_bound)
-    out = residual_hiddens(STATE, text_h, empty_fsq, empty)
+    out = residual_hiddens(STATE, text_h, empty_fsq, empty, _alone([3, 1], empty))
     assert out.data.shape == (2, CFG.d_model)
     # The last text row is the residual hidden for step 0.
     _, _, h_res = conditioning(STATE, [3, 1], np.zeros((0, CFG.d_patch)))
@@ -330,7 +347,7 @@ def test_residual_history_length_mismatch():
     fsq_hist = fsq_quantize(emb, CFG.fsq_delta, CFG.fsq_bound)
     short = encode_patches(STATE, RNG.standard_normal((1, CFG.d_patch)))
     with pytest.raises(ShapeError):
-        residual_hiddens(STATE, text_h, fsq_hist, short)
+        residual_hiddens(STATE, text_h, fsq_hist, short, _alone([3, 1], emb))
 
 
 def test_residual_causality_at_final_position():
@@ -339,10 +356,9 @@ def test_residual_causality_at_final_position():
     patches = RNG.standard_normal((3, CFG.d_patch))
     text_h, emb = _text_hiddens(tokens, patches)
     fsq_hist = fsq_quantize(emb, CFG.fsq_delta, CFG.fsq_bound)
-    from flowtts.model import narrow, residual_hiddens
-    short = residual_hiddens(STATE, text_h,
-                             narrow(fsq_hist, 0, 0, 2), narrow(emb, 0, 0, 2)).data
-    longer = residual_hiddens(STATE, text_h, fsq_hist, emb).data
+    short = residual_hiddens(STATE, text_h, narrow(fsq_hist, 0, 0, 2), narrow(emb, 0, 0, 2),
+                             Packing([3], [2])).data
+    longer = residual_hiddens(STATE, text_h, fsq_hist, emb, _alone(tokens, emb)).data
     np.testing.assert_array_equal(short, longer[: short.shape[0]])
 
 
@@ -516,9 +532,8 @@ def test_prefill_records_the_ops_of_an_uncached_call_up_to_the_last_block(monkey
     # The same call with the stacks given no store, the residual one still
     # trimmed to its last row, returns the prefill's row bitwise: the store
     # does not change what the prefill computes.
-    def storeless(state, prefix, x, n_layers, mask, batch=1, past=None, past_rows=0,
-                  last_only=False):
-        assert past_rows == 0
+    def storeless(state, prefix, x, n_layers, mask, batch=1, past=None, last_only=False):
+        assert past.shape[2] == x.data.shape[0]  # the prefill's view holds no cached row
         return transformer_stack(state, prefix, x, n_layers, mask, batch, last_only=last_only)
 
     with monkeypatch.context() as patched:
@@ -694,14 +709,3 @@ def test_cached_keys_need_a_single_sequence():
     store = np.zeros((1, 2, 2 + CFG.max_patches, CFG.d_model), dtype=np.float32)
     with pytest.raises(ShapeError, match="batch"):
         transformer_stack(STATE, "sem", x, 1, None, batch=2, past=store)
-
-
-def test_a_past_without_a_packing_is_rejected():
-    # Only the packing says how many of a store's rows are filled.
-    store = np.zeros((1, 2, 2 + CFG.max_patches, CFG.d_model), dtype=np.float32)
-    emb = encode_patches(STATE, RNG.standard_normal((2, CFG.d_patch)))
-    with pytest.raises(ValueError, match="packing"):
-        semantic_hiddens(STATE, [1, 2], emb, past=store)
-    text_h = narrow(semantic_hiddens(STATE, [1, 2], emb), 0, 0, 2)
-    with pytest.raises(ValueError, match="packing"):
-        residual_hiddens(STATE, text_h, emb, emb, past=store)
