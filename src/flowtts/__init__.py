@@ -47,7 +47,6 @@ from .model import (
     ConditioningCache,
     ModelConfig,
     ModelState,
-    StepHiddens,
     conditioning,
     conditioning_batch,
     encode_patches,

@@ -38,7 +38,6 @@ from .autodiff import (
 __all__ = [
     "ModelConfig",
     "ModelState",
-    "StepHiddens",
     "ConditioningCache",
     "NonFiniteError",
     "Packing",
@@ -456,7 +455,7 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
 
 class NonFiniteError(ValueError):
     """A NaN or infinity reached the quantizer, which cannot place it on
-    the lattice."""
+    the lattice, or a synthesis step's stop logit or patch."""
 
 
 def fsq_quantize(h: Tensor, delta: float, bound: int) -> Tensor:
@@ -528,7 +527,7 @@ class ConditioningCache:
     d_model): the semantic layers, then the residual ones (see
     ``transformer_stack``).  Both stacks hold one row per token and patch,
     so the first ``len(tokens) + patches`` rows of every layer are filled; a
-    decode call writes its rows after them in place.  It never fills up: a
+    decode call writes its row after them in place.  It never fills up: a
     call reaching max_patches is rejected.
 
     A cache belongs to one caller and one utterance; the ModelState it is
@@ -560,13 +559,14 @@ def conditioning(state: ModelState, text_tokens, history,
 
     With a ``cache``, ``history`` holds only the patches the cache does not
     hold yet: all of them at the first call (prefill), which also keeps what
-    later calls need, then at least one new patch per call (decode), which
+    later calls need, then exactly one new patch per call (decode), which
     runs against the cached keys and values.  A cached call returns one row,
     that of its last step (the row synthesis reads): the residual stack's
     last block runs for that row alone (``transformer_stack``'s
     ``last_only``), while every row still gives the cache its keys and
-    values.  Other text tokens or no new patch raise ValueError; cached plus
-    new patches reaching max_patches raise ShapeError.
+    values.  Other text tokens, or a decode of other than one patch, raise
+    ValueError; cached plus new patches reaching max_patches raise
+    ShapeError.
 
     This is ``conditioning_batch`` of a batch of one.
     """
@@ -582,8 +582,9 @@ def conditioning_batch(state: ModelState, texts, histories,
     quantizer run once however many there are, and no sequence sees
     another.  The result has the rows of sequence 0 (steps 0..k_0), then
     those of sequence 1, and so on.  A ``cache`` takes exactly one sequence,
-    and its ``histories[0]`` holds only the patches the cache does not hold;
-    the result is then the one row of the call's last step.
+    and its ``histories[0]`` holds only the patches the cache does not hold
+    (one at a decode); the result is then the one row of the call's last
+    step.
     """
     cfg = state.config
     histories = [_as_patch_matrix(h, cfg.d_patch, state.dtype) for h in histories]
@@ -601,8 +602,8 @@ def conditioning_batch(state: ModelState, texts, histories,
     if not fresh:
         if not np.array_equal(tokens[0], cache.tokens):
             raise ValueError("conditioning: the cache was filled for other text tokens")
-        if not lengths[0]:
-            raise ValueError("conditioning: a decode call needs at least one new patch")
+        if lengths[0] != 1:
+            raise ValueError(f"conditioning: a decode call takes one new patch, not {lengths[0]}")
     packing = Packing([t.size for t in tokens], lengths, 0 if fresh else tokens[0].size + done)
     store = semantic_past = residual_past = None
     if cache is not None:
@@ -615,17 +616,16 @@ def conditioning_batch(state: ModelState, texts, histories,
 
     embeddings = encode_patches(state, np.concatenate(histories))
     hiddens = semantic_hiddens(state, np.concatenate(tokens), embeddings, packing, semantic_past)
-    # Prefill quantizes steps 0..k; decode steps done+1..done+k, which are
-    # its rows as they stand.
+    # Prefill quantizes steps 0..k; decode step done+1, its one row.
     rows = packing.step_rows() if fresh else None
     steps = hiddens if rows is None else embedding_lookup(hiddens, rows)
     quantized = fsq_quantize(steps, cfg.fsq_delta, cfg.fsq_bound)
     # Decode's cached residual keys and values already hold the text rows.
     text_hiddens = narrow(hiddens, 0, 0, packing.text_rows) if fresh else None
-    # History step i pairs patch i with the skeleton of step i; decode's
-    # first one is the last skeleton of the previous call.
-    skeletons = quantized if fresh else concat([constant(cache.last_quantized), quantized], axis=0)
-    paired = embedding_lookup(skeletons, packing.history_steps())
+    # History step i pairs patch i with the skeleton of step i; decode's one
+    # patch pairs with the last skeleton of the previous call.
+    paired = (embedding_lookup(quantized, packing.history_steps()) if fresh
+              else constant(cache.last_quantized))
     if cache is None:
         residual = residual_hiddens(state, text_hiddens, paired, embeddings, packing)
         h_res = embedding_lookup(residual, rows)
@@ -642,26 +642,14 @@ def conditioning_batch(state: ModelState, texts, histories,
     return add(quantized, h_res), quantized, h_res
 
 
-@dataclass
-class StepHiddens:
-    """Per-step conditioning bundle; h_final == h_quantized + h_residual."""
+def step_hiddens(state: ModelState, text_tokens, new_patches,
+                 cache: ConditioningCache) -> tuple[Tensor, float]:
+    """Conditioning for the next patch of a synthesis: ``(h_final,
+    stop_logit)`` of the one row a cached ``conditioning`` call returns.
 
-    h_quantized: Tensor
-    h_residual: Tensor
-    h_final: Tensor
-    stop_logit: float
-
-
-def step_hiddens(state: ModelState, text_tokens, patch_history,
-                 cache: ConditioningCache | None = None) -> StepHiddens:
-    """Conditioning for the next patch: the last row of ``conditioning``.
-
-    Without a ``cache`` the whole prefix is computed, and the last row is
-    taken from it.  Synthesis passes one cache for all its steps and hands
-    over each patch once: the reference at the first step, then only the
-    patch that step adds; a cached call returns the last row alone.
+    Synthesis passes one cache for all its steps and hands over each patch
+    once: the reference at the first step, then only the patch that step
+    adds.
     """
-    h_final, h_fsq, h_res = map(_last_row, conditioning(state, text_tokens, patch_history, cache))
-    logit = stop_logits(state, h_fsq)
-    return StepHiddens(h_quantized=h_fsq, h_residual=h_res, h_final=h_final,
-                       stop_logit=float(logit.data[0, 0]))
+    h_final, quantized, _ = conditioning(state, text_tokens, new_patches, cache)
+    return h_final, float(stop_logits(state, quantized).data[0, 0])

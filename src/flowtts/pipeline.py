@@ -403,7 +403,9 @@ def synthesize(state: ModelState, text_tokens, reference_patches=(),
     Reference patches seed the history (voice-cloning context) but are never
     part of the output.  Generation ends when the stop logit is positive
     (stop probability above one half) or the history reaches the patch cap;
-    at least one patch is produced.
+    at least one patch is produced.  A stop logit that is not finite, checked
+    before its step samples, or a non-finite patch in the result raises
+    NonFiniteError.
 
     The first step runs the conditioning stacks over the text and the
     reference (prefill); every later step hands them only the one new patch,
@@ -429,15 +431,22 @@ def synthesize(state: ModelState, text_tokens, reference_patches=(),
     cache = ConditioningCache()
     new_patches = refs
     while True:
-        hiddens = step_hiddens(state, tokens, new_patches, cache)
+        h_final, stop_logit = step_hiddens(state, tokens, new_patches, cache)
+        if not math.isfinite(stop_logit):
+            raise NonFiniteError(f"synthesize: stop logit {stop_logit} at patch {n - len(refs)}")
         z_prev = history[n - 1] if n else np.zeros(cfg.d_patch, dtype=state.dtype)
-        history[n] = sample_patch(state, hiddens.h_final, z_prev, steps=steps,
+        history[n] = sample_patch(state, h_final, z_prev, steps=steps,
                                   cfg_scale=cfg_scale, rng=rng)
         new_patches = history[n:n + 1]
         n += 1
-        if hiddens.stop_logit > 0.0 or n >= cap:
+        if stop_logit > 0.0 or n >= cap:
             break
-    return history[len(refs):n].copy()
+    patches = history[len(refs):n]
+    # Every patch but the last went through the quantizer's finite check;
+    # a NaN weight makes a NaN last patch without a floating-point fault.
+    if not np.isfinite(patches).all():
+        raise NonFiniteError("synthesize: non-finite patch")
+    return patches.copy()
 
 
 def rtf_value(wall_seconds: float, n_patches: int, frame_ms: float) -> float:

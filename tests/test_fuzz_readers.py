@@ -199,3 +199,26 @@ def test_a_flipped_exponent_bit_ends_in_a_documented_exit_code_without_a_traceba
             assert code == 1, f"reference value {value}: exit {code}"
 
     check()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_non_finite_tensor_in_a_checkpoint_ends_synthesis_with_exit_1(capsys, value):
+    # Every tensor, wholly NaN or +inf, with the stop bias pinned so the run
+    # decodes (reading the encoder and the history positions) unless the
+    # stop bias is the tensor under test.  Three patches of one Euler step.
+    codes = {}
+    for name in init_model_state(TINY, seed=5).params:
+        state = init_model_state(TINY, seed=5)
+        state.params["stop.b"].data[:] = -1e4
+        state.params[name].data[:] = value
+        with tempfile.TemporaryDirectory() as directory:
+            checkpoint = os.path.join(directory, "bad.ckpt")
+            save_checkpoint(state, checkpoint)
+            capsys.readouterr()
+            codes[name] = main(["synth", "--checkpoint", checkpoint, "--tokens", "1,2",
+                                "--max-patches", "3", "--steps", "1", "--seed", "0",
+                                "--out", os.path.join(directory, "out.jlat")])
+            assert "Traceback" not in capsys.readouterr().err, name
+            assert sorted(os.listdir(directory)) == ["bad.ckpt"], name
+    assert {"stop.w", "stop.b", "enc.w1", "res.pos_hist"} <= set(codes)
+    assert {name: code for name, code in codes.items() if code != 1} == {}

@@ -386,42 +386,46 @@ def test_stop_deterministic():
 # Per-step composition
 # --------------------------------------------------------------------------
 
-def test_step_hiddens_sum_identity_and_lattice():
+def test_conditioning_sum_identity_and_lattice():
     history = RNG.standard_normal((3, CFG.d_patch))
-    sh = step_hiddens(STATE, [1, 2], history)
-    np.testing.assert_array_equal(sh.h_final.data, sh.h_quantized.data + sh.h_residual.data)
-    ratio = sh.h_quantized.data / CFG.fsq_delta
+    h_final, quantized, h_residual = conditioning(STATE, [1, 2], history)
+    assert h_final.data.shape == (4, CFG.d_model)
+    np.testing.assert_array_equal(h_final.data, quantized.data + h_residual.data)
+    ratio = quantized.data / CFG.fsq_delta
     np.testing.assert_allclose(ratio, np.round(ratio), atol=1e-5)
-    requant = fsq_quantize(sh.h_quantized, CFG.fsq_delta, CFG.fsq_bound)
-    np.testing.assert_array_equal(requant.data, sh.h_quantized.data)
+    requant = fsq_quantize(quantized, CFG.fsq_delta, CFG.fsq_bound)
+    np.testing.assert_array_equal(requant.data, quantized.data)
 
 
 def test_step_hiddens_empty_history():
-    sh = step_hiddens(STATE, [5, 6, 7], np.zeros((0, CFG.d_patch)))
-    assert sh.h_final.data.shape == (1, CFG.d_model)
-    assert math.isfinite(sh.stop_logit)
+    h_final, stop_logit = step_hiddens(STATE, [5, 6, 7], np.zeros((0, CFG.d_patch)),
+                                       ConditioningCache())
+    assert h_final.data.shape == (1, CFG.d_model)
+    assert isinstance(stop_logit, float) and math.isfinite(stop_logit)
 
 
 def test_step_hiddens_rejects_full_history():
     history = RNG.standard_normal((CFG.max_patches, CFG.d_patch))
+    cache = ConditioningCache()
     with pytest.raises(ShapeError):
-        step_hiddens(STATE, [1], history)
+        step_hiddens(STATE, [1], history, cache)
+    assert cache.tokens is None and cache.store is None
 
 
 # --------------------------------------------------------------------------
 # Incremental conditioning: prefill once, then only the new patches
 # --------------------------------------------------------------------------
 
-def _cached_conditioning(state, tokens, history, prefill, chunk=1):
+def _cached_conditioning(state, tokens, history, prefill):
     """The rows of ``conditioning`` from one prefill over ``history[:prefill]``
-    and decode calls handing over ``chunk`` new patches each, and the step
-    of each row: a cached call returns the row of its last step."""
+    and decode calls handing over one new patch each, and the step of each
+    row: a cached call returns the row of its last step."""
     cache = ConditioningCache()
     parts = [conditioning(state, tokens, history[:prefill], cache)]
     steps = [prefill]
-    for start in range(prefill, history.shape[0], chunk):
-        parts.append(conditioning(state, tokens, history[start:start + chunk], cache))
-        steps.append(min(start + chunk, history.shape[0]))
+    for start in range(prefill, history.shape[0]):
+        parts.append(conditioning(state, tokens, history[start:start + 1], cache))
+        steps.append(start + 1)
     return [np.concatenate([part[i].data for part in parts]) for i in range(3)], steps
 
 
@@ -469,18 +473,6 @@ def test_cached_decode_matches_full_recompute(dtype, rtol):
         assert got.dtype == np.dtype(dtype)
         err = np.max(np.abs(got - want.data[200:])) / np.max(np.abs(want.data))
         assert err <= rtol, (name, err)
-
-
-def test_decode_of_several_patches_per_call_matches_full_recompute():
-    with precision("float64"):
-        history = RNG.standard_normal((13, CFG.d_patch))
-        full = conditioning(STATE64, [4, 1, 7], history)
-        cached, steps = _cached_conditioning(STATE64, [4, 1, 7], history, 1, chunk=3)
-    # Each call returns the row of its last step: the prefill's step 1, then
-    # one row per chunk of three patches.
-    assert steps == [1, 4, 7, 10, 13]
-    for got, want in zip(cached, full):
-        np.testing.assert_allclose(got, want.data[steps], rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("dtype,rtol", [("float64", 1e-12), ("float32", 1e-5)])
@@ -626,9 +618,11 @@ def test_a_one_patch_decode_selects_nothing_and_records_no_more_ops_than_before(
     # and the result needs no slicing.  Before the rule a decode recorded 41
     # entries (a gather of its residual rows among them) and step_hiddens 45
     # (three one-row slices more); the quantizer now reads a decode's rows
-    # as they stand, without an identity gather of them (40 and 41 before).
+    # as they stand, without an identity gather of them (40 and 41 before),
+    # and the residual stack pairs the one patch with the cached skeleton
+    # row as it stands, without a concat and a gather (39 and 40 before).
     assert selections == []
-    assert len(decode) <= 39 and len(step) <= 40
+    assert len(decode) == 37 and len(step) == 38
 
 
 def test_cache_rejects_other_tokens():
@@ -643,14 +637,19 @@ def test_cache_rejects_other_tokens():
                                rtol=1e-5, atol=1e-6)
 
 
-def test_a_decode_with_no_new_patch_is_rejected_and_leaves_the_cache_unchanged():
-    history = RNG.standard_normal((3, CFG.d_patch))
+@pytest.mark.parametrize("patches", [0, 2])
+def test_a_decode_with_no_new_patch_is_rejected_and_leaves_the_cache_unchanged(monkeypatch,
+                                                                                patches):
+    history = RNG.standard_normal((4, CFG.d_patch))
     cache = ConditioningCache()
     conditioning(STATE, [1, 2], history[:2], cache)
     before = _cache_bytes(cache)
-    with pytest.raises(ValueError, match="at least one new patch"):
-        conditioning(STATE, [1, 2], history[2:2], cache)
-    assert _cache_bytes(cache) == before
+    stacks = []
+    monkeypatch.setattr("flowtts.model.transformer_stack", lambda *a, **k: stacks.append(1))
+    with pytest.raises(ValueError, match=f"takes one new patch, not {patches}"):
+        conditioning(STATE, [1, 2], history[2:2 + patches], cache)
+    # Rejected before any stack runs.
+    assert stacks == [] and _cache_bytes(cache) == before
 
 
 def test_a_decode_reaching_max_patches_is_rejected():

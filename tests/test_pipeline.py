@@ -26,7 +26,8 @@ from flowtts.autodiff import (
     rng_stream,
     zero_grads,
 )
-from flowtts.model import ModelConfig, ModelState, init_model_state, step_hiddens
+from flowtts.model import (ModelConfig, ModelState, NonFiniteError, conditioning,
+                           init_model_state, step_hiddens)
 from oracles import PerTensorAdam, add_at_embedding_lookup, two_call_sample_patch
 import flowtts.pipeline as pipeline
 from flowtts.pipeline import (
@@ -191,10 +192,10 @@ def test_teacher_forced_hiddens_match_stepwise():
     h_final, quantized = _teacher_forced_hiddens(STATE, example)
     n = example.patches.shape[0]
     for i in (0, 1, n - 1):
-        sh = step_hiddens(STATE, example.text_tokens,
-                          example.patches[:i].astype(STATE.dtype))
-        np.testing.assert_allclose(h_final.data[i], sh.h_final.data[0], rtol=1e-5, atol=1e-6)
-        np.testing.assert_array_equal(quantized.data[i], sh.h_quantized.data[0])
+        step_final, step_quantized, _ = conditioning(STATE, example.text_tokens,
+                                                     example.patches[:i].astype(STATE.dtype))
+        np.testing.assert_allclose(h_final.data[i], step_final.data[-1], rtol=1e-5, atol=1e-6)
+        np.testing.assert_array_equal(quantized.data[i], step_quantized.data[-1])
 
 
 def test_conditioning_drop_statistics():
@@ -551,6 +552,31 @@ def test_synthesize_rejects_bad_sampler_arguments_before_prefill(monkeypatch, ba
     assert calls == []
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_synthesize_rejects_a_non_finite_stop_logit_before_sampling_its_step(monkeypatch,
+                                                                             value):
+    sampled = []
+
+    def counting(*args, **kwargs):
+        sampled.append(1)
+        return flowmatch.sample_patch(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "sample_patch", counting)
+    state = _never_stopping_state()
+    state.params["stop.b"].data[:] = value
+    with pytest.raises(NonFiniteError, match="stop logit .* at patch 0"):
+        synthesize(state, [4, 5], rng=rng_stream(1, "synth"), max_patches=4)
+    assert sampled == []
+
+
+def test_synthesize_rejects_a_non_finite_patch_in_its_result():
+    # The last patch never reaches the quantizer; synthesize checks it.
+    state = _never_stopping_state()
+    state.params["vel.out.b"].data[0] = math.nan
+    with pytest.raises(NonFiniteError, match="non-finite patch"):
+        synthesize(state, [4, 5], rng=rng_stream(1, "synth"), max_patches=1)
+
+
 def test_synthesize_excludes_reference_patches():
     # The references count against the cap but are not part of the output.
     refs = RNG.standard_normal((3, CFG.d_patch)).astype(np.float32)
@@ -582,9 +608,9 @@ def test_synthesize_runs_the_stacks_over_one_new_patch_per_step(monkeypatch):
 def test_synthesize_hands_step_hiddens_the_references_once_then_one_patch_per_call(monkeypatch):
     handed = []
 
-    def recording(state, text_tokens, patch_history, cache=None):
-        handed.append(np.array(patch_history))
-        return step_hiddens(state, text_tokens, patch_history, cache)
+    def recording(state, text_tokens, new_patches, cache):
+        handed.append(np.array(new_patches))
+        return step_hiddens(state, text_tokens, new_patches, cache)
 
     monkeypatch.setattr(pipeline, "step_hiddens", recording)
     refs = RNG.standard_normal((3, CFG.d_patch)).astype(np.float32)
@@ -607,7 +633,7 @@ def test_synthesize_matches_a_full_recompute_two_call_reference():
         rng = rng_stream(5, "synth")
         history = list(refs)
         while len(history) < 10:
-            h = step_hiddens(state, tokens, np.asarray(history)).h_final
+            h = conditioning(state, tokens, np.asarray(history))[0].data[-1:]
             history.append(two_call_sample_patch(state, h, history[-1], 10, 2.5, rng))
     np.testing.assert_allclose(out, np.asarray(history[3:]), rtol=1e-9, atol=1e-12)
 
