@@ -171,14 +171,20 @@ _NUMERIC_FAULTS = {"over": "raise", "invalid": "raise", "divide": "raise"}
 def _synthesize(state, tokens, *args, **kwargs):
     """``synthesize`` under ``_NUMERIC_FAULTS``, with a bad argument (its
     ValueError) raised as a ConfigError; a NonFiniteError (``synthesize``
-    raises it for a non-finite stop logit or patch) stays a model error."""
+    raises it for a non-finite stop logit) stays a model error, and so does a
+    non-finite patch in the result."""
     try:
         with np.errstate(**_NUMERIC_FAULTS):
-            return synthesize(state, tokens, *args, **kwargs)
+            patches = synthesize(state, tokens, *args, **kwargs)
     except NonFiniteError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # Every patch but the last went through the quantizer's finite check;
+    # a NaN weight makes a NaN patch without a floating-point fault.
+    if not np.isfinite(patches).all():
+        raise NonFiniteError("synthesize: non-finite patch")
+    return patches
 
 
 # --------------------------------------------------------------------------

@@ -569,14 +569,6 @@ def test_synthesize_rejects_a_non_finite_stop_logit_before_sampling_its_step(mon
     assert sampled == []
 
 
-def test_synthesize_rejects_a_non_finite_patch_in_its_result():
-    # The last patch never reaches the quantizer; synthesize checks it.
-    state = _never_stopping_state()
-    state.params["vel.out.b"].data[0] = math.nan
-    with pytest.raises(NonFiniteError, match="non-finite patch"):
-        synthesize(state, [4, 5], rng=rng_stream(1, "synth"), max_patches=1)
-
-
 def test_synthesize_excludes_reference_patches():
     # The references count against the cap but are not part of the output.
     refs = RNG.standard_normal((3, CFG.d_patch)).astype(np.float32)
