@@ -9,12 +9,12 @@ Exit codes:
   0  success
   1  model errors: training diverged (NaN), a NaN or infinity met during
      synthesis, a numeric fault (overflow, invalid operation, division by
-     zero) in train, synth or eval rtf --checkpoint, checkpoint/latent
-     format errors, a trajectory with no audio
+     zero; every subcommand runs with numpy raising on them),
+     checkpoint/latent format errors, a trajectory with no audio
   2  I/O or configuration errors (missing files, unknown config keys, bad
      synthesis arguments, an eval rtf --wall-seconds not finite and > 0)
   3  empty token list
-  4  malformed data rows (CER batch, votes, pair lists)
+  4  malformed data rows (CER batch, votes, pair lists), or no CER rows or pairs
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .evaluation import (
     read_embedding,
     read_votes_csv,
 )
-from .fileio import checked_output_path, open_input, read_tsv_rows, write_atomic
+from .fileio import checked_output_path, read_commented_lines, read_tsv_rows, write_atomic
 from .flowmatch import DEFAULT_CFG_SCALE, DEFAULT_STEPS
 from .model import ModelConfig, NonFiniteError, init_model_state
 from .pipeline import (
@@ -85,23 +85,20 @@ class EmptyTokenList(Exception):
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(ModelConfig)}
 _TRAIN_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
+_FIELDS = {**_CONFIG_FIELDS, **_TRAIN_FIELDS}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
     """Parse a flat key=value UTF-8 config file (BOM allowed) with '#' comments."""
     values: dict[str, str] = {}
-    with open_input(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_FIELDS and key not in _TRAIN_FIELDS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value.strip()
+    for lineno, line in read_commented_lines(path):
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key = key.strip()
+        if key not in _FIELDS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -116,22 +113,11 @@ def _typed(field_obj, raw: str):
 def build_configs(file_values: dict[str, str],
                   overrides: dict[str, object]) -> tuple[ModelConfig, TrainConfig]:
     """Materialize configs from file values plus CLI overrides (flags win)."""
-    model_kwargs = {}
-    train_kwargs = {}
-    for key, raw in file_values.items():
-        if key in _CONFIG_FIELDS:
-            model_kwargs[key] = _typed(_CONFIG_FIELDS[key], raw)
-        if key in _TRAIN_FIELDS:
-            train_kwargs[key] = _typed(_TRAIN_FIELDS[key], raw)
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key in _TRAIN_FIELDS:
-            train_kwargs[key] = value
-        if key in _CONFIG_FIELDS:
-            model_kwargs[key] = value
+    values = {key: _typed(_FIELDS[key], raw) for key, raw in file_values.items() if key in _FIELDS}
+    values.update((key, value) for key, value in overrides.items() if value is not None)
     try:
-        return ModelConfig(**model_kwargs), TrainConfig(**train_kwargs)
+        return (ModelConfig(**{k: v for k, v in values.items() if k in _CONFIG_FIELDS}),
+                TrainConfig(**{k: v for k, v in values.items() if k in _TRAIN_FIELDS}))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -161,21 +147,20 @@ def _parse_tokens(raw: str) -> list[int]:
         raise ConfigError(f"tokens must be comma-separated integers, got {raw!r}") from None
 
 
-# numpy's error state for model work, entered once per command around the
-# whole computation: an overflow, an invalid operation or a division by zero
+# numpy's error state for every subcommand, entered once in ``main`` around
+# the whole command: an overflow, an invalid operation or a division by zero
 # raises FloatingPointError, which ``main`` reports as a model error, in
 # place of a warning and an inf or NaN computed on.
 _NUMERIC_FAULTS = {"over": "raise", "invalid": "raise", "divide": "raise"}
 
 
 def _synthesize(state, tokens, *args, **kwargs):
-    """``synthesize`` under ``_NUMERIC_FAULTS``, with a bad argument (its
-    ValueError) raised as a ConfigError; a NonFiniteError (``synthesize``
-    raises it for a non-finite stop logit) stays a model error, and so does a
-    non-finite patch in the result."""
+    """``synthesize`` with a bad argument (its ValueError) raised as a
+    ConfigError; a NonFiniteError (``synthesize`` raises it for a non-finite
+    stop logit) stays a model error, and so does a non-finite patch in the
+    result."""
     try:
-        with np.errstate(**_NUMERIC_FAULTS):
-            patches = synthesize(state, tokens, *args, **kwargs)
+        patches = synthesize(state, tokens, *args, **kwargs)
     except NonFiniteError:
         raise
     except ValueError as exc:
@@ -208,8 +193,7 @@ def cmd_train(args) -> int:
     state = init_model_state(model_config, seed=train_config.seed)
     spec = default_synthetic_spec(model_config)
     try:
-        with np.errstate(**_NUMERIC_FAULTS):
-            state, history = train(train_config, spec, state)
+        state, history = train(train_config, spec, state)
     except TrainingDiverged as exc:
         logger.error("training aborted: %s", exc)
         return EXIT_MODEL
@@ -284,7 +268,9 @@ def cmd_eval_sim(args) -> int:
             results.append((pair_id, cosine_sim(ref, hyp)))
         except ValueError as exc:
             raise MalformedRowError(f"pairs row {lineno}: {exc}") from None
-    mean = sum(v for _, v in results) / len(results) if results else 0.0
+    if not results:
+        raise MalformedRowError(f"{args.pairs}: no pairs to score")
+    mean = sum(v for _, v in results) / len(results)
     _emit(args.out, [("id", "sim"), *((pair_id, f"{value:.6f}") for pair_id, value in results),
                      ("mean", f"{mean:.6f}")])
     return EXIT_OK
@@ -432,7 +418,8 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s", force=True)
     try:
-        return args.fn(args)
+        with np.errstate(**_NUMERIC_FAULTS):
+            return args.fn(args)
     except EmptyTokenList as exc:
         logger.error("%s", exc)
         return EXIT_EMPTY_TOKENS

@@ -286,5 +286,6 @@ def evaluate_cer_rows(rows, config: NormalizationConfig | None = None
         except ValueError as exc:
             raise ValueError(f"cer row {row_id!r}: {exc}") from None
         results.append((row_id, pair.cer))
-    mean = sum(v for _, v in results) / len(results) if results else 0.0
-    return results, mean
+    if not results:
+        raise ValueError("cer batch: no rows to score")
+    return results, sum(v for _, v in results) / len(results)

@@ -48,6 +48,16 @@ def read_tsv_rows(path) -> Iterator[tuple[int, list[str]]]:
                 yield lineno, line.split("\t")
 
 
+def read_commented_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) of each line of a UTF-8 file (BOM
+    allowed) that is neither blank nor a '#' comment."""
+    with open_input(path, "r", encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                yield lineno, stripped
+
+
 def write_atomic(path, data: bytes) -> None:
     """Write ``data`` to a temporary sibling of ``path``, then rename it over
     ``path``.  On any failure the sibling is removed and ``path`` keeps its

@@ -543,11 +543,6 @@ class ConditioningCache:
         self.store: np.ndarray | None = None
 
 
-def _last_row(t: Tensor) -> Tensor:
-    rows = t.data.shape[0]
-    return t if rows == 1 else narrow(t, 0, rows - 1, 1)
-
-
 def conditioning(state: ModelState, text_tokens, history,
                  cache: ConditioningCache | None = None) -> tuple[Tensor, Tensor, Tensor]:
     """Teacher-forced conditioning for every step 0..len(history).
@@ -591,54 +586,55 @@ def conditioning_batch(state: ModelState, texts, histories,
     lengths = [h.shape[0] for h in histories]
     if not histories or len(texts) != len(histories):
         raise ValueError(f"conditioning: {len(texts)} texts for {len(histories)} histories")
-    fresh = cache is None or cache.tokens is None
-    done = 0 if fresh else cache.patches
+    warm = cache is not None and cache.tokens is not None
+    done = cache.patches if warm else 0
     if done + max(lengths) >= cfg.max_patches:
         raise ShapeError(f"patch history of {done + max(lengths)} reached max_patches "
                          f"{cfg.max_patches}")
     tokens = [_check_tokens(cfg, t) for t in texts]
     if cache is not None and len(tokens) != 1:
         raise ValueError("conditioning: a cache holds one sequence")
-    if not fresh:
+    if warm:
         if not np.array_equal(tokens[0], cache.tokens):
             raise ValueError("conditioning: the cache was filled for other text tokens")
         if lengths[0] != 1:
             raise ValueError(f"conditioning: a decode call takes one new patch, not {lengths[0]}")
-    packing = Packing([t.size for t in tokens], lengths, 0 if fresh else tokens[0].size + done)
-    store = semantic_past = residual_past = None
+    packing = Packing([t.size for t in tokens], lengths, tokens[0].size + done if warm else 0)
+    semantic_past = residual_past = None
     if cache is not None:
         layers = cfg.n_layers_semantic + cfg.n_layers_residual
-        store = np.empty((layers, 2, tokens[0].size + cfg.max_patches, cfg.d_model),
-                         dtype=state.dtype) if fresh else cache.store
+        store = cache.store if warm else np.empty(
+            (layers, 2, tokens[0].size + cfg.max_patches, cfg.d_model), dtype=state.dtype)
         # The rows this call attends to: the cached ones, then its own.
         view = store[:, :, :packing.past_rows + packing.rows]
         semantic_past, residual_past = view[:cfg.n_layers_semantic], view[cfg.n_layers_semantic:]
 
     embeddings = encode_patches(state, np.concatenate(histories))
     hiddens = semantic_hiddens(state, np.concatenate(tokens), embeddings, packing, semantic_past)
-    # Prefill quantizes steps 0..k; decode step done+1, its one row.
-    rows = packing.step_rows() if fresh else None
-    steps = hiddens if rows is None else embedding_lookup(hiddens, rows)
-    quantized = fsq_quantize(steps, cfg.fsq_delta, cfg.fsq_bound)
-    # Decode's cached residual keys and values already hold the text rows.
-    text_hiddens = narrow(hiddens, 0, 0, packing.text_rows) if fresh else None
-    # History step i pairs patch i with the skeleton of step i; decode's one
-    # patch pairs with the last skeleton of the previous call.
-    paired = (embedding_lookup(quantized, packing.history_steps()) if fresh
-              else constant(cache.last_quantized))
+    if warm:
+        # Decode's one row is step done+1, its cached residual keys hold the
+        # text rows, and its patch pairs with the previous call's skeleton.
+        quantized = fsq_quantize(hiddens, cfg.fsq_delta, cfg.fsq_bound)
+        text_hiddens, paired = None, constant(cache.last_quantized)
+    else:
+        # Steps 0..k; history step i pairs patch i with the skeleton of step i.
+        rows = packing.step_rows()
+        quantized = fsq_quantize(embedding_lookup(hiddens, rows), cfg.fsq_delta, cfg.fsq_bound)
+        text_hiddens = narrow(hiddens, 0, 0, packing.text_rows)
+        paired = embedding_lookup(quantized, packing.history_steps())
     if cache is None:
         residual = residual_hiddens(state, text_hiddens, paired, embeddings, packing)
         h_res = embedding_lookup(residual, rows)
         return add(quantized, h_res), quantized, h_res
 
     # A cached call returns the row of its last step only, so the residual
-    # stack's last block computes that row alone.
+    # stack's last block computes that row alone (a prefill with patches
+    # narrows its quantized steps to the last).
     h_res = residual_hiddens(state, text_hiddens, paired, embeddings, packing, residual_past)
-    quantized = _last_row(quantized)
-    cache.tokens = tokens[0]
-    cache.patches = done + lengths[0]
-    cache.last_quantized = quantized.data
-    cache.store = store
+    if not warm and lengths[0]:
+        quantized = narrow(quantized, 0, lengths[0], 1)
+    cache.tokens, cache.patches, cache.last_quantized, cache.store = (
+        tokens[0], done + lengths[0], quantized.data, store)
     return add(quantized, h_res), quantized, h_res
 
 

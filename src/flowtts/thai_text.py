@@ -14,7 +14,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 
-from .fileio import open_input
+from .fileio import read_commented_lines
 
 __all__ = [
     "NormalizationConfig",
@@ -147,15 +147,11 @@ class NormalizationConfig:
 def load_lexicon(path) -> dict[str, str]:
     """Load a transliteration lexicon: UTF-8 TSV `latin<TAB>thai` (BOM allowed), '#' comments."""
     lexicon: dict[str, str] = {}
-    with open_input(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"lexicon line {lineno}: expected `latin<TAB>thai`, got {line!r}")
-            lexicon[parts[0]] = parts[1]
+    for lineno, line in read_commented_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"lexicon line {lineno}: expected `latin<TAB>thai`, got {line!r}")
+        lexicon[parts[0]] = parts[1]
     return lexicon
 
 

@@ -745,6 +745,78 @@ def test_eval_tally_output_file_atomic(tmp_path):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("command,flag", [("cer", "--input"), ("sim", "--pairs")])
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+def test_an_empty_cer_batch_or_pair_list_is_malformed(tmp_path, capsys, command, flag, text):
+    # The mean of no rows is undefined: it was reported as 0, a perfect CER
+    # (or a similarity of 0) for no data.
+    rows = tmp_path / "rows.tsv"
+    rows.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.csv"
+    code = main(["eval", command, flag, str(rows), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_ROWS
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert len([line for line in captured.err.splitlines() if line.startswith("ERROR ")]) == 1
+    assert not out.exists()
+    assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
+
+
+def test_eval_tally_of_no_votes_reports_zero_counts(tmp_path, capsys):
+    # Counts of nothing are defined, unlike a mean of nothing.
+    votes = tmp_path / "votes.csv"
+    votes.write_text("model_a,model_b,outcome\n", encoding="utf-8")
+    assert main(["eval", "tally", "--votes", str(votes), "--ours", "ours"]) == EXIT_OK
+    assert capsys.readouterr().out == "competitor,wins,ties,losses\noverall,0,0,0\n"
+
+
+def test_every_subcommand_runs_under_the_numeric_error_state(tmp_path, tiny_config_path,
+                                                             tiny_checkpoint, monkeypatch):
+    # main enters the error state once, around the whole command: each
+    # command's numeric work runs with overflow, invalid operations and
+    # division by zero raising, the eval commands' included.
+    import flowtts.cli as cli
+
+    seen = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            seen.append((name, np.geterr()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = ["train", "synthesize", "evaluate_cer_rows", "cosine_sim", "aggregate_tally",
+             "rtf_value"]
+    for name in names:
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    rows = tmp_path / "rows.tsv"
+    rows.write_text("r1\tok\tok\n", encoding="utf-8")
+    embedding = tmp_path / "a.jemb"
+    write_embedding(embedding, np.array([1.0, 0.5, 0.0]))
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text(f"p1\t{embedding}\t{embedding}\n", encoding="utf-8")
+    votes = tmp_path / "votes.csv"
+    _write_fig2_votes(votes)
+    trajectory = tmp_path / "t.jlat"
+    write_latents(trajectory, np.zeros((5, 4)), 40)
+    commands = [
+        ["train", "--config", tiny_config_path, "--out-checkpoint", str(tmp_path / "m.ckpt"),
+         "--loss-csv", str(tmp_path / "loss.csv"), "--seed", "1"],
+        ["synth", "--checkpoint", tiny_checkpoint, "--tokens", "1,2", "--max-patches", "2",
+         "--out", str(tmp_path / "s.jlat")],
+        ["eval", "cer", "--input", str(rows), "--out", str(tmp_path / "cer.csv")],
+        ["eval", "sim", "--pairs", str(pairs), "--out", str(tmp_path / "sim.csv")],
+        ["eval", "rtf", "--trajectory", str(trajectory), "--wall-seconds", "0.1"],
+        ["eval", "tally", "--votes", str(votes), "--out", str(tmp_path / "tally.csv")],
+    ]
+    for argv in commands:
+        assert main(argv) == EXIT_OK, argv
+    assert sorted({name for name, _ in seen}) == sorted(names)
+    for name, state in seen:
+        assert (state["over"], state["invalid"], state["divide"]) == ("raise",) * 3, name
+
+
 # --------------------------------------------------------------------------
 # Paths no file can have
 # --------------------------------------------------------------------------

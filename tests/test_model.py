@@ -545,6 +545,22 @@ def test_prefill_records_the_ops_of_an_uncached_call_up_to_the_last_block(monkey
     assert cache.store[:, :, :3 + 5].tobytes() == keys_and_values.tobytes()
 
 
+def test_a_prefill_of_no_patches_returns_its_one_quantized_row_unsliced():
+    # With no patches the prefill quantizes one step, the text's last row,
+    # and returns it as it stands: the residual stack's last block adds its
+    # two selections and drops the uncached call's residual gather, and no
+    # slice of the quantized rows is recorded.
+    history = np.zeros((0, CFG.d_patch))
+    with record() as plain:
+        conditioning(STATE, [1, 2, 3], history)
+    cache = ConditioningCache()
+    with record() as cached:
+        got = conditioning(STATE, [1, 2, 3], history, cache)
+    assert len(cached) == len(plain) + 1
+    assert got[1].data.shape == (1, CFG.d_model)
+    assert cache.last_quantized is got[1].data
+
+
 @pytest.mark.parametrize("dtype,rtol", [("float64", 1e-12), ("float32", 1e-5)])
 @pytest.mark.parametrize("patches", [0, 1, 7])
 def test_a_cached_prefill_returns_the_last_row_of_an_uncached_call(dtype, rtol, patches):
