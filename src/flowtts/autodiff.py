@@ -40,7 +40,6 @@ __all__ = [
     "RngHub",
     "primitive_forward_set",
     "linear",
-    "stacked_linear",
     "add",
     "mul",
     "gelu",
@@ -48,7 +47,7 @@ __all__ = [
     "embedding_lookup",
     "concat",
     "narrow",
-    "attention",
+    "transformer_block",
     "tensor_sum",
     "mse",
     "bce_with_logits",
@@ -277,47 +276,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def stacked_linear(x: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, ...]:
-    """``linear(x, w[i], b[i])`` for each of s stacked affine maps, with
-    w (s, d_in, d_out) and b (s, d_out): s (n, d_out) tensors from one product.
-
-    One tape entry in place of s ``linear`` calls, with their outputs and
-    operand gradients bitwise: the stacked product runs the same product per
-    map, and the adjoint sums x's gradient over the maps last first, as s
-    separate entries would replay.  While recording, the outputs' gradients
-    are views into one (s, n, d_out) array, which the adjoint reads whole.
-    """
-    xd, wd, bd = x.data, w.data, b.data
-    if xd.ndim != 2 or wd.ndim != 3 or xd.shape[1] != wd.shape[1] \
-            or bd.shape != (wd.shape[0], wd.shape[2]):
-        raise ShapeError(f"stacked_linear: shapes {xd.shape}, {wd.shape} and {bd.shape} "
-                         f"are not (n, d_in), (s, d_in, d_out) and (s, d_out)")
-    data = np.matmul(xd, wd)
-    np.add(data, bd[:, None, :], out=data)
-    requires_grad = x.requires_grad | w.requires_grad | b.requires_grad
-    outs = tuple(_from_array(part, requires_grad) for part in data)
-    if not requires_grad or _ACTIVE_TAPE.get() is None:
-        return outs
-    stacked = _from_array(data, True)
-    stacked.grad = np.zeros_like(data)
-    for out, grad in zip(outs, stacked.grad):
-        out.grad = grad
-
-    def adjoint(g: np.ndarray) -> None:
-        _accumulate(b, np.add.reduce(g, axis=1))
-        if x.requires_grad:
-            parts = np.matmul(g, wd.swapaxes(1, 2))
-            gx = parts[-1]
-            for part in parts[-2::-1]:
-                gx += part
-            _accumulate(x, gx)
-        if w.requires_grad:
-            _accumulate(w, np.matmul(xd.T, g))
-
-    push_op(stacked, adjoint)
-    return outs
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         data = a.data + b.data
@@ -354,9 +312,9 @@ _GELU_C = 0.044715
 _GELU_CLIP = 10.0
 
 
-def _gelu_clip(x: np.ndarray) -> np.ndarray:
+def _gelu_clip(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # np.clip's Python wrapper costs more than the two ufuncs on these rows.
-    u = np.maximum(x, _scalar(-_GELU_CLIP, x.dtype))
+    u = np.maximum(x, _scalar(-_GELU_CLIP, x.dtype), out=out)
     return np.minimum(u, _scalar(_GELU_CLIP, x.dtype), out=u)
 
 
@@ -371,6 +329,18 @@ def gelu(x: Tensor) -> Tensor:
     cdf = 0.5 (1 + tanh).
     """
     xd = x.data
+    out, cdf = _gelu_forward(xd)
+
+    def adjoint(g: np.ndarray) -> None:
+        _accumulate(x, _gelu_adjoint(g, xd, cdf, np.empty_like(xd), np.empty_like(xd)))
+
+    out = _from_array(out, x.requires_grad)
+    push_op(out, adjoint)
+    return out
+
+
+def _gelu_forward(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gelu(x), cdf) of ``gelu``'s form; the adjoint reads the cdf."""
     dtype = xd.dtype
     # Two arrays in all: fresh ones cost page faults here, not just passes.
     cdf = _gelu_clip(xd)
@@ -382,22 +352,32 @@ def gelu(x: Tensor) -> Tensor:
     cdf += _scalar(1.0, dtype)
     cdf *= _scalar(0.5, dtype)
     np.multiply(xd, cdf, out=out)
+    return out, cdf
 
-    def adjoint(g: np.ndarray) -> None:
-        # With tanh = 2 cdf - 1 the slope is cdf (1 + (1 - cdf) s) for
-        # s = u (2K + 6 K C u^2) and u = x clipped.  Where the clip bites,
-        # cdf is exactly 0 or 1, so this is the clipped form's slope, and s
-        # stays finite.  Out of place on purpose: each temporary takes the
-        # block the one before it freed.  Done in place over two arrays, the
-        # same passes made a default training step trim and regrow the heap,
-        # with 200-500 more minor page faults per step.
-        u = _gelu_clip(xd)
-        s = u * (_scalar(2.0 * _GELU_K, dtype) + _scalar(6.0 * _GELU_K * _GELU_C, dtype) * (u * u))
-        _accumulate(x, g * (cdf * (_scalar(1.0, dtype) + (_scalar(1.0, dtype) - cdf) * s)))
 
-    out = _from_array(out, x.requires_grad)
-    push_op(out, adjoint)
-    return out
+def _gelu_adjoint(g: np.ndarray, xd: np.ndarray, cdf: np.ndarray, out: np.ndarray,
+                  scratch: np.ndarray) -> np.ndarray:
+    """The gradient of ``gelu``'s input for the output gradient ``g``, formed
+    in ``out`` (which may be ``xd``) with ``scratch``, both shaped like x:
+    no array is allocated."""
+    # With tanh = 2 cdf - 1 the slope is cdf (1 + (1 - cdf) s) for
+    # s = u (2K + 6 K C u^2) and u = x clipped.  Where the clip bites,
+    # cdf is exactly 0 or 1, so this is the clipped form's slope, and s
+    # stays finite.  Each step is that expression's, in its order, with
+    # the operands of a product or sum swapped where it runs in place.
+    dtype = xd.dtype
+    one = _scalar(1.0, dtype)
+    u = _gelu_clip(xd, out)
+    s = np.multiply(u, u, out=scratch)
+    s *= _scalar(6.0 * _GELU_K * _GELU_C, dtype)
+    s += _scalar(2.0 * _GELU_K, dtype)
+    s *= u
+    grad = np.subtract(one, cdf, out=out)
+    grad *= s
+    grad += one
+    grad *= cdf
+    grad *= g
+    return grad
 
 
 _LAYER_NORM_EPS = 1e-5  # added to each row's variance
@@ -432,6 +412,14 @@ def _normalize_adjoint(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.n
     return (inv * (g - gm - xhat * gx)).astype(xhat.dtype, copy=False)
 
 
+def _scale_shift(xhat: np.ndarray, gain: Tensor, bias: Tensor) -> np.ndarray:
+    """xhat * gain + bias, the affine step of ``layer_norm_affine``, in one
+    new array."""
+    out = xhat * gain.data
+    np.add(out, bias.data, out=out)
+    return out
+
+
 def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then scale by
     ``gain`` and shift by ``bias``, both (d,).
@@ -447,9 +435,8 @@ def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"layer_norm_affine: gain {gd.shape} and bias {bias.data.shape} "
                          f"for rows of shape {d}")
     xhat, inv = _normalize(x.data)
-    data = xhat * gd
-    np.add(data, bias.data, out=data)
-    out = _from_array(data, x.requires_grad | gain.requires_grad | bias.requires_grad)
+    out = _from_array(_scale_shift(xhat, gain, bias),
+                      x.requires_grad | gain.requires_grad | bias.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
         _accumulate(bias, _unbroadcast(g, d))
@@ -543,75 +530,208 @@ def narrow(x: Tensor, axis: int, start: int, length: int, step: int = 1) -> Tens
     return out
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None, batch: int = 1) -> Tensor:
-    """Multi-head scaled dot-product attention over ``batch`` sequences.
+def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int, mask=None,
+                      batch: int = 1, past: np.ndarray | None = None,
+                      last_only: bool = False) -> Tensor:
+    """One pre-LN transformer block over ``batch`` sequences of T rows each,
+    stored one after another in the (batch * T, d) rows ``x``:
 
-    ``q`` is a (batch * Tq, d) row block and ``k``, ``v`` are (batch * Tk, d)
-    row blocks with Tk >= Tq, holding the sequences one after another; the
-    queries are the last Tq of each sequence's Tk positions (Tk > Tq when
-    earlier keys and values come from a cache).  Head h owns columns
-    [h * d_h, (h + 1) * d_h) with d_h = d / heads.  Per sequence and head the
-    output is P v, with P the row-normalized exp of q k^T * d_h^-1/2 + mask,
-    and the heads are concatenated along columns, so the result is shaped
-    like ``q``.
-    ``mask`` is an additive (Tq, Tk) ndarray of q's dtype shared by every
-    sequence, or None for unmasked attention; it receives no gradient.
+        y = x + attention(ln1(x)) @ wo + bo
+        out = y + gelu(ln2(y) @ w1 + b1) @ w2 + b2
 
-    The adjoint is closed-form: with P the attention weights,
-    dS = P * (dP - rowsum(dP * P)).
+    ``params`` is (ln1 gain, ln1 bias, wqkv, bqkv, wo, bo, ln2 gain, ln2 bias,
+    w1, b1, w2, b2), with the query, key and value maps stacked in wqkv
+    (3, d, d) and bqkv (3, d).  Attention has ``heads`` heads, head h owning
+    columns [h * d_h, (h + 1) * d_h) with d_h = d / heads; per sequence and
+    head it is P v, with P the row-normalized exp of q k^T * d_h^-1/2 +
+    ``mask``.  ``mask`` is an additive (T, Tk) ndarray of x's dtype shared by
+    every sequence, or None for unmasked attention; it gets no gradient.
+
+    ``past`` (batch 1 only) views the (2, Tk, d) rows of a key/value store
+    that the block attends to, keys at ``past[0]`` and values at
+    ``past[1]``, with Tk - T rows already filled: the block writes the keys
+    and values of ``x`` into the last T rows and attends to all Tk.  The
+    filled rows are constants.  Without ``past``, Tk = T.
+
+    With ``last_only`` the result is the last row of each sequence: every row
+    still gives its keys and values, but the queries, the output projection,
+    the residual adds and the MLP run for the last rows only (a strided view
+    of them, with the mask's last row).
+
+    One tape entry in place of the composition of taped primitives it
+    replaces (an affine layer norm, a stacked q/k/v product, the cached-row
+    and row selections, attention, three affine maps, GELU and two adds):
+    the forward runs their numpy ops in their order and the adjoint replays
+    their adjoints in reverse, so the output and every gradient are bitwise
+    that composition's.  Where nothing records, each intermediate is freed
+    after its last use (the attention weights before the MLP runs).
     """
-    if q.data.ndim != 2 or k.data.shape != v.data.shape or k.data.ndim != 2 \
-            or k.data.shape[1] != q.data.shape[1]:
-        raise ShapeError(
-            f"attention: q must be (rows, d) and k, v (key rows, d), got "
-            f"{q.data.shape}, {k.data.shape}, {v.data.shape}"
-        )
-    rows, d = q.data.shape
-    key_rows = k.data.shape[0]
-    if heads < 1 or d % heads or batch < 1 or rows % batch or key_rows % batch \
-            or key_rows // batch < rows // batch:
-        raise ShapeError(
-            f"attention: shapes {q.data.shape} and {k.data.shape} do not split into "
-            f"{batch} sequences of {heads} heads with at least as many keys as queries"
-        )
-    seq, key_seq = rows // batch, key_rows // batch
+    xd = x.data
+    requires_grad = x.requires_grad | any([p.requires_grad for p in params])
+    rows, d = xd.shape
+    key_rows = rows if past is None else past.shape[1]
+    if heads < 1 or d % heads or batch < 1 or rows % batch or key_rows < rows \
+            or past is not None and batch != 1:
+        raise ShapeError(f"transformer_block: {rows} rows of {d} do not split into {batch} "
+                         f"sequences of {heads} heads attending to {key_rows} key rows "
+                         f"(cached keys and values need batch == 1)")
+    if mask is not None and mask.shape != (rows // batch, key_rows // batch):
+        raise ShapeError(f"transformer_block: mask shape {mask.shape}, expected "
+                         f"{(rows // batch, key_rows // batch)}")
+    taped = requires_grad and _ACTIVE_TAPE.get() is not None
+    y, attention_saved = _attention_forward(xd, params, heads, mask, batch, past, last_only,
+                                            taped)
+    data, mlp_saved = _mlp_forward(y, params, taped)
+    out = _from_array(data, requires_grad)
+    if taped:
+        def adjoint(g: np.ndarray) -> None:
+            gy = _mlp_adjoint(g, params, mlp_saved)
+            # x's residual share, through the row selection if there is one,
+            # then the layer norm's share: the composition's order.
+            picked = attention_saved[-1]
+            if picked is not None and x.requires_grad:
+                full = np.zeros_like(xd)
+                full[picked] = gy
+                _accumulate(x, full)
+            else:
+                _accumulate(x, gy)
+            _accumulate(x, _attention_adjoint(gy, params, heads, batch, attention_saved))
+
+        push_op(out, adjoint)
+    return out
+
+
+def _attention_forward(xd, params, heads, mask, batch, past, last_only, keep):
+    """x + the attention half of ``transformer_block`` (for the rows it
+    keeps), and with ``keep`` what ``_attention_adjoint`` reads."""
+    gain, bias, wqkv, bqkv, wo, bo = params[:6]
+    rows, d = xd.shape
+    xhat, inv = _normalize(xd)
+    qkv = np.matmul(_scale_shift(xhat, gain, bias), wqkv.data)
+    np.add(qkv, bqkv.data[:, None, :], out=qkv)
+    normed = (xhat, inv) if keep else None
+    del xhat, inv  # where nothing records, freed before attention runs
+    q, k, v = qkv
+    cached = 0
+    if past is not None:
+        cached = past.shape[1] - rows
+        past[0, cached:] = k
+        past[1, cached:] = v
+        if cached:
+            k, v = past[0], past[1]
+    seq = rows // batch
+    picked = None
+    if last_only and seq > 1:
+        # The last row of each sequence, as a strided view.  The sequences
+        # share the mask, so a last row's mask row is its last row.
+        picked = slice(seq - 1, None, seq)
+        xd, q = xd[picked], q[picked]
+        mask = None if mask is None else mask[-1:]
     dh = d // heads
-    if mask is not None and mask.shape != (seq, key_seq):
-        raise ShapeError(f"attention: mask shape {mask.shape}, expected {(seq, key_seq)}")
-    scale = _scalar(1.0 / math.sqrt(dh), q.data.dtype)
-
-    def split(x: np.ndarray) -> np.ndarray:
-        # (batch * T, d) -> (batch, heads, T, d_h) view
-        return x.reshape(batch, -1, heads, dh).transpose(0, 2, 1, 3)
-
-    def merge(x: np.ndarray) -> np.ndarray:
-        return x.transpose(0, 2, 1, 3).reshape(-1, d)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    # The per-head composition's operation order (scale, mask, subtract the
-    # row max, exp, divide by the row sum, @ v), in place.
+    # (batch * T, d) -> (batch, heads, T, d_h) views
+    qh, kh, vh = (t.reshape(batch, -1, heads, dh).transpose(0, 2, 1, 3) for t in (q, k, v))
+    # Scale, mask, subtract the row max, exp, divide by the row sum, in
+    # place; the ufunc reductions are what p.max and p.sum call, minus their
+    # wrappers.
     p = qh @ kh.swapaxes(-1, -2)
-    p *= scale
+    p *= _scalar(1.0 / math.sqrt(dh), xd.dtype)
     if mask is not None:
         p += mask
-    # The ufunc reductions are what p.max and p.sum call, minus their wrappers.
     p -= np.maximum.reduce(p, axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= np.add.reduce(p, axis=-1, keepdims=True)
-    out = _from_array(merge(p @ vh), q.requires_grad | k.requires_grad | v.requires_grad)
+    attended = (p @ vh).transpose(0, 2, 1, 3).reshape(-1, d)
+    saved = (*normed, qkv, qh, kh, vh, p, attended, cached, picked) if keep else None
+    del p  # where nothing records, freed before the output map
+    y = attended @ wo.data
+    np.add(y, bo.data, out=y)
+    np.add(xd, y, out=y)
+    return y, saved
 
-    def adjoint(g: np.ndarray) -> None:
-        go = split(g)
-        ds = go @ vh.swapaxes(-1, -2)  # dP, turned into dS in place
-        ds -= (ds * p).sum(axis=-1, keepdims=True)
-        ds *= p
-        ds *= scale
-        _accumulate(q, merge(ds @ kh))
-        _accumulate(k, merge((qh.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)))
-        _accumulate(v, merge(p.swapaxes(-1, -2) @ go))
 
-    push_op(out, adjoint)
-    return out
+def _mlp_forward(y, params, keep):
+    """y + the MLP half of ``transformer_block``, and with ``keep`` what
+    ``_mlp_adjoint`` reads."""
+    gain, bias, w1, b1, w2, b2 = params[6:]
+    xhat, inv = _normalize(y)
+    m = _scale_shift(xhat, gain, bias) @ w1.data
+    np.add(m, b1.data, out=m)
+    act, cdf = _gelu_forward(m)
+    saved = (xhat, inv, m, cdf) if keep else None
+    del xhat, inv, m, cdf  # where nothing records, freed before the next product
+    out = act @ w2.data
+    np.add(out, b2.data, out=out)
+    np.add(y, out, out=out)
+    return out, saved
+
+
+# The adjoints read each array the forward kept for the last time, so they
+# form the gradients in place of those arrays.  The two layer norms' outputs
+# and the GELU output are not kept but formed again, bitwise (the same ops on
+# the same operands), so the tape holds less.
+
+def _mlp_adjoint(g, params, saved) -> np.ndarray:
+    """The MLP half's adjoints in reverse tape order: the residual add, the
+    w2 map, GELU, the w1 map and the layer norm.  Accumulates the half's
+    parameter gradients and returns y's gradient."""
+    gain, bias, w1, b1, w2, b2 = params[6:]
+    xhat, inv, m, cdf = saved
+    _accumulate(b2, np.add.reduce(g, axis=0))
+    act = np.multiply(m, cdf)
+    _accumulate(w2, act.T @ g)
+    g_m = _gelu_adjoint(np.matmul(g, w2.data.T, out=act), m, cdf, m, np.empty_like(m))
+    _accumulate(b1, np.add.reduce(g_m, axis=0))
+    h = _scale_shift(xhat, gain, bias)
+    _accumulate(w1, h.T @ g_m)
+    g_h = np.matmul(g_m, w1.data.T, out=h)
+    _accumulate(bias, np.add.reduce(g_h, axis=0))
+    _accumulate(gain, np.add.reduce(g_h * xhat, axis=0))
+    gy = _normalize_adjoint(g_h * gain.data, xhat, inv)
+    gy += g  # the residual add's share, which y's gradient took first
+    return gy
+
+
+def _attention_adjoint(gy, params, heads, batch, saved) -> np.ndarray:
+    """The attention half's adjoints in reverse tape order, for the gradient
+    ``gy`` of its output: the wo map, attention, the row selections, the
+    q/k/v product and the layer norm.  Accumulates the half's parameter
+    gradients and returns the layer norm's share of x's gradient."""
+    gain, bias, wqkv, bqkv, wo, bo = params[:6]
+    xhat, inv, qkv, qh, kh, vh, p, attended, cached, picked = saved
+    _, rows, d = qkv.shape
+    dh = d // heads
+    _accumulate(bo, np.add.reduce(gy, axis=0))
+    _accumulate(wo, attended.T @ gy)
+    go = np.matmul(gy, wo.data.T, out=attended).reshape(batch, -1, heads, dh).transpose(0, 2, 1, 3)
+    # With P the attention weights, dS = P * (dP - rowsum(dP * P)).
+    ds = go @ vh.swapaxes(-1, -2)  # dP, turned into dS in place
+    ds -= np.add.reduce(ds * p, axis=-1, keepdims=True)
+    ds *= p
+    ds *= _scalar(1.0 / math.sqrt(dh), xhat.dtype)
+    gq = (ds @ kh).transpose(0, 2, 1, 3).reshape(-1, d)
+    gk = (qh.swapaxes(-1, -2) @ ds).swapaxes(-1, -2).transpose(0, 2, 1, 3).reshape(-1, d)
+    gv = (p.swapaxes(-1, -2) @ go).transpose(0, 2, 1, 3).reshape(-1, d)
+    # The gradient of the stacked q, k and v rows: the queries' at the rows
+    # they were picked from, the keys' and values' past the cached rows.
+    g = qkv
+    if picked is None:
+        g[0] = gq
+    else:
+        g[0].fill(0)
+        g[0, picked] = gq
+    g[1] = gk[cached:]
+    g[2] = gv[cached:]
+    _accumulate(bqkv, np.add.reduce(g, axis=1))
+    # The normalized rows' gradient, summed over the maps last first, as
+    # three separate entries would replay.
+    parts = np.matmul(g, wqkv.data.swapaxes(1, 2))
+    gh = parts[-1]
+    for part in parts[-2::-1]:
+        gh += part
+    _accumulate(wqkv, np.matmul(_scale_shift(xhat, gain, bias).T, g))
+    _accumulate(bias, np.add.reduce(gh, axis=0))
+    _accumulate(gain, np.add.reduce(gh * xhat, axis=0))
+    return _normalize_adjoint(gh * gain.data, xhat, inv)
 
 
 def tensor_sum(x: Tensor) -> Tensor:
@@ -705,9 +825,8 @@ def primitive_forward_set() -> dict[str, Callable]:
         "sum": tensor_sum,
         "mse": mse,
         "bce_with_logits": bce_with_logits,
-        "attention": attention,
         "linear": linear,
-        "stacked_linear": stacked_linear,
+        "transformer_block": transformer_block,
         "layer_norm_affine": layer_norm_affine,
     }
 

@@ -168,7 +168,9 @@ def velocity_batch(state: ModelState, z_t: np.ndarray, t_emb: np.ndarray,
     (2n rows, pair by pair) or one row for every token.  Output row i is the
     velocity for pair i, read at the z_t position: z_t is the last token of
     its pair, so the stack's last block runs for the z_t tokens only (both
-    tokens still give it keys and values; see ``transformer_stack``).
+    tokens still give it keys and values; see ``transformer_stack``).  The
+    pairs are the stack's batch of n unmasked 2-token sequences, and each
+    of its blocks is one ``transformer_block`` call over all of them.
     """
     dtype = state.dtype
     z_t = np.asarray(z_t, dtype=dtype)

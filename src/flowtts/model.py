@@ -22,7 +22,6 @@ from .autodiff import (
     _from_array,
     active_dtype,
     add,
-    attention,
     concat,
     constant,
     embedding_lookup,
@@ -32,7 +31,7 @@ from .autodiff import (
     narrow,
     parameter,
     push_op,
-    stacked_linear,
+    transformer_block,
 )
 
 __all__ = [
@@ -94,6 +93,12 @@ class ModelConfig:
             raise ValueError("ModelConfig.fsq_bound must be a positive integer")
         if not 0.0 <= self.cfg_drop_prob <= 1.0:
             raise ValueError("ModelConfig.cfg_drop_prob must lie in [0, 1]")
+
+
+# A block's parameters in the order of the tuple transformer_block takes;
+# attn.wq and attn.bq stand for the q/k/v weight and bias stacked from them.
+_BLOCK_PARAMS = ("ln1.g", "ln1.b", "attn.wq", "attn.bq", "attn.wo", "attn.bo",
+                 "ln2.g", "ln2.b", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
 
 
 def _stack_layout(prefix: str, n_layers: int, d: int):
@@ -158,8 +163,11 @@ class ModelState:
     ``params[name].grad`` are views into them.  Adjoints accumulate into
     those views in place, so zeroing the gradients and an optimizer step are
     each one pass over a flat array.
-    ``qkv[prefix]`` views a block's adjacent wq, wk, wv as one (3, d, d)
-    weight and bq, bk, bv as one (3, d) bias, over the same memory.
+    ``blocks[stack]`` holds, for each block of the stack ("sem", "res" or
+    "vel"), the parameter tuple ``autodiff.transformer_block`` takes, built
+    once here so that a block call looks up no names; its q/k/v weight views
+    the block's adjacent wq, wk, wv as one (3, d, d) tensor, and its bias bq,
+    bk, bv as one (3, d), over the same memory.
 
     Immutable during inference: concurrent read-only forward passes are safe.
     Training mutates parameter values under a single writer.
@@ -167,9 +175,11 @@ class ModelState:
 
     # Each tensor starts on a multiple of ALIGN elements (16 bytes of
     # float32), except wk, wv, bk and bv, which follow wq and bq directly so
-    # that qkv can view them as one tensor.  The padding stays zero.
+    # that a block's q/k/v weight and bias can view them as one tensor each.
+    # The padding stays zero.
     ALIGN = 4
     _STACKED_TAILS = (".attn.wk", ".attn.wv", ".attn.bk", ".attn.bv")
+    _STACKED_HEADS = ("attn.wq", "attn.bq")
 
     def __init__(self, config: ModelConfig):
         """All-zero parameters of ``config``'s layout, in the active dtype."""
@@ -189,12 +199,17 @@ class ModelState:
         self.params = {name: self._view(start, shape)
                        for (name, shape), start in zip(layout, starts)}
         offsets = dict(zip(self.params, starts))
-        d = config.d_model
-        attention_prefixes = [name[:-len(".wq")] for name in self.params
-                              if name.endswith(".attn.wq")]
-        self.qkv = {prefix: (self._view(offsets[f"{prefix}.wq"], (3, d, d)),
-                             self._view(offsets[f"{prefix}.bq"], (3, d)))
-                    for prefix in attention_prefixes}
+        self.blocks: dict[str, list[tuple[Tensor, ...]]] = {}
+        for name in self.params:
+            if name.endswith(".attn.wq"):
+                base = name[:-len(".attn.wq")]
+                block = []
+                for tail in _BLOCK_PARAMS:
+                    p = self.params[f"{base}.{tail}"]
+                    if tail in self._STACKED_HEADS:  # with the k and v tensors after it
+                        p = self._view(offsets[f"{base}.{tail}"], (3, *p.shape))
+                    block.append(p)
+                self.blocks.setdefault(base.rsplit(".l", 1)[0], []).append(tuple(block))
 
     def _view(self, start: int, shape: tuple[int, ...]) -> Tensor:
         stop = start + math.prod(shape)
@@ -302,59 +317,12 @@ class Packing:
         return self._mask
 
 
-# The transformer helpers index state.params directly: they run a few hundred
-# times per synthesized patch, and ModelState.__getitem__ adds a call to each.
-
-def _ln(state: ModelState, prefix: str, x: Tensor) -> Tensor:
-    params = state.params
-    return layer_norm_affine(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
-
-
-def _qkv(state: ModelState, prefix: str, x: Tensor,
-         past: np.ndarray | None) -> tuple[Tensor, Tensor, Tensor]:
-    """Queries, keys and values of ``x``'s rows, from one product.  With a
-    store view ``past`` the keys and values are written into its last rows,
-    and those returned are all its rows."""
-    q, k, v = stacked_linear(_ln(state, f"{prefix}.ln1", x), *state.qkv[f"{prefix}.attn"])
-    if past is not None:
-        cached = past.shape[1] - k.data.shape[0]
-        past[0, cached:] = k.data
-        past[1, cached:] = v.data
-        if cached:
-            k, v = _cached_rows(past[0], k), _cached_rows(past[1], v)
-    return q, k, v
-
-
-def _cached_rows(rows: np.ndarray, new: Tensor) -> Tensor:
-    """A store's filled ``rows``, the last of which hold ``new``'s data.
-    Gradients reach ``new`` only; the earlier rows are constants."""
-    past_rows = rows.shape[0] - new.data.shape[0]
-    out = _from_array(rows, new.requires_grad)
-    push_op(out, lambda g: _accumulate(new, g[past_rows:]))
-    return out
-
-
-def _block(state: ModelState, prefix: str, x: Tensor, mask: np.ndarray | None, batch: int,
-           past: np.ndarray | None, last_only: bool) -> Tensor:
-    params = state.params
-    q, k, v = _qkv(state, prefix, x, past)
-    seq = x.data.shape[0] // batch
-    if last_only and seq > 1:
-        # The last row of each sequence, as a strided view.  The sequences
-        # share the mask, so a last row's mask row is its last row.
-        x, q = narrow(x, 0, seq - 1, batch, seq), narrow(q, 0, seq - 1, batch, seq)
-        mask = None if mask is None else mask[-1:]
-    attended = attention(q, k, v, state.config.n_heads, mask, batch)
-    x = add(x, linear(attended, params[f"{prefix}.attn.wo"], params[f"{prefix}.attn.bo"]))
-    h = gelu(linear(_ln(state, f"{prefix}.ln2", x), params[f"{prefix}.mlp.w1"],
-                    params[f"{prefix}.mlp.b1"]))
-    return add(x, linear(h, params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"]))
-
-
 def transformer_stack(state: ModelState, prefix: str, x: Tensor, n_layers: int,
                       mask: np.ndarray | None, batch: int = 1, past: np.ndarray | None = None,
                       last_only: bool = False) -> Tensor:
-    """Pre-LN blocks over ``batch`` equal-length sequences stored row-block
+    """The first ``n_layers`` pre-LN blocks of stack ``prefix``, one
+    ``autodiff.transformer_block`` each (one tape entry per block), then the
+    final layer norm, over ``batch`` equal-length sequences stored row-block
     after row-block; ``mask`` is an additive (T, T) ndarray, or None where
     it would hide nothing (the conditioning stacks use ``Packing.mask``).
 
@@ -364,22 +332,20 @@ def transformer_stack(state: ModelState, prefix: str, x: Tensor, n_layers: int,
     Each layer writes the keys and values of ``x`` into the last T rows, and
     the rows of ``x`` attend to all of them (``mask`` is then
     (T, cached + T)).  With nothing cached the layers attend to their fresh
-    keys and values, recording the same ops as no store.
+    keys and values, as with no store.
 
     With ``last_only`` the result is the last row of each sequence, one row
     per sequence, and the last block computes no other: every row still
     gives its keys and values (to attention and the store), but the queries,
-    the output projection, the residual add, the MLP and the final norm run
-    on the last rows only, a strided ``narrow`` of the rows.  Where every
-    row is a last row (one row per sequence) nothing is selected, and the
-    ops are those of the full stack.
+    the output projection, the residual adds, the MLP and the final norm run
+    on the last rows only.  Where every row is a last row (one row per
+    sequence) nothing is selected.
     """
-    if past is not None and batch != 1:
-        raise ShapeError("transformer_stack: cached keys and values need batch == 1")
+    blocks, params, heads = state.blocks[prefix], state.params, state.config.n_heads
     for i in range(n_layers):
-        x = _block(state, f"{prefix}.l{i}", x, mask, batch,
-                   None if past is None else past[i], last_only and i == n_layers - 1)
-    return _ln(state, f"{prefix}.lnf", x)
+        x = transformer_block(x, blocks[i], heads, mask, batch,
+                              None if past is None else past[i], last_only and i == n_layers - 1)
+    return layer_norm_affine(x, params[f"{prefix}.lnf.g"], params[f"{prefix}.lnf.b"])
 
 
 # --------------------------------------------------------------------------

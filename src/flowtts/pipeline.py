@@ -366,14 +366,22 @@ def train(config: TrainConfig, spec: SyntheticSpec,
     optimizer = _Adam(state, config.learning_rate)
     history: list[LossRecord] = []
 
+    tape = None
     for step in range(config.train_steps):
         examples = [
             synthetic_example(spec, state.config, *sample_prompt(config, state.config, data_rng))
             for _ in range(config.batch_size)
         ]
         try:
+            # The last step's record is dropped after this step's forward
+            # pass: its arrays are then freed below the new ones, and the
+            # backward pass and the next forward reuse their blocks.  Dropped
+            # first, nothing above them keeps the heap from shrinking, and
+            # each forward pass faults its pages in anew.
+            previous = tape
             with record() as tape:
                 loss, parts = total_loss(examples, state, rngs)
+            del previous
             value = loss.item()
             if not math.isfinite(value):
                 raise TrainingDiverged(step)

@@ -9,11 +9,25 @@ strategy.
 
 import functools
 import logging
+import math
 import unicodedata
 
 import numpy as np
 
-from flowtts.autodiff import Tensor, _accumulate, push_op
+from flowtts.autodiff import (
+    _ACTIVE_TAPE,
+    ShapeError,
+    Tensor,
+    _accumulate,
+    _from_array,
+    _scalar,
+    add,
+    gelu,
+    layer_norm_affine,
+    linear,
+    narrow,
+    push_op,
+)
 from flowtts.flowmatch import cfg_combine, velocity
 from flowtts.model import MASK_VALUE
 from flowtts.thai_text import MAI_YAMOK
@@ -182,6 +196,151 @@ def softmax(x):
         _accumulate(x, (y * (g - dot)).astype(x.data.dtype, copy=False))
 
     return _taped(y, (x,), adjoint)
+
+
+def stacked_linear(x, w, b):
+    """``linear(x, w[i], b[i])`` for each of s stacked affine maps, with
+    w (s, d_in, d_out) and b (s, d_out): s (n, d_out) tensors from one product.
+
+    One tape entry in place of s ``linear`` calls, with their outputs and
+    operand gradients bitwise: the stacked product runs the same product per
+    map, and the adjoint sums x's gradient over the maps last first, as s
+    separate entries would replay.  While recording, the outputs' gradients
+    are views into one (s, n, d_out) array, which the adjoint reads whole.
+    The q/k/v product of ``transformer_block`` below.
+    """
+    xd, wd, bd = x.data, w.data, b.data
+    if xd.ndim != 2 or wd.ndim != 3 or xd.shape[1] != wd.shape[1] \
+            or bd.shape != (wd.shape[0], wd.shape[2]):
+        raise ShapeError(f"stacked_linear: shapes {xd.shape}, {wd.shape} and {bd.shape} "
+                         f"are not (n, d_in), (s, d_in, d_out) and (s, d_out)")
+    data = np.matmul(xd, wd)
+    np.add(data, bd[:, None, :], out=data)
+    requires_grad = x.requires_grad | w.requires_grad | b.requires_grad
+    outs = tuple(_from_array(part, requires_grad) for part in data)
+    if not requires_grad or _ACTIVE_TAPE.get() is None:
+        return outs
+    stacked = _from_array(data, True)
+    stacked.grad = np.zeros_like(data)
+    for out, grad in zip(outs, stacked.grad):
+        out.grad = grad
+
+    def adjoint(g):
+        _accumulate(b, np.add.reduce(g, axis=1))
+        if x.requires_grad:
+            parts = np.matmul(g, wd.swapaxes(1, 2))
+            gx = parts[-1]
+            for part in parts[-2::-1]:
+                gx += part
+            _accumulate(x, gx)
+        if w.requires_grad:
+            _accumulate(w, np.matmul(xd.T, g))
+
+    push_op(stacked, adjoint)
+    return outs
+
+
+def attention(q, k, v, heads, mask=None, batch=1):
+    """Multi-head scaled dot-product attention over ``batch`` sequences:
+    the attention of ``transformer_block`` below.
+
+    ``q`` is a (batch * Tq, d) row block and ``k``, ``v`` are (batch * Tk, d)
+    row blocks with Tk >= Tq, holding the sequences one after another; the
+    queries are the last Tq of each sequence's Tk positions (Tk > Tq when
+    earlier keys and values come from a cache).  Head h owns columns
+    [h * d_h, (h + 1) * d_h) with d_h = d / heads.  Per sequence and head the
+    output is P v, with P the row-normalized exp of q k^T * d_h^-1/2 + mask,
+    and the heads are concatenated along columns, so the result is shaped
+    like ``q``.  ``mask`` is an additive (Tq, Tk) ndarray of q's dtype shared
+    by every sequence, or None for unmasked attention; it receives no
+    gradient.
+
+    The adjoint is closed-form: with P the attention weights,
+    dS = P * (dP - rowsum(dP * P)).
+    """
+    if q.data.ndim != 2 or k.data.shape != v.data.shape or k.data.ndim != 2 \
+            or k.data.shape[1] != q.data.shape[1]:
+        raise ShapeError(
+            f"attention: q must be (rows, d) and k, v (key rows, d), got "
+            f"{q.data.shape}, {k.data.shape}, {v.data.shape}"
+        )
+    rows, d = q.data.shape
+    key_rows = k.data.shape[0]
+    if heads < 1 or d % heads or batch < 1 or rows % batch or key_rows % batch \
+            or key_rows // batch < rows // batch:
+        raise ShapeError(
+            f"attention: shapes {q.data.shape} and {k.data.shape} do not split into "
+            f"{batch} sequences of {heads} heads with at least as many keys as queries"
+        )
+    seq, key_seq = rows // batch, key_rows // batch
+    dh = d // heads
+    if mask is not None and mask.shape != (seq, key_seq):
+        raise ShapeError(f"attention: mask shape {mask.shape}, expected {(seq, key_seq)}")
+    scale = _scalar(1.0 / math.sqrt(dh), q.data.dtype)
+
+    def split(x):
+        # (batch * T, d) -> (batch, heads, T, d_h) view
+        return x.reshape(batch, -1, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(-1, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    # The per-head composition's operation order (scale, mask, subtract the
+    # row max, exp, divide by the row sum, @ v), in place.
+    p = qh @ kh.swapaxes(-1, -2)
+    p *= scale
+    if mask is not None:
+        p += mask
+    p -= np.maximum.reduce(p, axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    out = _from_array(merge(p @ vh), q.requires_grad | k.requires_grad | v.requires_grad)
+
+    def adjoint(g):
+        go = split(g)
+        ds = go @ vh.swapaxes(-1, -2)  # dP, turned into dS in place
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        _accumulate(q, merge(ds @ kh))
+        _accumulate(k, merge((qh.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)))
+        _accumulate(v, merge(p.swapaxes(-1, -2) @ go))
+
+    push_op(out, adjoint)
+    return out
+
+
+def cached_rows(rows, new):
+    """A store's filled ``rows``, the last of which hold ``new``'s data.
+    Gradients reach ``new`` only; the earlier rows are constants."""
+    past_rows = rows.shape[0] - new.data.shape[0]
+    out = _from_array(rows, new.requires_grad)
+    push_op(out, lambda g: _accumulate(new, g[past_rows:]))
+    return out
+
+
+def transformer_block(x, params, heads, mask=None, batch=1, past=None, last_only=False):
+    """The taped composition ``autodiff.transformer_block`` fuses, as the
+    model ran its blocks before: an affine layer norm, the stacked q/k/v
+    product (written into ``past`` if given, attending to all its rows),
+    the last rows of each sequence with ``last_only``, attention, the output
+    map and the residual add, then the layer-normed GELU MLP and its
+    residual add; one tape entry per primitive."""
+    g1, c1, wqkv, bqkv, wo, bo, g2, c2, w1, b1, w2, b2 = params
+    q, k, v = stacked_linear(layer_norm_affine(x, g1, c1), wqkv, bqkv)
+    if past is not None:
+        cached = past.shape[1] - k.data.shape[0]
+        past[0, cached:] = k.data
+        past[1, cached:] = v.data
+        if cached:
+            k, v = cached_rows(past[0], k), cached_rows(past[1], v)
+    seq = x.data.shape[0] // batch
+    if last_only and seq > 1:
+        x, q = narrow(x, 0, seq - 1, batch, seq), narrow(q, 0, seq - 1, batch, seq)
+        mask = None if mask is None else mask[-1:]
+    x = add(x, linear(attention(q, k, v, heads, mask, batch), wo, bo))
+    return add(x, linear(gelu(linear(layer_norm_affine(x, g2, c2), w1, b1)), w2, b2))
 
 
 def add_at_embedding_lookup(table, ids):

@@ -17,7 +17,6 @@ from flowtts.autodiff import (
     _accumulate,
     active_dtype,
     add,
-    attention,
     bce_with_logits,
     concat,
     constant,
@@ -35,12 +34,13 @@ from flowtts.autodiff import (
     push_op,
     record,
     rng_stream,
-    stacked_linear,
     tensor_sum,
+    transformer_block,
     zero_grads,
 )
 from flowtts.model import MASK_VALUE, ModelConfig, Packing, init_model_state, semantic_hiddens
-from oracles import layer_norm, matmul, softmax
+from oracles import attention, layer_norm, matmul, softmax, stacked_linear
+import oracles
 
 RNG = np.random.default_rng(20240811)
 
@@ -488,6 +488,8 @@ PRIMITIVE_CASES = {
     "mse": lambda x: mse(x, constant(_FIXED["like"])),
     "bce_with_logits": lambda x: bce_with_logits(x, _FIXED["labels"]),
     "attention": lambda x: _scalarize(mul(_attention_of_blocks(x), constant(_FIXED["like_attn"]))),
+    "transformer_block": lambda x: _scalarize(mul(
+        transformer_block(x, *_FIXED["block"]), constant(_FIXED["like_block"]))),
     "stacked_linear": lambda x: _scalarize(mul(
         concat(stacked_linear(x, constant(_FIXED["stack_w"]), constant(_FIXED["stack_b"])), 0),
         constant(_FIXED["like_stack"]))),
@@ -502,6 +504,20 @@ _ATTENTION_CASES = {
     (18, 4): (2, 3, False, 2, 2),  # three bidirectional 2-token sequences
     (18, 6): (3, 2, True, 3, 3),  # two causal 3-token sequences
     (24, 6): (3, 2, True, 2, 5),  # two sequences: 2 queries after 3 cached positions
+}
+
+
+def _block_shapes(d, width):
+    """Shapes of a block's 12 parameters, in transformer_block's order."""
+    return [(d,), (d,), (3, d, d), (3, d), (d, d), (d,),
+            (d,), (d,), (d, width), (width,), (width, d), (d,)]
+
+
+# transformer_block cases: x shape (batch * T, d) -> (heads, batch, causal, last_only)
+_BLOCK_CASES = {
+    (4, 4): (2, 1, True, False),  # one causal sequence
+    (6, 4): (2, 3, False, True),  # three 2-token pairs, last rows only
+    (6, 6): (3, 2, True, True),  # two causal 3-token sequences, last rows only
 }
 
 
@@ -520,6 +536,8 @@ def _shapes_for(name: str):
         return [(int(rng.integers(1, 8)), int(rng.integers(1, 8))) for _ in range(3)]
     if name == "attention":
         return list(_ATTENTION_CASES)
+    if name == "transformer_block":
+        return list(_BLOCK_CASES)
     if name == "embedding_lookup":
         return [(int(rng.integers(2, 8)), int(rng.integers(1, 8))) for _ in range(3)]
     if name == "slice":
@@ -532,7 +550,7 @@ def _shapes_for(name: str):
 
 
 # The oracles' taped primitives the fused ones are checked against.
-ORACLE_PRIMITIVES = ["matmul", "layer_norm", "softmax"]
+ORACLE_PRIMITIVES = ["matmul", "layer_norm", "softmax", "attention", "stacked_linear"]
 
 
 @pytest.mark.parametrize("name", sorted(primitive_forward_set()) + ORACLE_PRIMITIVES)
@@ -559,6 +577,13 @@ def test_primitive_gradient_soundness(name):
                 _FIXED["attn"] = _ATTENTION_CASES[shape]
                 heads, batch, _, tq, _ = _FIXED["attn"]
                 _FIXED["like_attn"] = rng.standard_normal((batch * tq, shape[1]))
+            if name == "transformer_block":
+                heads, batch, causal, last_only = _BLOCK_CASES[shape]
+                seq, d = shape[0] // batch, shape[1]
+                mask = _causal_mask(seq, np.float64) if causal else None
+                params = [constant(rng.standard_normal(s)) for s in _block_shapes(d, 2 * d)]
+                _FIXED["block"] = (params, heads, mask, batch, None, last_only)
+                _FIXED["like_block"] = rng.standard_normal((batch if last_only else shape[0], d))
             if name == "stacked_linear":
                 _FIXED["stack_w"] = rng.standard_normal((3, shape[1], 4))
                 _FIXED["stack_b"] = rng.standard_normal((3, 4))
@@ -729,10 +754,14 @@ RAW_OPERAND_CASES = {
     "linear": (linear, [(3, 4), (4, 2), (2,)]),
     "stacked_linear": (stacked_linear, [(3, 4), (3, 4, 2), (3, 2)]),
     "layer_norm_affine": (layer_norm_affine, [(3, 4), (4,), (4,)]),
+    "transformer_block": (lambda x, *params: transformer_block(x, params, 2),
+                          [(3, 4)] + _block_shapes(4, 8)),
 }
 
 
-@pytest.mark.parametrize("name", sorted(primitive_forward_set()))
+# The registry, and the oracles' taped attention and stacked product, which
+# keep the cases they had as primitives.
+@pytest.mark.parametrize("name", sorted(primitive_forward_set()) + ["attention", "stacked_linear"])
 def test_primitives_reject_a_raw_array_or_number_operand(name):
     # Nothing casts an operand: a raw array or number in a Tensor's place
     # raises at the call, also next to operands that need gradients.  (An
@@ -753,11 +782,83 @@ def test_registry_contains_contract_primitives():
     # cannot come back unnoticed.
     assert set(primitive_forward_set()) == {
         "add", "mul", "gelu", "embedding_lookup", "concat", "slice", "sum", "mse",
-        "bce_with_logits", "attention", "linear", "stacked_linear", "layer_norm_affine"}
+        "bce_with_logits", "linear", "layer_norm_affine", "transformer_block"}
 
 
 # --------------------------------------------------------------------------
-# Fused attention against the per-head composition it replaced
+# The fused transformer block against the composition it replaced
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("last_only", [False, True])
+@pytest.mark.parametrize("batch,filled", [(1, None), (1, 0), (1, 5), (3, None)])
+def test_transformer_block_is_bitwise_the_composition_it_replaces(batch, filled, last_only,
+                                                                  masked, dtype):
+    # The output, the gradients of x and of all 12 parameters, and with a
+    # store view of `filled` filled rows the store, against the oracles'
+    # composition of taped primitives.
+    rng = np.random.default_rng(zlib.crc32(f"{batch}{filled}{last_only}{masked}".encode()))
+    seq, d, heads = 4, 8, 2
+    cached = filled or 0
+    x = rng.standard_normal((batch * seq, d)).astype(dtype)
+    params = [rng.standard_normal(shape).astype(dtype) for shape in _block_shapes(d, 4 * d)]
+    mask = _causal_mask(seq, dtype, cached) if masked else None
+    store = None if filled is None else rng.standard_normal((2, cached + seq, d)).astype(dtype)
+    weights = rng.standard_normal((batch if last_only else batch * seq, d)).astype(dtype)
+    results = []
+    for block in (transformer_block, oracles.transformer_block):
+        xs = parameter(x, dtype=dtype)
+        ps = [parameter(p, dtype=dtype) for p in params]
+        past = None if store is None else store.copy()
+        with record() as tape:
+            out = block(xs, ps, heads, mask, batch, past, last_only)
+            loss = tensor_sum(mul(out, constant(weights, dtype=dtype)))
+        tape.backward(loss)
+        results.append([out.data, xs.grad, *[p.grad for p in ps]]
+                       + ([] if past is None else [past]))
+    assert len(results[0]) == 14 + (filled is not None)
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
+def test_transformer_block_records_one_entry_and_pushes_nothing_outside_a_record(monkeypatch):
+    import flowtts.autodiff as autodiff
+
+    pushed = []
+    real_push = autodiff.push_op
+    monkeypatch.setattr(autodiff, "push_op", lambda out, adjoint: (pushed.append(out),
+                                                                   real_push(out, adjoint)))
+    rng = np.random.default_rng(9)
+    x = parameter(rng.standard_normal((6, 8)).astype(np.float32))
+    params = [parameter(rng.standard_normal(s).astype(np.float32)) for s in _block_shapes(8, 16)]
+    out = transformer_block(x, params, 2, None, 3)
+    assert out.requires_grad and pushed == []
+    with record() as tape:
+        out = transformer_block(x, params, 2, None, 3)
+    assert pushed == [out] and len(tape) == 1
+
+
+def test_transformer_block_shape_errors():
+    params = [constant(np.ones(s)) for s in _block_shapes(8, 16)]
+    x = constant(np.ones((6, 8)))
+    with pytest.raises(ShapeError, match="transformer_block"):
+        transformer_block(x, params, 3)  # 8 columns do not split into 3 heads
+    with pytest.raises(ShapeError, match="transformer_block"):
+        transformer_block(x, params, 2, batch=4)  # 6 rows do not split into 4 sequences
+    with pytest.raises(ShapeError, match="transformer_block"):
+        transformer_block(x, params, 2, np.zeros((6, 6)), batch=2)  # mask must be (3, 3)
+    with pytest.raises(ShapeError, match="transformer_block"):
+        transformer_block(x, params, 2, past=np.zeros((2, 4, 8)))  # fewer key rows than rows
+    with pytest.raises(ShapeError, match="batch"):
+        transformer_block(x, params, 2, batch=2, past=np.zeros((2, 6, 8)))
+    with pytest.raises(ShapeError, match="transformer_block"):
+        transformer_block(x, params, 2, np.zeros((6, 6)), past=np.zeros((2, 9, 8)))  # (6, 9)
+
+
+# --------------------------------------------------------------------------
+# The oracles' attention against the per-head composition it replaced
 # --------------------------------------------------------------------------
 
 def _transpose(x):

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowtts.autodiff as autodiff
 from flowtts.autodiff import (
     ShapeError,
-    attention,
     constant,
-    gelu,
     grad_check,
     mul,
     narrow,
@@ -21,6 +20,7 @@ from flowtts.autodiff import (
     precision,
     record,
     tensor_sum,
+    transformer_block,
     zero_grads,
 )
 from flowtts.model import (
@@ -151,27 +151,28 @@ def test_both_stacks_share_one_mask_per_packing():
 
 
 def test_one_row_calls_hand_attention_no_mask(monkeypatch):
-    masks = []
+    calls = []
 
-    def recording(q, k, v, heads, mask=None, batch=1):
-        masks.append(mask)
-        return attention(q, k, v, heads, mask, batch)
+    def recording(x, params, heads, mask=None, batch=1, past=None, last_only=False):
+        calls.append((x.data.shape[0], mask, last_only))
+        return transformer_block(x, params, heads, mask, batch, past, last_only)
 
-    monkeypatch.setattr("flowtts.model.attention", recording)
+    monkeypatch.setattr("flowtts.model.transformer_block", recording)
     calls_per_pass = CFG.n_layers_semantic + CFG.n_layers_residual
     history = RNG.standard_normal((3, CFG.d_patch))
     cache = ConditioningCache()
     conditioning(STATE, [1, 2], history[:2], cache)  # prefill of 4 rows: masked
-    # The semantic layer's 4 query rows get the causal mask.  The residual
-    # layer is its stack's last block, whose one query row, the last, gets
-    # the mask's last row, which hides nothing.
-    assert [m.shape for m in masks] == [(4, 4), (1, 4)]
-    assert masks[1].tobytes() == masks[0][-1:].tobytes()
-    assert not masks[1].any()
-    masks.clear()
+    # Both blocks get the causal mask of the 4 rows.  The residual layer is
+    # its stack's last block, whose attention runs for the last row only,
+    # with the mask's last row, which hides nothing.
+    assert [(rows, mask.shape, last) for rows, mask, last in calls] == [
+        (4, (4, 4), False), (4, (4, 4), True)]
+    assert calls[1][1] is calls[0][1] and not calls[1][1][-1:].any()
+    calls.clear()
     conditioning(STATE, [1, 2], history[2:3], cache)  # decode of one patch
     conditioning(STATE, [7], history[:0])  # one text row, no cache
-    assert len(masks) == 2 * calls_per_pass and all(m is None for m in masks)
+    assert len(calls) == 2 * calls_per_pass
+    assert all(rows == 1 and mask is None for rows, mask, _ in calls)
 
 
 # --------------------------------------------------------------------------
@@ -438,17 +439,19 @@ def _cache_bytes(cache):
 
 
 def _attended_keys_and_values(monkeypatch, state, tokens, history):
-    """An uncached ``conditioning`` call and the keys and values of its
-    attention calls, stacked as a store is: (layers, 2, rows, d_model),
-    semantic layers first."""
+    """An uncached ``conditioning`` call and the keys and values its blocks
+    attended to, stacked as a store is: (layers, 2, rows, d_model), semantic
+    layers first.  Each block is handed a store view with no filled row, so
+    it writes its keys and values there and attends to them as without one."""
     seen = []
 
-    def recording(q, k, v, heads, mask=None, batch=1):
-        seen.append(np.stack([k.data, v.data]))
-        return attention(q, k, v, heads, mask, batch)
+    def recording(x, params, heads, mask=None, batch=1, past=None, last_only=False):
+        assert past is None
+        seen.append(np.empty((2, *x.data.shape), dtype=x.data.dtype))
+        return transformer_block(x, params, heads, mask, batch, seen[-1], last_only)
 
     with monkeypatch.context() as patched:
-        patched.setattr("flowtts.model.attention", recording)
+        patched.setattr("flowtts.model.transformer_block", recording)
         out = conditioning(state, tokens, history)
     return out, np.stack(seen)
 
@@ -516,10 +519,10 @@ def test_prefill_records_the_ops_of_an_uncached_call_up_to_the_last_block(monkey
     cache = ConditioningCache()
     with record() as cached:
         got = conditioning(STATE, [1, 2, 3], history, cache)
-    # The residual stack's last block adds two selections (its residual
-    # rows and its queries), and the last step's quantized row takes the
-    # place of the uncached call's residual gather.
-    assert len(cached) == len(plain) + 2
+    # The residual stack's last block selects its last row within its one
+    # tape entry, and the last step's quantized row takes the place of the
+    # uncached call's residual gather.
+    assert len(cached) == len(plain)
 
     # The same call with the stacks given no store, the residual one still
     # trimmed to its last row, returns the prefill's row bitwise: the store
@@ -547,16 +550,16 @@ def test_prefill_records_the_ops_of_an_uncached_call_up_to_the_last_block(monkey
 
 def test_a_prefill_of_no_patches_returns_its_one_quantized_row_unsliced():
     # With no patches the prefill quantizes one step, the text's last row,
-    # and returns it as it stands: the residual stack's last block adds its
-    # two selections and drops the uncached call's residual gather, and no
-    # slice of the quantized rows is recorded.
+    # and returns it as it stands: it drops the uncached call's residual
+    # gather (the residual stack's last block selects its last row within
+    # its one tape entry), and no slice of the quantized rows is recorded.
     history = np.zeros((0, CFG.d_patch))
     with record() as plain:
         conditioning(STATE, [1, 2, 3], history)
     cache = ConditioningCache()
     with record() as cached:
         got = conditioning(STATE, [1, 2, 3], history, cache)
-    assert len(cached) == len(plain) + 1
+    assert len(cached) == len(plain) - 1
     assert got[1].data.shape == (1, CFG.d_model)
     assert cache.last_quantized is got[1].data
 
@@ -597,13 +600,15 @@ def test_last_only_is_the_last_row_of_each_sequence_of_the_full_stack(batch, seq
 
 
 def test_the_prefill_runs_the_last_residual_mlp_for_one_row(monkeypatch):
+    # GELU's forward serves the encoder's gelu and every block's MLP.
     shapes = []
+    real_gelu = autodiff._gelu_forward
 
     def recording(x):
-        shapes.append(x.data.shape)
-        return gelu(x)
+        shapes.append(x.shape)
+        return real_gelu(x)
 
-    monkeypatch.setattr("flowtts.model.gelu", recording)
+    monkeypatch.setattr(autodiff, "_gelu_forward", recording)
     rng = np.random.default_rng(47)
     config = ModelConfig()
     state = init_model_state(config, seed=4)
@@ -619,26 +624,34 @@ def test_a_one_patch_decode_selects_nothing_and_records_no_more_ops_than_before(
     history = RNG.standard_normal((5, CFG.d_patch))
     cache = ConditioningCache()
     step_hiddens(STATE, [1, 2], history[:3], cache)
-    selections = []
+    selections, blocks = [], []
 
     def recording(*args, **kwargs):
         selections.append(args[1:])
         return narrow(*args, **kwargs)
 
+    def block(x, *args):
+        out = transformer_block(x, *args)
+        blocks.append((x.data.shape[0], out.data.shape[0]))
+        return out
+
     monkeypatch.setattr("flowtts.model.narrow", recording)
+    monkeypatch.setattr("flowtts.model.transformer_block", block)
     with record() as decode:
         conditioning(STATE, [1, 2], history[3:4], cache)
     with record() as step:
         step_hiddens(STATE, [1, 2], history[4:5], cache)
-    # Every row is its sequence's last: the stacks run as without the rule,
-    # and the result needs no slicing.  Before the rule a decode recorded 41
-    # entries (a gather of its residual rows among them) and step_hiddens 45
-    # (three one-row slices more); the quantizer now reads a decode's rows
-    # as they stand, without an identity gather of them (40 and 41 before),
-    # and the residual stack pairs the one patch with the cached skeleton
-    # row as it stands, without a concat and a gather (39 and 40 before).
-    assert selections == []
-    assert len(decode) == 37 and len(step) == 38
+    # Every row is its sequence's last: each block takes and returns its one
+    # row, and the result needs no slicing.  Before the rule a decode
+    # recorded 41 entries (a gather of its residual rows among them) and
+    # step_hiddens 45 (three one-row slices more); the quantizer now reads a
+    # decode's rows as they stand, without an identity gather of them (40
+    # and 41 before), the residual stack pairs the one patch with the cached
+    # skeleton row as it stands, without a concat and a gather (39 and 40
+    # before), and each block is one tape entry in place of 12 (its ten
+    # primitives and a decode's two cached-row entries; 37 and 38 before).
+    assert selections == [] and blocks == [(1, 1)] * 4
+    assert len(decode) == 15 and len(step) == 16
 
 
 def test_cache_rejects_other_tokens():

@@ -28,6 +28,7 @@ from flowtts.autodiff import (
 )
 from flowtts.model import (ModelConfig, ModelState, NonFiniteError, conditioning,
                            init_model_state, step_hiddens)
+import oracles
 from oracles import PerTensorAdam, add_at_embedding_lookup, two_call_sample_patch
 import flowtts.pipeline as pipeline
 from flowtts.pipeline import (
@@ -253,12 +254,22 @@ def test_parameters_stay_views_into_the_flat_buffers_after_a_training_step():
     # The step leaves the padding between tensors zero.
     assert padding.any()
     assert not state.data[padding].any() and not state.grad[padding].any()
-    for prefix, (w, b) in state.qkv.items():
-        for stacked, names in ((w, ("wq", "wk", "wv")), (b, ("bq", "bk", "bv"))):
-            for i, name in enumerate(names):
-                p = state[f"{prefix}.{name}"]
-                assert _address(stacked.data[i]) == _address(p.data)
-                assert _address(stacked.grad[i]) == _address(p.grad)
+    # Each block's parameter tuple holds the state's own tensors, but for
+    # its stacked q/k/v weight and bias, which view wq, wk, wv and bq, bk,
+    # bv: both data and gradient.
+    assert {stack: len(blocks) for stack, blocks in state.blocks.items()} == {
+        "sem": CFG.n_layers_semantic, "res": CFG.n_layers_residual, "vel": model.VELOCITY_LAYERS}
+    for stack, blocks in state.blocks.items():
+        for i, block in enumerate(blocks):
+            assert len(block) == len(model._BLOCK_PARAMS) == 12
+            for tensor, tail in zip(block, model._BLOCK_PARAMS):
+                if tail not in ("attn.wq", "attn.bq"):
+                    assert tensor is state[f"{stack}.l{i}.{tail}"]
+                    continue
+                for j, letter in enumerate("qkv"):
+                    p = state[f"{stack}.l{i}.{tail[:-1]}{letter}"]
+                    assert _address(tensor.data[j]) == _address(p.data)
+                    assert _address(tensor.grad[j]) == _address(p.grad)
 
 
 def test_flat_adam_is_bitwise_the_per_tensor_update(monkeypatch):
@@ -295,6 +306,32 @@ def test_scatters_keep_60_default_training_steps_bitwise(monkeypatch):
     reference_params, reference_losses = run()
     assert losses == reference_losses
     assert params.tobytes() == reference_params.tobytes()
+
+
+def test_the_fused_block_keeps_training_and_cloning_bitwise(monkeypatch):
+    # flowtts.model's blocks against the oracles' composition of the taped
+    # primitives they replaced, in one process: a 40-step default training
+    # run's losses and final parameters, and 8 patches cloned from a
+    # 48-token prompt and a 200-patch reference.
+    cfg = ModelConfig()
+    rng = np.random.default_rng(61)
+    tokens, reference = rng.integers(0, 64, 48), rng.standard_normal((200, cfg.d_patch))
+
+    def run():
+        state = init_model_state(cfg, seed=2)
+        _, history = train(TrainConfig(train_steps=40), default_synthetic_spec(cfg), state)
+        clone = init_model_state(cfg, seed=4)
+        clone["stop.b"].data[...] = -1e4
+        patches = synthesize(clone, tokens, reference, rng=rng_stream(5, "clone"),
+                             max_patches=208)
+        return [(r.total, r.fm, r.stop) for r in history], state.data.copy(), patches
+
+    fused = run()
+    monkeypatch.setattr(model, "transformer_block", oracles.transformer_block)
+    composed = run()
+    assert len(fused[0]) == 40 and fused[0] == composed[0]
+    assert fused[1].tobytes() == composed[1].tobytes()
+    assert fused[2].shape == (8, cfg.d_patch) and fused[2].tobytes() == composed[2].tobytes()
 
 
 def test_train_reduces_loss_on_tiny_run():
@@ -342,10 +379,11 @@ def test_train_nan_before_the_quantizer_aborts_with_the_failing_step(name, monke
     assert err.value.step == 1
 
 
-def test_default_training_step_records_at_most_100_tape_entries(monkeypatch):
-    # One packed forward pass per step with the fused linear, affine
-    # layer-norm and stacked q/k/v primitives: 100 entries whatever the batch
-    # size (112 with three q/k/v linear calls per block, 184 with matmul + add
+def test_default_training_step_records_44_tape_entries(monkeypatch):
+    # One packed forward pass per step with one transformer_block entry per
+    # block and the fused linear and affine layer-norm primitives: 44 entries
+    # whatever the batch size (100 with a block's ten primitives taped one by
+    # one, 112 with three q/k/v linear calls per block, 184 with matmul + add
     # and layer_norm + mul + add, 1,464 for batch 8 with one forward pass per
     # example, 3,200 before the fused attention primitive).
     lengths = []
@@ -362,8 +400,7 @@ def test_default_training_step_records_at_most_100_tape_entries(monkeypatch):
     for batch_size in (1, 8):
         train(TrainConfig(train_steps=1, batch_size=batch_size), default_synthetic_spec(cfg),
               init_model_state(cfg, seed=0))
-    assert len(lengths) == 2
-    assert lengths[0] == lengths[1] <= 100
+    assert lengths == [44, 44]
 
 
 def _sampled_batch(cfg, size, seed):
