@@ -47,6 +47,7 @@ __all__ = [
     "embedding_lookup",
     "concat",
     "narrow",
+    "Segments",
     "transformer_block",
     "tensor_sum",
     "mse",
@@ -530,6 +531,26 @@ def narrow(x: Tensor, axis: int, start: int, length: int, step: int = 1) -> Tens
     return out
 
 
+class Segments:
+    """Sequences of unequal lengths packed into the rows of one
+    ``transformer_block`` call, laid out for its attention: row t of
+    sequence b sits in cell b * T + t of a (B, T) grid, with T the longest
+    length, and the cells past a sequence's end are padding.
+
+    ``grid`` (B * T,) holds the packed row of each cell (any row for a
+    padding cell), ``cells`` (rows,) the cell of each packed row, and
+    ``mask`` the additive (B, T, T) mask of each sequence, which must hide
+    every padding cell as a key.  Attention then runs per sequence over the
+    grid, so it scores B * T * T pairs where one packed sequence scores
+    rows * rows; padding rows add nothing to any output or gradient.
+    """
+
+    __slots__ = ("grid", "cells", "mask")
+
+    def __init__(self, grid: np.ndarray, cells: np.ndarray, mask: np.ndarray):
+        self.grid, self.cells, self.mask = grid, cells, mask
+
+
 def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int, mask=None,
                       batch: int = 1, past: np.ndarray | None = None,
                       last_only: bool = False) -> Tensor:
@@ -546,6 +567,12 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int, mask=None
     head it is P v, with P the row-normalized exp of q k^T * d_h^-1/2 +
     ``mask``.  ``mask`` is an additive (T, Tk) ndarray of x's dtype shared by
     every sequence, or None for unmasked attention; it gets no gradient.
+
+    ``mask`` may instead be the ``Segments`` of several sequences packed
+    into x's rows (batch 1, no ``past``, no ``last_only``).  Every row-wise
+    step runs on the packed rows as they stand; only attention gathers q, k
+    and v into the segments' grid, runs there with B as the batch and the
+    per-sequence mask, and gathers each row's result back.
 
     ``past`` (batch 1 only) views the (2, Tk, d) rows of a key/value store
     that the block attends to, keys at ``past[0]`` and values at
@@ -575,7 +602,14 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int, mask=None
         raise ShapeError(f"transformer_block: {rows} rows of {d} do not split into {batch} "
                          f"sequences of {heads} heads attending to {key_rows} key rows "
                          f"(cached keys and values need batch == 1)")
-    if mask is not None and mask.shape != (rows // batch, key_rows // batch):
+    if isinstance(mask, Segments):
+        sequences, width = mask.mask.shape[:2]
+        if batch != 1 or past is not None or last_only or mask.cells.shape != (rows,) \
+                or mask.grid.shape != (sequences * width,) or mask.mask.shape[2] != width:
+            raise ShapeError(f"transformer_block: segments of grid {mask.grid.shape}, "
+                             f"cells {mask.cells.shape} and mask {mask.mask.shape} for "
+                             f"{rows} rows (segments take batch 1, no store, no last_only)")
+    elif mask is not None and mask.shape != (rows // batch, key_rows // batch):
         raise ShapeError(f"transformer_block: mask shape {mask.shape}, expected "
                          f"{(rows // batch, key_rows // batch)}")
     taped = requires_grad and _ACTIVE_TAPE.get() is not None
@@ -612,6 +646,11 @@ def _attention_forward(xd, params, heads, mask, batch, past, last_only, keep):
     normed = (xhat, inv) if keep else None
     del xhat, inv  # where nothing records, freed before attention runs
     q, k, v = qkv
+    segments = mask if isinstance(mask, Segments) else None
+    if segments is not None:
+        # The packed rows into the grid, whose sequences are the batch.
+        q, k, v = np.take(qkv, segments.grid, axis=1)
+        batch, mask = len(segments.mask), segments.mask[:, None]
     cached = 0
     if past is not None:
         cached = past.shape[1] - rows
@@ -641,7 +680,9 @@ def _attention_forward(xd, params, heads, mask, batch, past, last_only, keep):
     np.exp(p, out=p)
     p /= np.add.reduce(p, axis=-1, keepdims=True)
     attended = (p @ vh).transpose(0, 2, 1, 3).reshape(-1, d)
-    saved = (*normed, qkv, qh, kh, vh, p, attended, cached, picked) if keep else None
+    if segments is not None:
+        attended = np.take(attended, segments.cells, axis=0)  # back to the packed rows
+    saved = (*normed, qkv, qh, kh, vh, p, attended, segments, cached, picked) if keep else None
     del p  # where nothing records, freed before the output map
     y = attended @ wo.data
     np.add(y, bo.data, out=y)
@@ -697,12 +738,18 @@ def _attention_adjoint(gy, params, heads, batch, saved) -> np.ndarray:
     q/k/v product and the layer norm.  Accumulates the half's parameter
     gradients and returns the layer norm's share of x's gradient."""
     gain, bias, wqkv, bqkv, wo, bo = params[:6]
-    xhat, inv, qkv, qh, kh, vh, p, attended, cached, picked = saved
+    xhat, inv, qkv, qh, kh, vh, p, attended, segments, cached, picked = saved
     _, rows, d = qkv.shape
     dh = d // heads
     _accumulate(bo, np.add.reduce(gy, axis=0))
     _accumulate(wo, attended.T @ gy)
-    go = np.matmul(gy, wo.data.T, out=attended).reshape(batch, -1, heads, dh).transpose(0, 2, 1, 3)
+    go = np.matmul(gy, wo.data.T, out=attended)
+    if segments is not None:
+        # The packed rows' gradient into their cells; the padding cells' is 0.
+        grid = np.zeros((segments.grid.size, d), dtype=go.dtype)
+        grid[segments.cells] = go
+        go, batch = grid, len(segments.mask)
+    go = go.reshape(batch, -1, heads, dh).transpose(0, 2, 1, 3)
     # With P the attention weights, dS = P * (dP - rowsum(dP * P)).
     ds = go @ vh.swapaxes(-1, -2)  # dP, turned into dS in place
     ds -= np.add.reduce(ds * p, axis=-1, keepdims=True)
@@ -711,6 +758,10 @@ def _attention_adjoint(gy, params, heads, batch, saved) -> np.ndarray:
     gq = (ds @ kh).transpose(0, 2, 1, 3).reshape(-1, d)
     gk = (qh.swapaxes(-1, -2) @ ds).swapaxes(-1, -2).transpose(0, 2, 1, 3).reshape(-1, d)
     gv = (p.swapaxes(-1, -2) @ go).transpose(0, 2, 1, 3).reshape(-1, d)
+    if segments is not None:
+        # Each packed row's share from its cell; the padding cells' are
+        # exact zeros (no output reads them, no query sees them) and dropped.
+        gq, gk, gv = (np.take(t, segments.cells, axis=0) for t in (gq, gk, gv))
     # The gradient of the stacked q, k and v rows: the queries' at the rows
     # they were picked from, the keys' and values' past the cached rows.
     g = qkv

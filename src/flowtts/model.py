@@ -16,6 +16,7 @@ import numpy as np
 
 from .autodiff import (
     RngHub,
+    Segments,
     ShapeError,
     Tensor,
     _accumulate,
@@ -265,7 +266,10 @@ class Packing:
     take the ``rows`` after them, at the positions after them.  The mask
     lets a row see the cached rows, plus the rows of its own sequence up to
     its own position, so no sequence sees another (packing without
-    cross-contamination, Krell et al., 2021).
+    cross-contamination, Krell et al., 2021).  Several sequences attend in
+    segments (see ``mask``): each within itself, over a grid padded to the
+    longest, as a variable-length attention does (FlashAttention-2's
+    ``cu_seqlens``, Dao, 2023), not over every pair of packed rows.
     """
 
     def __init__(self, text_lengths, history_lengths, past_rows: int = 0):
@@ -278,7 +282,7 @@ class Packing:
         first = self.past_rows - self.text_rows if self.past_rows else 0
         self.history_positions = first + _ranges(self.history_lengths)
         self.rows = (0 if self.past_rows else self.text_rows) + sum(self.history_lengths)
-        self._mask: np.ndarray | None = None
+        self._mask: np.ndarray | Segments | None = None
 
     def step_rows(self) -> np.ndarray:
         """Rows that condition the steps of an uncached layout: per sequence,
@@ -301,30 +305,52 @@ class Packing:
             start += k + 1
         return np.array(steps, dtype=np.int64)
 
-    def mask(self, dtype) -> np.ndarray | None:
-        """Additive (rows, past_rows + rows) mask of the rule above, or None
-        when it hides nothing (one row).  It is built at the first call and
-        belongs to this packing, so both stacks share it."""
+    def mask(self, dtype) -> np.ndarray | Segments | None:
+        """The rule above as the stacks' ``mask``: None when it hides nothing
+        (one row); for one sequence its additive (rows, past_rows + rows)
+        mask; for several, their ``autodiff.Segments``, so that attention
+        runs within each sequence and never scores a pair of two.  A
+        sequence's cells hold its rows in position order, and its (T, T)
+        mask hides from each row the keys after its own position and the
+        padding cells past the sequence's end.  Built at the first call, it
+        belongs to this packing, so both stacks share it.  Several sequences
+        take no cached rows (ShapeError)."""
         if self._mask is None and self.rows > 1:
+            if self.size > 1 and self.past_rows:
+                raise ShapeError(f"Packing: cached rows belong to one sequence, not {self.size}")
             owner = np.arange(self.size)
             seq = np.repeat(owner, self.history_lengths)
             pos = self.history_positions + np.repeat(self.text_lengths, self.history_lengths)
             if not self.past_rows:
                 seq = np.concatenate([np.repeat(owner, self.text_lengths), seq])
                 pos = np.concatenate([self.text_positions, pos])
-            self._mask = mask = np.zeros((self.rows, self.past_rows + self.rows), dtype=dtype)
-            mask[:, self.past_rows:][(seq[:, None] != seq) | (pos > pos[:, None])] = MASK_VALUE
+            if self.size == 1:
+                self._mask = np.zeros((self.rows, self.past_rows + self.rows), dtype=dtype)
+                self._mask[:, self.past_rows:][pos > pos[:, None]] = MASK_VALUE
+            else:
+                lengths = np.add(self.text_lengths, self.history_lengths)
+                width = int(lengths.max())
+                cells = seq * width + pos
+                grid = np.zeros(self.size * width, dtype=np.intp)
+                grid[cells] = np.arange(self.rows)
+                t = np.arange(width)
+                mask = np.zeros((self.size, width, width), dtype=dtype)
+                mask[(t > t[:, None]) | (t >= lengths[:, None, None])] = MASK_VALUE
+                self._mask = Segments(grid, cells, mask)
         return self._mask
 
 
 def transformer_stack(state: ModelState, prefix: str, x: Tensor, n_layers: int,
-                      mask: np.ndarray | None, batch: int = 1, past: np.ndarray | None = None,
-                      last_only: bool = False) -> Tensor:
+                      mask: np.ndarray | Segments | None, batch: int = 1,
+                      past: np.ndarray | None = None, last_only: bool = False) -> Tensor:
     """The first ``n_layers`` pre-LN blocks of stack ``prefix``, one
     ``autodiff.transformer_block`` each (one tape entry per block), then the
     final layer norm, over ``batch`` equal-length sequences stored row-block
-    after row-block; ``mask`` is an additive (T, T) ndarray, or None where
-    it would hide nothing (the conditioning stacks use ``Packing.mask``).
+    after row-block; ``mask`` is an additive (T, T) ndarray, None where it
+    would hide nothing, or the ``Segments`` of several sequences of unequal
+    lengths packed into the rows (batch 1, no ``past``, no ``last_only``),
+    each of which attends within itself.  The conditioning stacks use
+    ``Packing.mask``.
 
     ``past`` views the key/value store rows of one sequence that this call
     attends to, shaped (n_layers, 2, cached + T, d): layer i's keys at

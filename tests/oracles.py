@@ -16,6 +16,7 @@ import numpy as np
 
 from flowtts.autodiff import (
     _ACTIVE_TAPE,
+    Segments,
     ShapeError,
     Tensor,
     _accumulate,
@@ -29,7 +30,7 @@ from flowtts.autodiff import (
     push_op,
 )
 from flowtts.flowmatch import cfg_combine, velocity
-from flowtts.model import MASK_VALUE
+from flowtts.model import MASK_VALUE, Packing
 from flowtts.thai_text import MAI_YAMOK
 
 logger = logging.getLogger(__name__)
@@ -252,12 +253,22 @@ def attention(q, k, v, heads, mask=None, batch=1):
     output is P v, with P the row-normalized exp of q k^T * d_h^-1/2 + mask,
     and the heads are concatenated along columns, so the result is shaped
     like ``q``.  ``mask`` is an additive (Tq, Tk) ndarray of q's dtype shared
-    by every sequence, or None for unmasked attention; it receives no
-    gradient.
+    by every sequence, a (batch, 1, Tq, Tk) one per sequence, or None for
+    unmasked attention; it receives no gradient.
+
+    ``mask`` may instead be the ``Segments`` of several sequences packed
+    into the rows (batch 1): q, k and v are then gathered into the
+    segments' grid, attended there per sequence and gathered back, each
+    gather one taped ``add_at_embedding_lookup``, whose adjoint scatter-adds
+    every cell's gradient, padding cells' included, into its row.
 
     The adjoint is closed-form: with P the attention weights,
     dS = P * (dP - rowsum(dP * P)).
     """
+    if isinstance(mask, Segments):
+        grid = [add_at_embedding_lookup(t, mask.grid) for t in (q, k, v)]
+        attended = attention(*grid, heads, mask.mask[:, None], len(mask.mask))
+        return add_at_embedding_lookup(attended, mask.cells)
     if q.data.ndim != 2 or k.data.shape != v.data.shape or k.data.ndim != 2 \
             or k.data.shape[1] != q.data.shape[1]:
         raise ShapeError(
@@ -274,7 +285,7 @@ def attention(q, k, v, heads, mask=None, batch=1):
         )
     seq, key_seq = rows // batch, key_rows // batch
     dh = d // heads
-    if mask is not None and mask.shape != (seq, key_seq):
+    if mask is not None and mask.shape not in ((seq, key_seq), (batch, 1, seq, key_seq)):
         raise ShapeError(f"attention: mask shape {mask.shape}, expected {(seq, key_seq)}")
     scale = _scalar(1.0 / math.sqrt(dh), q.data.dtype)
 
@@ -324,9 +335,10 @@ def transformer_block(x, params, heads, mask=None, batch=1, past=None, last_only
     """The taped composition ``autodiff.transformer_block`` fuses, as the
     model ran its blocks before: an affine layer norm, the stacked q/k/v
     product (written into ``past`` if given, attending to all its rows),
-    the last rows of each sequence with ``last_only``, attention, the output
-    map and the residual add, then the layer-normed GELU MLP and its
-    residual add; one tape entry per primitive."""
+    the last rows of each sequence with ``last_only``, attention (over the
+    grid of ``mask``'s ``Segments``, if it is one), the output map and the
+    residual add, then the layer-normed GELU MLP and its residual add; one
+    tape entry per primitive."""
     g1, c1, wqkv, bqkv, wo, bo, g2, c2, w1, b1, w2, b2 = params
     q, k, v = stacked_linear(layer_norm_affine(x, g1, c1), wqkv, bqkv)
     if past is not None:
@@ -380,6 +392,20 @@ def block_mask(text_lengths, history_lengths, dtype):
     pos = np.r_[text_positions, np.repeat(text_lengths, history_lengths) + history_positions]
     allowed = (seq[:, None] == seq[None, :]) & (pos[None, :] <= pos[:, None])
     return np.where(allowed, 0.0, MASK_VALUE).astype(dtype)
+
+
+def with_block_masks(patched):
+    """Make several packed sequences attend as one sequence under
+    ``block_mask``, the dense path their segments replaced; ``patched`` is
+    a pytest monkeypatch.  One sequence keeps its own mask."""
+    real = Packing.mask
+
+    def dense(packing, dtype):
+        if packing.size == 1:
+            return real(packing, dtype)
+        return block_mask(packing.text_lengths, packing.history_lengths, dtype)
+
+    patched.setattr(Packing, "mask", dense)
 
 
 class PerTensorAdam:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from flowtts.autodiff import (
     RecordError,
+    Segments,
     ShapeError,
     Tensor,
     _accumulate,
@@ -789,23 +790,36 @@ def test_registry_contains_contract_primitives():
 # The fused transformer block against the composition it replaced
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("masked", [False, True])
-@pytest.mark.parametrize("last_only", [False, True])
-@pytest.mark.parametrize("batch,filled", [(1, None), (1, 0), (1, 5), (3, None)])
+def _packed_segments(dtype):
+    """Segments of three sequences of 4, 2 and 3 rows, packed as the
+    conditioning stacks pack them (every text row, then every history row),
+    so a sequence's rows are not adjacent and two sequences are padded."""
+    return Packing([2, 1, 3], [2, 1, 0]).mask(dtype)
+
+
+@pytest.mark.parametrize("batch,filled,last_only,masked,dtype", [
+    (batch, filled, last_only, masked, dtype)
+    for batch, filled in [(1, None), (1, 0), (1, 5), (3, None)]
+    for last_only in (False, True) for masked in (False, True)
+    for dtype in (np.float32, np.float64)
+] + [(1, None, False, "packed", dtype) for dtype in (np.float32, np.float64)])
 def test_transformer_block_is_bitwise_the_composition_it_replaces(batch, filled, last_only,
                                                                   masked, dtype):
     # The output, the gradients of x and of all 12 parameters, and with a
     # store view of `filled` filled rows the store, against the oracles'
-    # composition of taped primitives.
+    # composition of taped primitives; "packed" attends in segments.
     rng = np.random.default_rng(zlib.crc32(f"{batch}{filled}{last_only}{masked}".encode()))
     seq, d, heads = 4, 8, 2
     cached = filled or 0
-    x = rng.standard_normal((batch * seq, d)).astype(dtype)
+    rows = 9 if masked == "packed" else batch * seq
+    x = rng.standard_normal((rows, d)).astype(dtype)
     params = [rng.standard_normal(shape).astype(dtype) for shape in _block_shapes(d, 4 * d)]
-    mask = _causal_mask(seq, dtype, cached) if masked else None
+    if masked == "packed":
+        mask = _packed_segments(dtype)
+    else:
+        mask = _causal_mask(seq, dtype, cached) if masked else None
     store = None if filled is None else rng.standard_normal((2, cached + seq, d)).astype(dtype)
-    weights = rng.standard_normal((batch if last_only else batch * seq, d)).astype(dtype)
+    weights = rng.standard_normal((batch if last_only else rows, d)).astype(dtype)
     results = []
     for block in (transformer_block, oracles.transformer_block):
         xs = parameter(x, dtype=dtype)
@@ -855,6 +869,90 @@ def test_transformer_block_shape_errors():
         transformer_block(x, params, 2, batch=2, past=np.zeros((2, 6, 8)))
     with pytest.raises(ShapeError, match="transformer_block"):
         transformer_block(x, params, 2, np.zeros((6, 6)), past=np.zeros((2, 9, 8)))  # (6, 9)
+
+
+def _segment_block_case(dtype, seed):
+    # Parameters of std 0.5 keep the MLP's inputs inside GELU's clip.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((9, 8)).astype(dtype)
+    params = [(0.5 * rng.standard_normal(shape)).astype(dtype)
+              for shape in _block_shapes(8, 16)]
+    weights = rng.standard_normal((9, 8)).astype(dtype)
+    return x, params, weights
+
+
+def _block_and_gradients(x, params, weights, mask):
+    xs, ps = parameter(x), [parameter(p) for p in params]
+    with record() as tape:
+        out = transformer_block(xs, ps, 2, mask)
+        loss = tensor_sum(mul(out, constant(weights)))
+    tape.backward(loss)
+    return [out.data, xs.grad, *[p.grad for p in ps]]
+
+
+def test_transformer_block_in_segments_matches_finite_differences_for_every_operand():
+    # x and all 12 parameters.  The key bias shifts every score of a row
+    # alike, which its softmax ignores: its gradient is 0 up to rounding,
+    # where a relative check means nothing, so the stacked bias is checked
+    # through its query and value rows.
+    with precision("float64"):
+        x, params, weights = _segment_block_case(np.float64, 71)
+        segments = _packed_segments(np.float64)
+        values = [x, *params]
+        key_bias = constant(params[3][1:2])
+        for operand, value in enumerate(values):
+            def f(t, operand=operand):
+                args = [constant(v) for v in values]
+                args[operand] = t
+                if operand == 4:
+                    args[4] = concat([narrow(t, 0, 0, 1), key_bias, narrow(t, 0, 1, 1)])
+                return tensor_sum(mul(transformer_block(args[0], args[1:], 2, segments),
+                                      constant(weights)))
+
+            value = value[[0, 2]] if operand == 4 else value
+            assert grad_check(f, parameter(value)) <= 1e-4, operand
+        grads = _block_and_gradients(x, params, weights, segments)
+        assert np.max(np.abs(grads[5][1])) <= 1e-12 * np.max(np.abs(grads[5]))
+
+
+def test_padding_cells_get_no_gradient_and_change_no_bit():
+    # The grid's gradient at every padding cell is an exact zero: no output
+    # reads a padding query and the mask hides every padding key.  So where
+    # the padding cells point changes no output or gradient bit.
+    x, params, weights = _segment_block_case(np.float32, 72)
+    segments = _packed_segments(np.float32)
+    padding = np.setdiff1d(np.arange(segments.grid.size), segments.cells)
+    assert padding.size == 3  # the sequences of 2 and 3 rows are padded to 4
+    q, k, v = (parameter(np.random.default_rng(i).standard_normal((12, 8)).astype(np.float32))
+               for i in range(3))
+    with record() as tape:
+        out = attention(q, k, v, 2, segments.mask[:, None], 3)
+        loss = tensor_sum(mul(oracles.add_at_embedding_lookup(out, segments.cells),
+                              constant(weights)))
+    tape.backward(loss)
+    for t in (q, k, v):
+        assert not t.grad[padding].any() and t.grad[segments.cells].any()
+    moved = Segments(segments.grid.copy(), segments.cells, segments.mask)
+    moved.grid[padding] = 8  # the last packed row, in place of row 0
+    for got, want in zip(_block_and_gradients(x, params, weights, moved),
+                         _block_and_gradients(x, params, weights, segments)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_segments_take_batch_one_no_store_and_every_row():
+    x, params, _ = _segment_block_case(np.float32, 73)
+    x, params = constant(x), [constant(p) for p in params]
+    segments = _packed_segments(np.float32)
+    with pytest.raises(ShapeError, match="segments"):
+        transformer_block(x, params, 2, segments, last_only=True)
+    with pytest.raises(ShapeError, match="segments"):
+        transformer_block(x, params, 2, segments, past=np.zeros((2, 9, 8), np.float32))
+    with pytest.raises(ShapeError, match="segments"):
+        transformer_block(constant(np.zeros((18, 8), np.float32)), params, 2, segments, 2)
+    with pytest.raises(ShapeError, match="segments"):
+        transformer_block(narrow(x, 0, 0, 8), params, 2, segments)  # 8 rows for 9 cells
+    with pytest.raises(ShapeError, match="one sequence"):
+        Packing([2, 1], [1, 1], past_rows=3).mask(np.float32)
 
 
 # --------------------------------------------------------------------------

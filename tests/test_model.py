@@ -30,6 +30,7 @@ from flowtts.model import (
     NonFiniteError,
     Packing,
     conditioning,
+    conditioning_batch,
     encode_patches,
     fsq_quantize,
     init_model_state,
@@ -39,7 +40,7 @@ from flowtts.model import (
     stop_logits,
     transformer_stack,
 )
-from oracles import block_mask
+from oracles import block_mask, with_block_masks
 
 CFG = ModelConfig(d_model=16, n_layers_semantic=1, n_layers_residual=1, n_heads=2,
                   d_patch=4, vocab_size=12, max_patches=32, max_text_len=16)
@@ -119,10 +120,24 @@ def test_the_mask_of_one_sequence_is_the_causal_mask(dtype, n_text, k):
 @given(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 6)), min_size=2, max_size=5),
        st.sampled_from([np.float32, np.float64]))
 def test_the_mask_of_several_sequences_is_the_block_mask(lengths, dtype):
+    # Several sequences attend in segments.  Their per-sequence masks, read
+    # at each pair of packed rows' cells, with every pair of two sequences
+    # hidden, are the block mask; the grid and the cells are inverse; and
+    # every padding cell is hidden as a key.
     text_lengths, history_lengths = zip(*lengths)
-    mask = Packing(text_lengths, history_lengths).mask(dtype)
-    assert mask.dtype == dtype
-    assert mask.tobytes() == block_mask(text_lengths, history_lengths, dtype).tobytes()
+    segments = Packing(text_lengths, history_lengths).mask(dtype)
+    assert segments.mask.dtype == dtype
+    sizes = [n + k for n, k in lengths]
+    width = max(sizes)
+    assert segments.mask.shape == (len(lengths), width, width)
+    assert segments.grid[segments.cells].tolist() == list(range(sum(sizes)))
+    seq, pos = np.divmod(segments.cells, width)
+    dense = np.where(seq[:, None] == seq, segments.mask[seq[:, None], pos[:, None], pos],
+                     dtype(MASK_VALUE))
+    assert dense.dtype == dtype
+    assert dense.tobytes() == block_mask(text_lengths, history_lengths, dtype).tobytes()
+    for e, size in enumerate(sizes):
+        assert (segments.mask[e, :, size:] == dtype(MASK_VALUE)).all()
 
 
 def test_a_decode_of_three_patches_sees_the_cached_rows_and_the_new_rows_up_to_itself():
@@ -173,6 +188,50 @@ def test_one_row_calls_hand_attention_no_mask(monkeypatch):
     conditioning(STATE, [7], history[:0])  # one text row, no cache
     assert len(calls) == 2 * calls_per_pass
     assert all(rows == 1 and mask is None for rows, mask, _ in calls)
+
+
+# --------------------------------------------------------------------------
+# Packed sequences attend in segments
+# --------------------------------------------------------------------------
+
+def _packed_batch(seed):
+    """Four sequences of n = 2, 6, 3 and 5 tokens and 4n - 1 patches: 9-29
+    rows per stack, padded to 29."""
+    rng = np.random.default_rng(seed)
+    texts = [rng.integers(0, 64, n) for n in (2, 6, 3, 5)]
+    return texts, [rng.standard_normal((4 * t.size - 1, 16)) for t in texts]
+
+
+@pytest.mark.parametrize("dtype,rtol", [("float64", 1e-12), ("float32", 1e-5)])
+def test_packed_conditioning_in_segments_matches_the_dense_block_mask(monkeypatch, dtype, rtol):
+    # Not bitwise: a row's softmax sums and P v products run over its own
+    # sequence's keys and padding, not over every packed key.
+    texts, histories = _packed_batch(81)
+    with precision(dtype):
+        state = init_model_state(ModelConfig(), seed=4)
+        got = conditioning_batch(state, texts, histories)
+        with monkeypatch.context() as patched:
+            with_block_masks(patched)
+            want = conditioning_batch(state, texts, histories)
+    for a, b in zip(got, want):
+        assert a.data.dtype == np.dtype(dtype) and a.data.shape == b.data.shape == (64, 64)
+        assert np.max(np.abs(a.data - b.data)) <= rtol * np.max(np.abs(b.data))
+
+
+@pytest.mark.parametrize("dtype,rtol", [("float64", 1e-12), ("float32", 1e-5)])
+def test_each_packed_sequence_equals_that_sequence_alone(dtype, rtol):
+    texts, histories = _packed_batch(82)
+    with precision(dtype):
+        state = init_model_state(ModelConfig(), seed=4)
+        packed = conditioning_batch(state, texts, histories)
+        start = 0
+        for text, history in zip(texts, histories):
+            alone = conditioning(state, text, history)
+            steps = history.shape[0] + 1
+            for a, b in zip(packed, alone):
+                part = a.data[start:start + steps]
+                assert np.max(np.abs(part - b.data)) <= rtol * np.max(np.abs(b.data))
+            start += steps
 
 
 # --------------------------------------------------------------------------
@@ -592,7 +651,7 @@ def test_last_only_is_the_last_row_of_each_sequence_of_the_full_stack(batch, seq
         if mask == "causal":
             mask = Packing([2], [4]).mask(np.float64)
         elif mask == "packed":
-            mask = Packing([2, 3], [1, 2]).mask(np.float64)
+            mask = block_mask([2, 3], [1, 2], np.float64)
         full = transformer_stack(state, "vel", x, 2, mask, batch)
         last = transformer_stack(state, "vel", x, 2, mask, batch, last_only=True)
     assert last.data.shape == (batch, CFG.d_model)

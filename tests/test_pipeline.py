@@ -445,6 +445,36 @@ def test_packed_batch_loss_and_gradients_equal_the_mean_of_per_example_losses():
                                    err_msg=name)
 
 
+@pytest.mark.parametrize("dtype,rtol", [("float64", 1e-12), ("float32", 1e-5)])
+def test_packed_loss_and_gradients_in_segments_match_the_dense_block_mask(monkeypatch, dtype,
+                                                                          rtol):
+    # A default batch of 8 through the stacks' segments, and through the
+    # dense path they replace (one packed sequence under the block mask):
+    # the loss and every parameter's gradient, against the model's largest
+    # gradient entry.  (Against each parameter's own largest entry the key
+    # biases, whose gradient is 0 up to rounding, and float32's tiniest
+    # gradients, such as the velocity net's first query map, say nothing.)
+    cfg = ModelConfig()
+    with precision(dtype):
+        state = init_model_state(cfg, seed=3)
+        examples = _sampled_batch(cfg, 8, seed=43)
+        results = []
+        for patched in (False, True):
+            with monkeypatch.context() as context:
+                if patched:
+                    oracles.with_block_masks(context)
+                state.zero_grads()
+                with record() as tape:
+                    loss, _ = total_loss(examples, state, RngHub(5))
+                tape.backward(loss)
+            results.append((loss.item(), {name: p.grad.copy() for name, p in state.parameters()}))
+    (got, got_grads), (want, want_grads) = results
+    assert got == pytest.approx(want, rel=rtol)
+    largest = max(np.max(np.abs(g)) for g in want_grads.values())
+    for name, g in want_grads.items():
+        assert np.max(np.abs(got_grads[name] - g)) <= rtol * largest, name
+
+
 def test_packed_batch_mates_are_isolated():
     cfg = ModelConfig()
     state = init_model_state(cfg, seed=2)
