@@ -243,6 +243,43 @@ def _scalar(value: float, dtype: np.dtype) -> np.ndarray:
     return s
 
 
+class _Constants:
+    """The ``_scalar`` constants that the forward helpers read, for rows of
+    one dtype and width split into ``heads`` attention heads.
+
+    A helper's caller looks them up once, for every op of the call, where
+    each op would otherwise look up its own: on the small rows used here the
+    lookups cost about as much as the ops that read them.
+    """
+
+    __slots__ = ("width", "eps", "one", "half", "clip_low", "clip_high", "gelu_k", "gelu_kc",
+                 "scale")
+
+    def __init__(self, dtype: np.dtype, width: int, heads: int):
+        self.width = _scalar(width, dtype)
+        self.eps = _scalar(_LAYER_NORM_EPS, dtype)
+        self.one = _scalar(1.0, dtype)
+        self.half = _scalar(0.5, dtype)
+        self.clip_low = _scalar(-_GELU_CLIP, dtype)
+        self.clip_high = _scalar(_GELU_CLIP, dtype)
+        self.gelu_k = _scalar(_GELU_K, dtype)
+        self.gelu_kc = _scalar(_GELU_K * _GELU_C, dtype)
+        self.scale = _scalar(1.0 / math.sqrt(width // heads), dtype)  # of q k^T
+
+
+_CONSTANTS: dict[tuple[np.dtype, int, int], _Constants] = {}
+
+
+def _constants(dtype: np.dtype, width: int, heads: int = 1) -> _Constants:
+    """The ``_Constants`` of ``dtype``, ``width`` and ``heads``, made once
+    per triple."""
+    key = (dtype, width, heads)
+    c = _CONSTANTS.get(key)
+    if c is None:
+        c = _CONSTANTS.setdefault(key, _Constants(dtype, width, heads))
+    return c
+
+
 # --------------------------------------------------------------------------
 # Primitives
 # --------------------------------------------------------------------------
@@ -313,10 +350,10 @@ _GELU_C = 0.044715
 _GELU_CLIP = 10.0
 
 
-def _gelu_clip(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _gelu_clip(x: np.ndarray, c: _Constants, out: np.ndarray | None = None) -> np.ndarray:
     # np.clip's Python wrapper costs more than the two ufuncs on these rows.
-    u = np.maximum(x, _scalar(-_GELU_CLIP, x.dtype), out=out)
-    return np.minimum(u, _scalar(_GELU_CLIP, x.dtype), out=u)
+    u = np.maximum(x, c.clip_low, out=out)
+    return np.minimum(u, c.clip_high, out=u)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -342,16 +379,16 @@ def gelu(x: Tensor) -> Tensor:
 
 def _gelu_forward(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(gelu(x), cdf) of ``gelu``'s form; the adjoint reads the cdf."""
-    dtype = xd.dtype
+    c = _constants(xd.dtype, xd.shape[-1])
     # Two arrays in all: fresh ones cost page faults here, not just passes.
-    cdf = _gelu_clip(xd)
+    cdf = _gelu_clip(xd, c)
     out = cdf * cdf  # scratch for the cubic, then the output
-    out *= _scalar(_GELU_K * _GELU_C, dtype)
-    out += _scalar(_GELU_K, dtype)
+    out *= c.gelu_kc
+    out += c.gelu_k
     cdf *= out
     np.tanh(cdf, out=cdf)
-    cdf += _scalar(1.0, dtype)
-    cdf *= _scalar(0.5, dtype)
+    cdf += c.one
+    cdf *= c.half
     np.multiply(xd, cdf, out=out)
     return out, cdf
 
@@ -367,15 +404,15 @@ def _gelu_adjoint(g: np.ndarray, xd: np.ndarray, cdf: np.ndarray, out: np.ndarra
     # stays finite.  Each step is that expression's, in its order, with
     # the operands of a product or sum swapped where it runs in place.
     dtype = xd.dtype
-    one = _scalar(1.0, dtype)
-    u = _gelu_clip(xd, out)
+    c = _constants(dtype, xd.shape[-1])
+    u = _gelu_clip(xd, c, out)
     s = np.multiply(u, u, out=scratch)
     s *= _scalar(6.0 * _GELU_K * _GELU_C, dtype)
     s += _scalar(2.0 * _GELU_K, dtype)
     s *= u
-    grad = np.subtract(one, cdf, out=out)
+    grad = np.subtract(c.one, cdf, out=out)
     grad *= s
-    grad += one
+    grad += c.one
     grad *= cdf
     grad *= g
     return grad
@@ -384,8 +421,9 @@ def _gelu_adjoint(g: np.ndarray, xd: np.ndarray, cdf: np.ndarray, out: np.ndarra
 _LAYER_NORM_EPS = 1e-5  # added to each row's variance
 
 
-def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(xhat, 1 / std) of the last axis, for ``layer_norm_affine``.
+def _normalize(x: np.ndarray, c: _Constants) -> tuple[np.ndarray, np.ndarray]:
+    """(xhat, 1 / std) of the last axis, for ``layer_norm_affine``; ``c``
+    holds the constants of x's dtype and row width.
 
     Row means as np.add.reduce(...) / d: bitwise what np.mean gives, without
     its Python-level wrapper, which dominates on the small rows used here.
@@ -393,15 +431,15 @@ def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of x's dtype (``_scalar``): the same bits as (x - mean) / sqrt(var + eps)
     with fewer allocations and conversions.
     """
-    width = _scalar(x.shape[-1], x.dtype)
+    width = c.width
     mean = np.add.reduce(x, axis=-1, keepdims=True)
     mean /= width
     centered = x - mean
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True)
     var /= width
-    var += _scalar(_LAYER_NORM_EPS, x.dtype)
+    var += c.eps
     inv = np.sqrt(var, out=var)
-    np.divide(_scalar(1.0, x.dtype), inv, out=inv)
+    np.divide(c.one, inv, out=inv)
     np.multiply(centered, inv, out=centered)
     return centered, inv
 
@@ -413,10 +451,11 @@ def _normalize_adjoint(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.n
     return (inv * (g - gm - xhat * gx)).astype(xhat.dtype, copy=False)
 
 
-def _scale_shift(xhat: np.ndarray, gain: Tensor, bias: Tensor) -> np.ndarray:
+def _scale_shift(xhat: np.ndarray, gain: Tensor, bias: Tensor,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """xhat * gain + bias, the affine step of ``layer_norm_affine``, in one
-    new array."""
-    out = xhat * gain.data
+    new array, or in ``out`` (which may be ``xhat``)."""
+    out = np.multiply(xhat, gain.data, out=out)
     np.add(out, bias.data, out=out)
     return out
 
@@ -429,23 +468,26 @@ def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     denominator, so constant inputs cannot produce NaN.  One tape entry in
     place of a taped normalization, a ``mul`` by gain and an ``add`` of bias;
     the output and every operand gradient are bitwise that composition's.
+    Where nothing records, the output is formed in place of the normalized
+    rows, which nothing keeps.
     """
-    gd = gain.data
-    d = x.data.shape[-1:]
+    xd, gd = x.data, gain.data
+    d = xd.shape[-1:]
     if gd.shape != d or bias.data.shape != d:
         raise ShapeError(f"layer_norm_affine: gain {gd.shape} and bias {bias.data.shape} "
                          f"for rows of shape {d}")
-    xhat, inv = _normalize(x.data)
-    out = _from_array(_scale_shift(xhat, gain, bias),
-                      x.requires_grad | gain.requires_grad | bias.requires_grad)
+    requires_grad = x.requires_grad | gain.requires_grad | bias.requires_grad
+    taped = requires_grad and _ACTIVE_TAPE.get() is not None
+    xhat, inv = _normalize(xd, _constants(xd.dtype, d[0]))
+    out = _from_array(_scale_shift(xhat, gain, bias, None if taped else xhat), requires_grad)
+    if taped:
+        def adjoint(g: np.ndarray) -> None:
+            _accumulate(bias, _unbroadcast(g, d))
+            _accumulate(gain, _unbroadcast(g * xhat, d))
+            if x.requires_grad:
+                _accumulate(x, _normalize_adjoint(g * gd, xhat, inv))
 
-    def adjoint(g: np.ndarray) -> None:
-        _accumulate(bias, _unbroadcast(g, d))
-        _accumulate(gain, _unbroadcast(g * xhat, d))
-        if x.requires_grad:
-            _accumulate(x, _normalize_adjoint(g * gd, xhat, inv))
-
-    push_op(out, adjoint)
+        push_op(out, adjoint)
     return out
 
 
@@ -539,10 +581,13 @@ class Segments:
 
     ``grid`` (B * T,) holds the packed row of each cell (any row for a
     padding cell), ``cells`` (rows,) the cell of each packed row, and
-    ``mask`` the additive (B, T, T) mask of each sequence, which must hide
-    every padding cell as a key.  Attention then runs per sequence over the
-    grid, so it scores B * T * T pairs where one packed sequence scores
-    rows * rows; padding rows add nothing to any output or gradient.
+    ``mask`` the additive (T, T) mask that every sequence shares, which must
+    hide from each row of a sequence the cells past its own position.  A
+    real row's keys past its position include every padding cell of its
+    sequence, so no padding reaches a real row, whichever rows the padding
+    cells hold.  Attention then runs per sequence over the grid, so it
+    scores B * T * T pairs where one packed sequence scores rows * rows;
+    padding rows add nothing to any output or gradient.
     """
 
     __slots__ = ("grid", "cells", "mask")
@@ -571,8 +616,8 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int, mask=None
     ``mask`` may instead be the ``Segments`` of several sequences packed
     into x's rows (batch 1, no ``past``, no ``last_only``).  Every row-wise
     step runs on the packed rows as they stand; only attention gathers q, k
-    and v into the segments' grid, runs there with B as the batch and the
-    per-sequence mask, and gathers each row's result back.
+    and v into the segments' grid, runs there with the grid's B sequences as
+    the batch and their shared mask, and gathers each row's result back.
 
     ``past`` (batch 1 only) views the (2, Tk, d) rows of a key/value store
     that the block attends to, keys at ``past[0]`` and values at
@@ -591,7 +636,9 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int, mask=None
     the forward runs their numpy ops in their order and the adjoint replays
     their adjoints in reverse, so the output and every gradient are bitwise
     that composition's.  Where nothing records, each intermediate is freed
-    after its last use (the attention weights before the MLP runs).
+    after its last use (the attention weights before the MLP runs), and a
+    step works in place on an array the block made where the composition
+    formed a new one (a layer norm's output in its normalized rows).
     """
     xd = x.data
     requires_grad = x.requires_grad | any([p.requires_grad for p in params])
@@ -603,9 +650,10 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int, mask=None
                          f"sequences of {heads} heads attending to {key_rows} key rows "
                          f"(cached keys and values need batch == 1)")
     if isinstance(mask, Segments):
-        sequences, width = mask.mask.shape[:2]
+        width = mask.mask.shape[0]
         if batch != 1 or past is not None or last_only or mask.cells.shape != (rows,) \
-                or mask.grid.shape != (sequences * width,) or mask.mask.shape[2] != width:
+                or mask.mask.shape != (width, width) or mask.grid.ndim != 1 \
+                or mask.grid.size % width:
             raise ShapeError(f"transformer_block: segments of grid {mask.grid.shape}, "
                              f"cells {mask.cells.shape} and mask {mask.mask.shape} for "
                              f"{rows} rows (segments take batch 1, no store, no last_only)")
@@ -613,9 +661,10 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int, mask=None
         raise ShapeError(f"transformer_block: mask shape {mask.shape}, expected "
                          f"{(rows // batch, key_rows // batch)}")
     taped = requires_grad and _ACTIVE_TAPE.get() is not None
+    c = _constants(xd.dtype, d, heads)
     y, attention_saved = _attention_forward(xd, params, heads, mask, batch, past, last_only,
-                                            taped)
-    data, mlp_saved = _mlp_forward(y, params, taped)
+                                            taped, c)
+    data, mlp_saved = _mlp_forward(y, params, taped, c)
     out = _from_array(data, requires_grad)
     if taped:
         def adjoint(g: np.ndarray) -> None:
@@ -635,45 +684,49 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int, mask=None
     return out
 
 
-def _attention_forward(xd, params, heads, mask, batch, past, last_only, keep):
+def _attention_forward(xd, params, heads, mask, batch, past, last_only, keep, c):
     """x + the attention half of ``transformer_block`` (for the rows it
-    keeps), and with ``keep`` what ``_attention_adjoint`` reads."""
+    keeps), and with ``keep`` what ``_attention_adjoint`` reads; ``c`` holds
+    the constants of x's dtype, width and heads."""
     gain, bias, wqkv, bqkv, wo, bo = params[:6]
     rows, d = xd.shape
-    xhat, inv = _normalize(xd)
-    qkv = np.matmul(_scale_shift(xhat, gain, bias), wqkv.data)
+    dh = d // heads
+    xhat, inv = _normalize(xd, c)
+    qkv = np.matmul(_scale_shift(xhat, gain, bias, None if keep else xhat), wqkv.data)
     np.add(qkv, bqkv.data[:, None, :], out=qkv)
     normed = (xhat, inv) if keep else None
     del xhat, inv  # where nothing records, freed before attention runs
-    q, k, v = qkv
+    seq = rows // batch
     segments = mask if isinstance(mask, Segments) else None
+    stacked, cached, picked = qkv, 0, None
     if segments is not None:
         # The packed rows into the grid, whose sequences are the batch.
-        q, k, v = np.take(qkv, segments.grid, axis=1)
-        batch, mask = len(segments.mask), segments.mask[:, None]
-    cached = 0
+        stacked = np.take(qkv, segments.grid, axis=1)
+        mask = segments.mask
+        batch = segments.grid.size // len(mask)
     if past is not None:
         cached = past.shape[1] - rows
-        past[0, cached:] = k
-        past[1, cached:] = v
-        if cached:
-            k, v = past[0], past[1]
-    seq = rows // batch
-    picked = None
+        past[:, cached:] = qkv[1:]
     if last_only and seq > 1:
         # The last row of each sequence, as a strided view.  The sequences
         # share the mask, so a last row's mask row is its last row.
         picked = slice(seq - 1, None, seq)
-        xd, q = xd[picked], q[picked]
+        xd = xd[picked]
         mask = None if mask is None else mask[-1:]
-    dh = d // heads
-    # (batch * T, d) -> (batch, heads, T, d_h) views
-    qh, kh, vh = (t.reshape(batch, -1, heads, dh).transpose(0, 2, 1, 3) for t in (q, k, v))
+    # (s, batch * T, d) stacks -> (s, batch, heads, T, d_h) views, one
+    # reshape for q, k and v where they stand stacked as made.
+    if cached or picked is not None:
+        q = stacked[0] if picked is None else stacked[0, picked]
+        qh = q.reshape(batch, -1, heads, dh).transpose(0, 2, 1, 3)
+        kv = past if cached else stacked[1:]
+        kh, vh = kv.reshape(2, batch, -1, heads, dh).transpose(0, 1, 3, 2, 4)
+    else:
+        qh, kh, vh = stacked.reshape(3, batch, -1, heads, dh).transpose(0, 1, 3, 2, 4)
     # Scale, mask, subtract the row max, exp, divide by the row sum, in
     # place; the ufunc reductions are what p.max and p.sum call, minus their
     # wrappers.
     p = qh @ kh.swapaxes(-1, -2)
-    p *= _scalar(1.0 / math.sqrt(dh), xd.dtype)
+    p *= c.scale
     if mask is not None:
         p += mask
     p -= np.maximum.reduce(p, axis=-1, keepdims=True)
@@ -690,12 +743,13 @@ def _attention_forward(xd, params, heads, mask, batch, past, last_only, keep):
     return y, saved
 
 
-def _mlp_forward(y, params, keep):
+def _mlp_forward(y, params, keep, c):
     """y + the MLP half of ``transformer_block``, and with ``keep`` what
-    ``_mlp_adjoint`` reads."""
+    ``_mlp_adjoint`` reads; ``c`` holds the constants of y's dtype and
+    width."""
     gain, bias, w1, b1, w2, b2 = params[6:]
-    xhat, inv = _normalize(y)
-    m = _scale_shift(xhat, gain, bias) @ w1.data
+    xhat, inv = _normalize(y, c)
+    m = _scale_shift(xhat, gain, bias, None if keep else xhat) @ w1.data
     np.add(m, b1.data, out=m)
     act, cdf = _gelu_forward(m)
     saved = (xhat, inv, m, cdf) if keep else None
@@ -748,7 +802,7 @@ def _attention_adjoint(gy, params, heads, batch, saved) -> np.ndarray:
         # The packed rows' gradient into their cells; the padding cells' is 0.
         grid = np.zeros((segments.grid.size, d), dtype=go.dtype)
         grid[segments.cells] = go
-        go, batch = grid, len(segments.mask)
+        go, batch = grid, segments.grid.size // len(segments.mask)
     go = go.reshape(batch, -1, heads, dh).transpose(0, 2, 1, 3)
     # With P the attention weights, dS = P * (dP - rowsum(dP * P)).
     ds = go @ vh.swapaxes(-1, -2)  # dP, turned into dS in place

@@ -111,15 +111,16 @@ def timestep_embedding(t_values: np.ndarray, dim: int, dtype) -> np.ndarray:
 @dataclass(frozen=True)
 class VelocityContext:
     """The inputs of the velocity net for n (z_prev, z_t) pairs that depend
-    on neither z_t nor t: the z_prev rows, and for each of the 2n token rows
-    (pair by pair, z_prev token first) its position row and its pair's
-    conditioning row.
+    on neither z_t nor t: the z_prev rows, the 2n token rows (pair by pair,
+    z_prev token first) with the z_prev rows filled in, and for each token
+    row its position row and its pair's conditioning row.
 
     ``velocity_context`` builds one.  The sampler builds it once per patch
     and reuses it at every Euler step; ``velocity`` builds one per call.
     """
 
     z_prev: np.ndarray  # (n, d_patch)
+    tokens: np.ndarray  # (2n, d_patch): z_prev rows at the even rows; never written
     pos: Tensor  # (2n, d_model): the two vel.pos rows, gathered once per pair
     cond: Tensor  # (2n, d_model): each pair's conditioning row, once per token
 
@@ -140,7 +141,10 @@ def velocity_context(state: ModelState, h_final, z_prev: np.ndarray,
     if z_prev.ndim != 2 or z_prev.shape[1] != cfg.d_patch:
         raise ShapeError(f"velocity: z_prev must be (n, {cfg.d_patch}), got {z_prev.shape}")
     n = z_prev.shape[0]
-    enabled = np.broadcast_to(np.asarray(cond_enabled, dtype=bool), (n,))
+    enabled = np.asarray(cond_enabled, dtype=bool)
+    if enabled.ndim > 1 or enabled.size not in (1, n):
+        raise ShapeError(f"velocity: cond_enabled must be 1 or {n} flags, "
+                         f"got shape {enabled.shape}")
     cond = h_final if isinstance(h_final, Tensor) else constant(_as_rows(h_final, dtype),
                                                                  dtype=dtype)
     given = cond.data.shape[0]
@@ -149,11 +153,15 @@ def velocity_context(state: ModelState, h_final, z_prev: np.ndarray,
                          f"got shape {cond.data.shape}")
     # Pair i reads its own h_final row (or the only one) or the null row,
     # once per token; one gather whatever the flags, so the recorded ops do
-    # not depend on them.
+    # not depend on them.  ``own`` has n entries, so the pick has too.
     own = np.arange(n) if given == n else np.zeros(n, dtype=np.int64)
     cond = embedding_lookup(concat([cond, state["vel.null"]], axis=0),
                             np.repeat(np.where(enabled, own, given), 2))
-    return VelocityContext(z_prev, embedding_lookup(state["vel.pos"], np.tile([0, 1], n)), cond)
+    # Each z_prev row twice: the copy at an odd row is a placeholder for z_t.
+    tokens = np.repeat(z_prev, 2, axis=0)
+    tokens.flags.writeable = False
+    pos = embedding_lookup(state["vel.pos"], np.arange(2 * n) % 2)  # rows 0, 1, 0, 1, ...
+    return VelocityContext(z_prev, tokens, pos, cond)
 
 
 def velocity_batch(state: ModelState, z_t: np.ndarray, t_emb: np.ndarray,
@@ -177,14 +185,13 @@ def velocity_batch(state: ModelState, z_t: np.ndarray, t_emb: np.ndarray,
     z_prev = context.z_prev
     if z_t.shape != z_prev.shape:
         raise ShapeError(f"velocity: z_t shape {z_t.shape} != z_prev shape {z_prev.shape}")
-    n = z_t.shape[0]
-    interleaved = np.empty((2 * n, z_t.shape[1]), dtype=dtype)
-    interleaved[0::2] = z_prev
-    interleaved[1::2] = z_t
-    x = linear(constant(interleaved, dtype=dtype), state["vel.in.w"], state["vel.in.b"])
+    tokens = context.tokens.copy()
+    tokens[1::2] = z_t
+    params = state.params
+    x = linear(constant(tokens, dtype=dtype), params["vel.in.w"], params["vel.in.b"])
     x = add(add(add(x, context.pos), constant(t_emb, dtype=dtype)), context.cond)
-    at_z = transformer_stack(state, "vel", x, VELOCITY_LAYERS, None, batch=n, last_only=True)
-    return linear(at_z, state["vel.out.w"], state["vel.out.b"])
+    at_z = transformer_stack(state, "vel", x, VELOCITY_LAYERS, None, z_t.shape[0], None, True)
+    return linear(at_z, params["vel.out.w"], params["vel.out.b"])
 
 
 def velocity(state: ModelState, z_t: np.ndarray, t, h_final,
@@ -255,6 +262,26 @@ def cfg_combine(v_cond: np.ndarray, v_uncond: np.ndarray, scale: float) -> np.nd
     return v_uncond + scale * (v_cond - v_uncond)
 
 
+_STEP_EMBEDDINGS: dict[tuple[int, int, np.dtype], np.ndarray] = {}
+
+
+def _step_embeddings(steps: int, dim: int, dtype: np.dtype) -> np.ndarray:
+    """``timestep_embedding`` of the sampler's step times 1 - k / steps,
+    k = 0..steps-1, made once per (steps, dim, dtype) and read-only: every
+    patch of every synthesis walks the same grid."""
+    key = (steps, dim, dtype)
+    emb = _STEP_EMBEDDINGS.get(key)
+    if emb is None:
+        emb = timestep_embedding(_step_times(steps), dim, dtype)
+        emb.flags.writeable = False
+        emb = _STEP_EMBEDDINGS.setdefault(key, emb)
+    return emb
+
+
+def _step_times(steps: int) -> np.ndarray:
+    return 1.0 - np.arange(steps) * (1.0 / steps)  # bitwise 1.0 - k * dt
+
+
 def _values(v) -> np.ndarray:
     return v.data if isinstance(v, Tensor) else np.asarray(v)
 
@@ -281,13 +308,15 @@ def sample_patch(state: ModelState, h_final, z_prev: np.ndarray, steps: int = DE
     or 0 the call has only the row of the branch that scale reads.
 
     With the model's velocity net (no ``velocity_fn``), what does not change
-    between steps, the ``VelocityContext`` and the time embeddings of the
-    step grid, is built once, and each step calls ``velocity_batch``.  A
+    between steps is built once: the ``VelocityContext`` per patch, with its
+    z_prev token rows, and the time embeddings of the step grid per step
+    count.  Each step then calls ``velocity_batch``.  A
     ``velocity_fn`` hook is called as ``velocity`` is, once per step; its
     return broadcasts to (rows, d_patch).  Both give the same patch bitwise.
     """
     steps = check_sampling_args(steps, cfg_scale)
     cfg = state.config
+    dtype = state.dtype
     if rng is None:
         rng = rng_stream(0, "sample")
     if cfg_scale == 1.0 or cfg_scale == 0.0:
@@ -295,22 +324,23 @@ def sample_patch(state: ModelState, h_final, z_prev: np.ndarray, steps: int = DE
     else:
         enabled = np.array([True, False])
     n = enabled.size
-    z = rng.standard_normal(cfg.d_patch).astype(state.dtype)
-    z_prev = np.tile(np.asarray(z_prev, dtype=state.dtype).reshape(1, cfg.d_patch), (n, 1))
+    z = rng.standard_normal(cfg.d_patch).astype(dtype)
+    z_prev = np.asarray(z_prev, dtype=dtype).reshape(1, cfg.d_patch).repeat(n, axis=0)
     dt = 1.0 / steps
-    times = 1.0 - np.arange(steps) * dt  # bitwise 1.0 - k * dt
     if velocity_fn is None:
         context = velocity_context(state, h_final, z_prev, enabled)
-        t_emb = timestep_embedding(times, cfg.d_model, state.dtype)
+        t_emb = _step_embeddings(steps, cfg.d_model, dtype)
 
         def step_velocity(k: int, z_t: np.ndarray) -> np.ndarray:
             return velocity_batch(state, z_t, t_emb[k:k + 1], context).data
     else:
+        times = _step_times(steps)
+
         def step_velocity(k: int, z_t: np.ndarray) -> np.ndarray:
             v = _values(velocity_fn(z_t, np.full(n, times[k]), h_final, z_prev, enabled))
             return np.broadcast_to(v, (n, cfg.d_patch))
     for k in range(steps):
         v = step_velocity(k, z[None].repeat(n, axis=0))
         v = v[0] if n == 1 else cfg_combine(v[0], v[1], cfg_scale)
-        z = (z - dt * v).astype(state.dtype, copy=False)
+        z = (z - dt * v).astype(dtype, copy=False)
     return z

@@ -269,7 +269,8 @@ class Packing:
     cross-contamination, Krell et al., 2021).  Several sequences attend in
     segments (see ``mask``): each within itself, over a grid padded to the
     longest, as a variable-length attention does (FlashAttention-2's
-    ``cu_seqlens``, Dao, 2023), not over every pair of packed rows.
+    ``cu_seqlens``, Dao, 2023), not over every pair of packed rows, under
+    one causal mask that they all share.
     """
 
     def __init__(self, text_lengths, history_lengths, past_rows: int = 0):
@@ -310,11 +311,11 @@ class Packing:
         (one row); for one sequence its additive (rows, past_rows + rows)
         mask; for several, their ``autodiff.Segments``, so that attention
         runs within each sequence and never scores a pair of two.  A
-        sequence's cells hold its rows in position order, and its (T, T)
-        mask hides from each row the keys after its own position and the
-        padding cells past the sequence's end.  Built at the first call, it
-        belongs to this packing, so both stacks share it.  Several sequences
-        take no cached rows (ShapeError)."""
+        sequence's cells hold its rows in position order, and the one (T, T)
+        causal mask of every sequence hides from each row the cells after its
+        own position, among them every padding cell past the sequence's end.
+        Built at the first call, it belongs to this packing, so both stacks
+        share it.  Several sequences take no cached rows (ShapeError)."""
         if self._mask is None and self.rows > 1:
             if self.size > 1 and self.past_rows:
                 raise ShapeError(f"Packing: cached rows belong to one sequence, not {self.size}")
@@ -328,14 +329,13 @@ class Packing:
                 self._mask = np.zeros((self.rows, self.past_rows + self.rows), dtype=dtype)
                 self._mask[:, self.past_rows:][pos > pos[:, None]] = MASK_VALUE
             else:
-                lengths = np.add(self.text_lengths, self.history_lengths)
-                width = int(lengths.max())
+                width = max(map(sum, zip(self.text_lengths, self.history_lengths)))
                 cells = seq * width + pos
                 grid = np.zeros(self.size * width, dtype=np.intp)
                 grid[cells] = np.arange(self.rows)
                 t = np.arange(width)
-                mask = np.zeros((self.size, width, width), dtype=dtype)
-                mask[(t > t[:, None]) | (t >= lengths[:, None, None])] = MASK_VALUE
+                mask = np.zeros((width, width), dtype=dtype)
+                mask[t > t[:, None]] = MASK_VALUE
                 self._mask = Segments(grid, cells, mask)
         return self._mask
 
@@ -405,7 +405,7 @@ def _check_tokens(config: ModelConfig, text_tokens) -> np.ndarray:
     ids = np.asarray(text_tokens, dtype=np.int64)
     if ids.ndim != 1 or ids.size == 0:
         raise ValueError("a non-empty text token sequence is required")
-    if ids.min() < 0 or ids.max() >= config.vocab_size:
+    if np.minimum.reduce(ids) < 0 or np.maximum.reduce(ids) >= config.vocab_size:
         raise ValueError(f"token ids must lie in [0, {config.vocab_size})")
     if ids.size > config.max_text_len:
         raise ShapeError(f"text length {ids.size} exceeds max_text_len {config.max_text_len}")
@@ -461,9 +461,10 @@ def fsq_quantize(h: Tensor, delta: float, bound: int) -> Tensor:
         raise ValueError("fsq_quantize: delta must be finite and > 0")
     if bound < 1:
         raise ValueError("fsq_quantize: bound must be >= 1")
-    if not np.all(np.isfinite(h.data)):
+    if not np.isfinite(h.data).all():
         raise NonFiniteError("fsq_quantize: non-finite input")
-    q = delta * np.clip(_round_half_away(h.data / delta), -bound, bound)
+    # np.clip's Python wrapper costs more than the two ufuncs on these rows.
+    q = delta * np.minimum(np.maximum(_round_half_away(h.data / delta), -bound), bound)
     out = _from_array(q.astype(h.data.dtype, copy=False), h.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:

@@ -253,21 +253,22 @@ def attention(q, k, v, heads, mask=None, batch=1):
     output is P v, with P the row-normalized exp of q k^T * d_h^-1/2 + mask,
     and the heads are concatenated along columns, so the result is shaped
     like ``q``.  ``mask`` is an additive (Tq, Tk) ndarray of q's dtype shared
-    by every sequence, a (batch, 1, Tq, Tk) one per sequence, or None for
-    unmasked attention; it receives no gradient.
+    by every sequence, or None for unmasked attention; it receives no
+    gradient.
 
     ``mask`` may instead be the ``Segments`` of several sequences packed
     into the rows (batch 1): q, k and v are then gathered into the
-    segments' grid, attended there per sequence and gathered back, each
-    gather one taped ``add_at_embedding_lookup``, whose adjoint scatter-adds
-    every cell's gradient, padding cells' included, into its row.
+    segments' grid, attended there per sequence under the segments' shared
+    causal mask and gathered back, each gather one taped
+    ``add_at_embedding_lookup``, whose adjoint scatter-adds every cell's
+    gradient, padding cells' included, into its row.
 
     The adjoint is closed-form: with P the attention weights,
     dS = P * (dP - rowsum(dP * P)).
     """
     if isinstance(mask, Segments):
         grid = [add_at_embedding_lookup(t, mask.grid) for t in (q, k, v)]
-        attended = attention(*grid, heads, mask.mask[:, None], len(mask.mask))
+        attended = attention(*grid, heads, mask.mask, mask.grid.size // len(mask.mask))
         return add_at_embedding_lookup(attended, mask.cells)
     if q.data.ndim != 2 or k.data.shape != v.data.shape or k.data.ndim != 2 \
             or k.data.shape[1] != q.data.shape[1]:
@@ -285,7 +286,7 @@ def attention(q, k, v, heads, mask=None, batch=1):
         )
     seq, key_seq = rows // batch, key_rows // batch
     dh = d // heads
-    if mask is not None and mask.shape not in ((seq, key_seq), (batch, 1, seq, key_seq)):
+    if mask is not None and mask.shape != (seq, key_seq):
         raise ShapeError(f"attention: mask shape {mask.shape}, expected {(seq, key_seq)}")
     scale = _scalar(1.0 / math.sqrt(dh), q.data.dtype)
 

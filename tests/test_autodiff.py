@@ -917,8 +917,9 @@ def test_transformer_block_in_segments_matches_finite_differences_for_every_oper
 
 def test_padding_cells_get_no_gradient_and_change_no_bit():
     # The grid's gradient at every padding cell is an exact zero: no output
-    # reads a padding query and the mask hides every padding key.  So where
-    # the padding cells point changes no output or gradient bit.
+    # reads a padding query and the causal mask hides every padding key from
+    # every real query.  So where the padding cells point changes no output
+    # or gradient bit.
     x, params, weights = _segment_block_case(np.float32, 72)
     segments = _packed_segments(np.float32)
     padding = np.setdiff1d(np.arange(segments.grid.size), segments.cells)
@@ -926,7 +927,7 @@ def test_padding_cells_get_no_gradient_and_change_no_bit():
     q, k, v = (parameter(np.random.default_rng(i).standard_normal((12, 8)).astype(np.float32))
                for i in range(3))
     with record() as tape:
-        out = attention(q, k, v, 2, segments.mask[:, None], 3)
+        out = attention(q, k, v, 2, segments.mask, 3)
         loss = tensor_sum(mul(oracles.add_at_embedding_lookup(out, segments.cells),
                               constant(weights)))
     tape.backward(loss)
@@ -937,6 +938,29 @@ def test_padding_cells_get_no_gradient_and_change_no_bit():
     for got, want in zip(_block_and_gradients(x, params, weights, moved),
                          _block_and_gradients(x, params, weights, segments)):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_no_padding_cell_reaches_a_real_row_wherever_it_points(dtype):
+    # Padding never reaches a real row directly, whatever form the mask
+    # takes: pointing the padding cells of the grid at any packed rows, each
+    # cell at every row in turn and at distinct rows, keeps every bit of the
+    # block's output and of the gradients of x and of all 12 parameters.
+    with precision(dtype):
+        x, params, weights = _segment_block_case(np.dtype(dtype), 74)
+        segments = _packed_segments(np.dtype(dtype))
+        rows = segments.cells.size
+        padding = np.setdiff1d(np.arange(segments.grid.size), segments.cells)
+        rng = np.random.default_rng(75)
+        targets = [np.full(padding.size, row) for row in range(rows)]
+        targets += [rng.permutation(rows)[:padding.size] for _ in range(3)]
+        want = _block_and_gradients(x, params, weights, segments)
+        for target in targets:
+            grid = segments.grid.copy()
+            grid[padding] = target
+            moved = Segments(grid, segments.cells, segments.mask)
+            for got, expected in zip(_block_and_gradients(x, params, weights, moved), want):
+                assert got.dtype == np.dtype(dtype) and got.tobytes() == expected.tobytes()
 
 
 def test_segments_take_batch_one_no_store_and_every_row():

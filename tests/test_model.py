@@ -120,24 +120,23 @@ def test_the_mask_of_one_sequence_is_the_causal_mask(dtype, n_text, k):
 @given(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 6)), min_size=2, max_size=5),
        st.sampled_from([np.float32, np.float64]))
 def test_the_mask_of_several_sequences_is_the_block_mask(lengths, dtype):
-    # Several sequences attend in segments.  Their per-sequence masks, read
-    # at each pair of packed rows' cells, with every pair of two sequences
-    # hidden, are the block mask; the grid and the cells are inverse; and
-    # every padding cell is hidden as a key.
+    # Several sequences attend in segments.  Their shared mask, read at each
+    # pair of packed rows' cells, with every pair of two sequences hidden, is
+    # the block mask; the grid and the cells are inverse; and every padding
+    # cell is hidden as a key from every real row.
     text_lengths, history_lengths = zip(*lengths)
     segments = Packing(text_lengths, history_lengths).mask(dtype)
     assert segments.mask.dtype == dtype
     sizes = [n + k for n, k in lengths]
     width = max(sizes)
-    assert segments.mask.shape == (len(lengths), width, width)
+    assert segments.mask.shape == (width, width)
     assert segments.grid[segments.cells].tolist() == list(range(sum(sizes)))
     seq, pos = np.divmod(segments.cells, width)
-    dense = np.where(seq[:, None] == seq, segments.mask[seq[:, None], pos[:, None], pos],
-                     dtype(MASK_VALUE))
+    dense = np.where(seq[:, None] == seq, segments.mask[pos[:, None], pos], dtype(MASK_VALUE))
     assert dense.dtype == dtype
     assert dense.tobytes() == block_mask(text_lengths, history_lengths, dtype).tobytes()
-    for e, size in enumerate(sizes):
-        assert (segments.mask[e, :, size:] == dtype(MASK_VALUE)).all()
+    for size in sizes:
+        assert (segments.mask[:size, size:] == dtype(MASK_VALUE)).all()
 
 
 def test_a_decode_of_three_patches_sees_the_cached_rows_and_the_new_rows_up_to_itself():

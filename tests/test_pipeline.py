@@ -334,6 +334,35 @@ def test_the_fused_block_keeps_training_and_cloning_bitwise(monkeypatch):
     assert fused[2].shape == (8, cfg.d_patch) and fused[2].tobytes() == composed[2].tobytes()
 
 
+@pytest.mark.parametrize("cfg_scale", [2.5, 1.0, 0.0])
+def test_synthesis_keeps_the_composed_blocks_bits(monkeypatch, cfg_scale):
+    # flowtts.model's blocks against the oracles' composition of the taped
+    # primitives they replaced, for the shapes the synth benchmarks run:
+    # prompts of 2 to 6 tokens with no reference, 3 patches per token, and
+    # an 8-patch clone.  Scale 2.5 runs n = 2 pairs per velocity call, 1.0
+    # and 0.0 one pair.
+    cfg = ModelConfig()
+    rng = np.random.default_rng(63)
+    prompts = [rng.integers(0, 64, n) for n in (2, 4, 6)]
+    tokens, reference = rng.integers(0, 64, 24), rng.standard_normal((40, cfg.d_patch))
+
+    def run():
+        state = init_model_state(cfg, seed=5)
+        state["stop.b"].data[...] = -1e4
+        outs = [synthesize(state, p, cfg_scale=cfg_scale, rng=rng_stream(i, "short"),
+                           max_patches=3 * len(p)) for i, p in enumerate(prompts)]
+        outs.append(synthesize(state, tokens, reference, cfg_scale=cfg_scale,
+                               rng=rng_stream(7, "clone"), max_patches=48))
+        return outs
+
+    fused = run()
+    monkeypatch.setattr(model, "transformer_block", oracles.transformer_block)
+    composed = run()
+    assert [len(o) for o in fused] == [6, 12, 18, 8]
+    for got, want in zip(fused, composed):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_train_reduces_loss_on_tiny_run():
     state = init_model_state(CFG, seed=8)
     _, history = train(TrainConfig(train_steps=150, batch_size=2, seed=5,
@@ -679,6 +708,26 @@ def test_synthesize_hands_step_hiddens_the_references_once_then_one_patch_per_ca
     np.testing.assert_array_equal(handed[0], refs)
     for patches, previous in zip(handed[1:], out):
         np.testing.assert_array_equal(patches[0], previous)
+
+
+@pytest.mark.parametrize("stop_bias,refs", [(-1e4, 0), (-1e4, 3), (1e4, 3)])
+def test_each_synthesized_patch_calls_sample_patch_and_step_hiddens_once(monkeypatch, stop_bias,
+                                                                          refs):
+    # The benchmark splits a synthesis into patches at pipeline.sample_patch
+    # and traces pipeline.step_hiddens: k patches, k calls of each, looked
+    # up on the module at every call.
+    calls = {"sample_patch": 0, "step_hiddens": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(pipeline, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, counting)
+    state = _never_stopping_state()
+    state.params["stop.b"].data[:] = stop_bias
+    reference = RNG.standard_normal((refs, CFG.d_patch)).astype(np.float32)
+    out = synthesize(state, [4, 5], reference, rng=rng_stream(1, "synth"), max_patches=refs + 6)
+    assert len(out) == (6 if stop_bias < 0 else 1)
+    assert calls == {"sample_patch": len(out), "step_hiddens": len(out)}
 
 
 def test_synthesize_matches_a_full_recompute_two_call_reference():
