@@ -153,7 +153,7 @@ def velocity_context(state: ModelState, h_final, z_prev: np.ndarray,
                          f"got shape {cond.data.shape}")
     # Pair i reads its own h_final row (or the only one) or the null row,
     # once per token; one gather whatever the flags, so the recorded ops do
-    # not depend on them.  ``own`` has n entries, so the pick has too.
+    # not depend on them.  One flag for all pairs broadcasts over ``own``.
     own = np.arange(n) if given == n else np.zeros(n, dtype=np.int64)
     cond = embedding_lookup(concat([cond, state["vel.null"]], axis=0),
                             np.repeat(np.where(enabled, own, given), 2))
@@ -187,11 +187,11 @@ def velocity_batch(state: ModelState, z_t: np.ndarray, t_emb: np.ndarray,
         raise ShapeError(f"velocity: z_t shape {z_t.shape} != z_prev shape {z_prev.shape}")
     tokens = context.tokens.copy()
     tokens[1::2] = z_t
-    params = state.params
-    x = linear(constant(tokens, dtype=dtype), params["vel.in.w"], params["vel.in.b"])
+    x = linear(constant(tokens, dtype=dtype), state["vel.in.w"], state["vel.in.b"])
     x = add(add(add(x, context.pos), constant(t_emb, dtype=dtype)), context.cond)
-    at_z = transformer_stack(state, "vel", x, VELOCITY_LAYERS, None, z_t.shape[0], None, True)
-    return linear(at_z, params["vel.out.w"], params["vel.out.b"])
+    at_z = transformer_stack(state, "vel", x, VELOCITY_LAYERS, None, batch=z_t.shape[0],
+                             last_only=True)
+    return linear(at_z, state["vel.out.w"], state["vel.out.b"])
 
 
 def velocity(state: ModelState, z_t: np.ndarray, t, h_final,
