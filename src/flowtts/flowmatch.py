@@ -27,7 +27,7 @@ from .autodiff import (
     mse,
     rng_stream,
 )
-from .model import ModelState, VELOCITY_LAYERS, transformer_stack
+from .model import ModelState, transformer_stack
 
 __all__ = [
     "DEFAULT_STEPS",
@@ -189,8 +189,7 @@ def velocity_batch(state: ModelState, z_t: np.ndarray, t_emb: np.ndarray,
     tokens[1::2] = z_t
     x = linear(constant(tokens, dtype=dtype), state["vel.in.w"], state["vel.in.b"])
     x = add(add(add(x, context.pos), constant(t_emb, dtype=dtype)), context.cond)
-    at_z = transformer_stack(state, "vel", x, VELOCITY_LAYERS, None, batch=z_t.shape[0],
-                             last_only=True)
+    at_z = transformer_stack(state, "vel", x, None, batch=z_t.shape[0], last_only=True)
     return linear(at_z, state["vel.out.w"], state["vel.out.b"])
 
 

@@ -248,89 +248,86 @@ def init_model_state(config: ModelConfig, seed: int = 0) -> ModelState:
 # Shared transformer machinery
 # --------------------------------------------------------------------------
 
-def _ranges(lengths: list[int]) -> np.ndarray:
-    # [0..n0) ++ [0..n1) ++ ... as one index array.
-    return np.concatenate([np.arange(n) for n in lengths])
-
-
 class Packing:
     """Row layout of several sequences packed into one for the conditioning
     stacks, and its attention mask.
 
     Sequence e has ``text_lengths[e]`` text rows and ``history_lengths[e]``
-    history rows.  The packed rows are the text rows of every sequence, one
-    sequence after another, then the history rows in the same order, so one
-    sequence is laid out as it is alone.  Positions restart in each sequence.
-    A cache may hold the keys and values of the first ``past_rows`` rows of
-    one sequence (its text, then its first history rows); the stacks then
-    take the ``rows`` after them, at the positions after them.  The mask
-    lets a row see the cached rows, plus the rows of its own sequence up to
-    its own position, so no sequence sees another (packing without
-    cross-contamination, Krell et al., 2021).  Several sequences attend in
-    segments (see ``mask``): each within itself, over a grid padded to the
-    longest, as a variable-length attention does (FlashAttention-2's
-    ``cu_seqlens``, Dao, 2023), not over every pair of packed rows, under
-    one causal mask that they all share.
+    history rows, packed as every sequence's text rows in turn, then their
+    history rows in the same order (one sequence is laid out as alone).
+    Row r is row ``position[r]`` (text, then history, from 0) of sequence
+    ``owner[r]``; every other layout array derives from the two.  A cache
+    may hold the first ``past_rows`` rows of one sequence (ShapeError for
+    several); the stacks then take no text row and the history rows after
+    them.  The mask has one rule: a row sees the columns (cached rows, then
+    fresh ones) of its own sequence at or before its own position, so no
+    sequence sees another (packing without cross-contamination, Krell et
+    al., 2021).  Several sequences attend in segments (see ``mask``), each
+    within itself over a grid padded to the longest, as a variable-length
+    attention does (FlashAttention-2's ``cu_seqlens``, Dao, 2023).
     """
 
     def __init__(self, text_lengths, history_lengths, past_rows: int = 0):
-        self.text_lengths = [int(n) for n in text_lengths]
-        self.history_lengths = [int(k) for k in history_lengths]
+        self.size = len(text_lengths)
         self.past_rows = int(past_rows)
-        self.size = len(self.text_lengths)
-        self.text_rows = sum(self.text_lengths)
-        self.text_positions = _ranges(self.text_lengths)
-        first = self.past_rows - self.text_rows if self.past_rows else 0
-        self.history_positions = first + _ranges(self.history_lengths)
-        self.rows = (0 if self.past_rows else self.text_rows) + sum(self.history_lengths)
+        if self.past_rows:
+            if self.size != 1:
+                raise ShapeError(f"Packing: cached rows belong to one sequence, not {self.size}")
+            self.text_lengths, self.text_rows = np.asarray(text_lengths, dtype=np.intp), 0
+            self.owner = np.zeros(int(history_lengths[0]), dtype=np.intp)
+            self.position = np.arange(self.past_rows, self.past_rows + self.owner.size)
+        else:
+            # Row blocks: each text, then each history (after its text).
+            lengths = np.array([*text_lengths, *history_lengths], dtype=np.intp)
+            ends = np.add.accumulate(lengths)
+            offset = lengths - ends  # a block's positions minus its packed rows
+            self.text_lengths = lengths[:self.size]
+            self.text_rows = int(ends[self.size - 1])
+            offset[self.size:] += self.text_lengths
+            self.owner = np.repeat(np.arange(2 * self.size) % self.size, lengths)
+            self.position = np.arange(self.owner.size) + np.repeat(offset, lengths)
+        self.rows = self.owner.size
+        self.text_positions = self.position[:self.text_rows]
+        self.history_positions = (self.position[self.text_rows:]
+                                  - self.text_lengths[self.owner[self.text_rows:]])
         self._mask: np.ndarray | Segments | None = None
-
-    def step_rows(self) -> np.ndarray:
-        """Rows that condition the steps of an uncached layout: per sequence,
-        its last text row (step 0), then its history rows.  It serves
-        uncached layouts only; a cached one has no text rows, and its rows
-        are steps as they stand."""
-        rows, text_end, history_start = [], -1, self.text_rows
-        for n, k in zip(self.text_lengths, self.history_lengths):
-            text_end += n
-            rows += [text_end, *range(history_start, history_start + k)]
-            history_start += k
-        return np.array(rows)
 
     def history_steps(self) -> np.ndarray:
         """Index, among the steps of ``step_rows``, of the step each history
-        row pairs with (steps 0..k-1 of its sequence)."""
-        steps, start = [], 0
-        for k in self.history_lengths:
-            steps += range(start, start + k)
-            start += k + 1
-        return np.array(steps, dtype=np.int64)
+        row pairs with (steps 0..k-1 of its sequence, after one step for the
+        text of each sequence before it)."""
+        return np.arange(self.rows - self.text_rows) + self.owner[self.text_rows:]
+
+    def step_rows(self) -> np.ndarray:
+        """Rows that condition the steps of an uncached layout: per sequence,
+        its last text row (step 0), then its history rows, each one step
+        after the step it pairs with."""
+        after = self.history_steps() + 1
+        rows = np.empty(self.size + after.size, dtype=np.intp)
+        rows[after] = np.arange(self.text_rows, self.rows)
+        text = np.ones(rows.size, dtype=bool)
+        text[after] = False
+        rows[text] = np.add.accumulate(self.text_lengths) - 1
+        return rows
 
     def mask(self, dtype) -> np.ndarray | Segments | None:
         """The rule above as the stacks' ``mask``: None when it hides nothing
         (one row); for one sequence its additive (rows, past_rows + rows)
-        mask; for several, their ``autodiff.Segments``, so that attention
-        runs within each sequence and never scores a pair of two.  A
-        sequence's cells hold its rows in position order, and the one (T, T)
-        causal mask of every sequence hides from each row the cells after its
-        own position, among them every padding cell past the sequence's end.
-        Built at the first call, it belongs to this packing, so both stacks
-        share it.  Several sequences take no cached rows (ShapeError)."""
+        mask, whose columns are positions 0, 1, ...; for several, their
+        ``autodiff.Segments``, so that attention runs within each sequence
+        and never scores a pair of two.  A row's cell is its position in
+        its sequence's grid row, and the one (T, T) causal mask of every
+        sequence hides from each row the cells after its own position, among
+        them every padding cell past the sequence's end.  Built at the first
+        call, it belongs to this packing, so both stacks share it."""
         if self._mask is None and self.rows > 1:
-            if self.size > 1 and self.past_rows:
-                raise ShapeError(f"Packing: cached rows belong to one sequence, not {self.size}")
-            owner = np.arange(self.size)
-            seq = np.repeat(owner, self.history_lengths)
-            pos = self.history_positions + np.repeat(self.text_lengths, self.history_lengths)
-            if not self.past_rows:
-                seq = np.concatenate([np.repeat(owner, self.text_lengths), seq])
-                pos = np.concatenate([self.text_positions, pos])
             if self.size == 1:
-                self._mask = np.zeros((self.rows, self.past_rows + self.rows), dtype=dtype)
-                self._mask[:, self.past_rows:][pos > pos[:, None]] = MASK_VALUE
+                columns = np.arange(self.past_rows + self.rows)
+                self._mask = np.zeros((self.rows, columns.size), dtype=dtype)
+                self._mask[columns > self.position[:, None]] = MASK_VALUE
             else:
-                width = max(map(sum, zip(self.text_lengths, self.history_lengths)))
-                cells = seq * width + pos
+                width = int(self.position.max()) + 1
+                cells = self.owner * width + self.position
                 grid = np.zeros(self.size * width, dtype=np.intp)
                 grid[cells] = np.arange(self.rows)
                 t = np.arange(width)
@@ -340,10 +337,10 @@ class Packing:
         return self._mask
 
 
-def transformer_stack(state: ModelState, prefix: str, x: Tensor, n_layers: int,
+def transformer_stack(state: ModelState, prefix: str, x: Tensor,
                       mask: np.ndarray | Segments | None, batch: int = 1,
                       past: np.ndarray | None = None, last_only: bool = False) -> Tensor:
-    """The first ``n_layers`` pre-LN blocks of stack ``prefix``, one
+    """Every pre-LN block of stack ``prefix`` (``state.blocks[prefix]``), one
     ``autodiff.transformer_block`` each (one tape entry per block), then the
     final layer norm, over ``batch`` equal-length sequences stored row-block
     after row-block; ``mask`` is an additive (T, T) ndarray, None where it
@@ -353,7 +350,7 @@ def transformer_stack(state: ModelState, prefix: str, x: Tensor, n_layers: int,
     ``Packing.mask``.
 
     ``past`` views the key/value store rows of one sequence that this call
-    attends to, shaped (n_layers, 2, cached + T, d): layer i's keys at
+    attends to, shaped (blocks, 2, cached + T, d): layer i's keys at
     ``past[i, 0]`` and values at ``past[i, 1]``, the cached rows first.
     Each layer writes the keys and values of ``x`` into the last T rows, and
     the rows of ``x`` attend to all of them (``mask`` is then
@@ -368,9 +365,10 @@ def transformer_stack(state: ModelState, prefix: str, x: Tensor, n_layers: int,
     sequence) nothing is selected.
     """
     blocks, params, heads = state.blocks[prefix], state.params, state.config.n_heads
-    for i in range(n_layers):
-        x = transformer_block(x, blocks[i], heads, mask, batch,
-                              None if past is None else past[i], last_only and i == n_layers - 1)
+    last = len(blocks) - 1
+    for i, block in enumerate(blocks):
+        x = transformer_block(x, block, heads, mask, batch,
+                              None if past is None else past[i], last_only and i == last)
     return layer_norm_affine(x, params[f"{prefix}.lnf.g"], params[f"{prefix}.lnf.b"])
 
 
@@ -402,18 +400,27 @@ def encode_patches(state: ModelState, patches) -> Tensor:
 
 
 def _check_tokens(config: ModelConfig, text_tokens) -> np.ndarray:
-    ids = np.asarray(text_tokens, dtype=np.int64)
+    ids = np.asarray(text_tokens)  # integer ids: a float or bool id is not truncated
     if ids.ndim != 1 or ids.size == 0:
         raise ValueError("a non-empty text token sequence is required")
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"token ids must be integers, got dtype {ids.dtype}")
     if np.minimum.reduce(ids) < 0 or np.maximum.reduce(ids) >= config.vocab_size:
         raise ValueError(f"token ids must lie in [0, {config.vocab_size})")
     if ids.size > config.max_text_len:
         raise ShapeError(f"text length {ids.size} exceeds max_text_len {config.max_text_len}")
-    return ids
+    return ids.astype(np.int64, copy=False)
 
 
-def _join_rows(parts: list[Tensor]) -> Tensor:
-    # One sequence from its row blocks; no blocks is a ShapeError from concat.
+def _stack_rows(state: ModelState, tables: tuple[str, str], text: Tensor | None,
+                history: Tensor | None, packing: Packing) -> Tensor:
+    # A stack's input: text rows (a cached call has none), then history
+    # rows, each plus its row of the stack's text or history position table.
+    parts = []
+    if packing.text_rows:
+        parts.append(add(text, embedding_lookup(state[tables[0]], packing.text_positions)))
+    if packing.history_positions.size:
+        parts.append(add(history, embedding_lookup(state[tables[1]], packing.history_positions)))
     return parts[0] if len(parts) == 1 else concat(parts, axis=0)
 
 
@@ -429,15 +436,9 @@ def semantic_hiddens(state: ModelState, ids, acoustic: Tensor, packing: Packing,
     ``ids`` is not read.  ``past`` is this stack's store view (see
     ``transformer_stack``).
     """
-    parts = []
-    if not packing.past_rows:
-        parts.append(add(embedding_lookup(state["sem.tok"], ids),
-                         embedding_lookup(state["sem.pos_text"], packing.text_positions)))
-    if packing.history_positions.size:
-        parts.append(add(acoustic, embedding_lookup(state["sem.pos_ac"],
-                                                    packing.history_positions)))
-    return transformer_stack(state, "sem", _join_rows(parts), state.config.n_layers_semantic,
-                             packing.mask(state.dtype), past=past)
+    text = embedding_lookup(state["sem.tok"], ids) if packing.text_rows else None
+    x = _stack_rows(state, ("sem.pos_text", "sem.pos_ac"), text, acoustic, packing)
+    return transformer_stack(state, "sem", x, packing.mask(state.dtype), past=past)
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -492,16 +493,11 @@ def residual_hiddens(state: ModelState, text_hiddens: Tensor | None,
         raise ShapeError(
             f"history length mismatch: {k} quantized vs {acoustic_history.data.shape[0]} acoustic"
         )
-    parts = []
-    if not packing.past_rows:
-        parts.append(add(text_hiddens,
-                         embedding_lookup(state["res.pos_text"], packing.text_positions)))
-    if k:
-        hist = linear(concat([fsq_history, acoustic_history], axis=1),
-                      state["res.proj.w"], state["res.proj.b"])
-        parts.append(add(hist, embedding_lookup(state["res.pos_hist"], packing.history_positions)))
-    return transformer_stack(state, "res", _join_rows(parts), state.config.n_layers_residual,
-                             packing.mask(state.dtype), past=past, last_only=past is not None)
+    history = linear(concat([fsq_history, acoustic_history], axis=1),
+                     state["res.proj.w"], state["res.proj.b"]) if k else None
+    x = _stack_rows(state, ("res.pos_text", "res.pos_hist"), text_hiddens, history, packing)
+    return transformer_stack(state, "res", x, packing.mask(state.dtype), past=past,
+                             last_only=past is not None)
 
 
 def stop_logits(state: ModelState, h_fsq: Tensor) -> Tensor:

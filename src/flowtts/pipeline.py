@@ -41,6 +41,7 @@ from .model import (
     ModelState,
     NonFiniteError,
     _as_patch_matrix,
+    _check_tokens,
     conditioning,
     conditioning_batch,
     param_layout,
@@ -412,16 +413,15 @@ def synthesize(state: ModelState, text_tokens, reference_patches=(),
     part of the output.  Generation ends when the stop logit is positive
     (stop probability above one half) or the history reaches the patch cap;
     at least one patch is produced.  A stop logit that is not finite raises
-    NonFiniteError before its step samples.
+    NonFiniteError before its step samples.  Token ids are checked once, by
+    ``conditioning``'s rule; a single id is a one-token prompt.
 
     The first step runs the conditioning stacks over the text and the
     reference (prefill); every later step hands them only the one new patch,
     which runs against keys and values cached by this call (decode).
     """
     cfg = state.config
-    tokens = tuple(int(t) for t in np.atleast_1d(np.asarray(text_tokens, dtype=np.int64)))
-    if not tokens:
-        raise ValueError("synthesize: a non-empty text token sequence is required")
+    tokens = _check_tokens(cfg, np.atleast_1d(text_tokens))
     cap = cfg.max_patches if max_patches is None else int(max_patches)
     if not 1 <= cap <= cfg.max_patches:
         raise ValueError(f"synthesize: max_patches must lie in [1, {cfg.max_patches}]")

@@ -395,6 +395,48 @@ def block_mask(text_lengths, history_lengths, dtype):
     return np.where(allowed, 0.0, MASK_VALUE).astype(dtype)
 
 
+def _ranges(lengths):
+    # [0..n0) ++ [0..n1) ++ ... as one index array.
+    return np.concatenate([np.arange(n) for n in lengths])
+
+
+def packing_layout(text_lengths, history_lengths, past_rows, dtype):
+    """``Packing``'s layout written sequence by sequence, as it was first
+    built: position ranges that restart in each sequence (a cached call
+    takes no text row, and its history continues after the ``past_rows``
+    cached rows), each row's owner and position rebuilt from them, the
+    dense additive mask over the columns (the cached rows of sequence 0,
+    then the fresh rows), and, for an uncached layout, the step rows and
+    history steps from per-sequence loops."""
+    owner = np.arange(len(text_lengths))
+    text_rows = sum(text_lengths)
+    text_positions = _ranges(text_lengths)
+    history_positions = (past_rows - text_rows if past_rows else 0) + _ranges(history_lengths)
+    seq = np.repeat(owner, history_lengths)
+    pos = history_positions + np.repeat(text_lengths, history_lengths)
+    if past_rows:
+        text_positions = text_positions[:0]
+    else:
+        seq = np.r_[np.repeat(owner, text_lengths), seq]
+        pos = np.r_[text_positions, pos]
+    column_seq = np.r_[np.zeros(past_rows, dtype=int), seq]
+    column_pos = np.r_[np.arange(past_rows), pos]
+    allowed = (column_seq == seq[:, None]) & (column_pos <= pos[:, None])
+    layout = {"owner": seq, "position": pos, "text_positions": text_positions,
+              "history_positions": history_positions,
+              "mask": np.where(allowed, 0.0, MASK_VALUE).astype(dtype)}
+    if not past_rows:
+        rows, steps, text_end, history_start, step = [], [], -1, text_rows, 0
+        for n, k in zip(text_lengths, history_lengths):
+            text_end += n
+            rows += [text_end, *range(history_start, history_start + k)]
+            steps += range(step, step + k)
+            history_start += k
+            step += k + 1
+        layout["step_rows"], layout["history_steps"] = rows, steps
+    return layout
+
+
 def with_block_masks(patched):
     """Make several packed sequences attend as one sequence under
     ``block_mask``, the dense path their segments replaced; ``patched`` is
@@ -404,7 +446,8 @@ def with_block_masks(patched):
     def dense(packing, dtype):
         if packing.size == 1:
             return real(packing, dtype)
-        return block_mask(packing.text_lengths, packing.history_lengths, dtype)
+        history_lengths = np.bincount(packing.owner[packing.text_rows:], minlength=packing.size)
+        return block_mask(packing.text_lengths, history_lengths, dtype)
 
     patched.setattr(Packing, "mask", dense)
 

@@ -33,7 +33,7 @@ from flowtts.flowmatch import (
     velocity_batch,
     velocity_context,
 )
-from flowtts.model import VELOCITY_LAYERS, ModelConfig, init_model_state, transformer_stack
+from flowtts.model import ModelConfig, init_model_state, transformer_stack
 from flowtts.autodiff import rng_stream
 from oracles import two_call_sample_patch
 
@@ -138,7 +138,7 @@ def _untrimmed_velocity_batch(state, z_t, t_emb, context):
     tokens[0::2], tokens[1::2] = context.z_prev, z_t
     x = linear(constant(tokens, dtype=state.dtype), state["vel.in.w"], state["vel.in.b"])
     x = add(add(add(x, context.pos), constant(t_emb, dtype=state.dtype)), context.cond)
-    hidden = transformer_stack(state, "vel", x, VELOCITY_LAYERS, None, batch=n)
+    hidden = transformer_stack(state, "vel", x, None, batch=n)
     at_z = embedding_lookup(hidden, np.arange(1, 2 * n, 2))
     return linear(at_z, state["vel.out.w"], state["vel.out.b"])
 

@@ -40,7 +40,7 @@ from flowtts.model import (
     stop_logits,
     transformer_stack,
 )
-from oracles import block_mask, with_block_masks
+from oracles import block_mask, packing_layout, with_block_masks
 
 CFG = ModelConfig(d_model=16, n_layers_semantic=1, n_layers_residual=1, n_heads=2,
                   d_patch=4, vocab_size=12, max_patches=32, max_text_len=16)
@@ -137,6 +137,43 @@ def test_the_mask_of_several_sequences_is_the_block_mask(lengths, dtype):
     assert dense.tobytes() == block_mask(text_lengths, history_lengths, dtype).tobytes()
     for size in sizes:
         assert (segments.mask[:size, size:] == dtype(MASK_VALUE)).all()
+
+
+# Uncached layouts of 1-5 sequences, and cached layouts of one sequence
+# whose cache holds its text and 0-6 history rows.
+_UNCACHED = st.tuples(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 6)),
+                               min_size=1, max_size=5), st.just(0))
+_CACHED = st.builds(lambda n, k, c: ([(n, k)], n + c),
+                    st.integers(1, 6), st.integers(1, 6), st.integers(0, 6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_UNCACHED, _CACHED), st.sampled_from([np.float32, np.float64]))
+def test_every_layout_array_is_the_per_sequence_reference(layout, dtype):
+    # Each row's owner and position, and everything derived from them,
+    # against the per-sequence forms they replaced.  Segments are read back
+    # as a dense mask: their shared mask at each pair of cells, with every
+    # pair of two sequences hidden.
+    lengths, past_rows = layout
+    text_lengths, history_lengths = zip(*lengths)
+    packing = Packing(text_lengths, history_lengths, past_rows)
+    want = packing_layout(text_lengths, history_lengths, past_rows, dtype)
+    for name in ("owner", "position", "text_positions", "history_positions"):
+        assert getattr(packing, name).tolist() == want[name].tolist(), name
+    assert packing.rows == want["owner"].size
+    if not past_rows:
+        assert packing.step_rows().tolist() == want["step_rows"]
+        assert packing.history_steps().tolist() == want["history_steps"]
+    mask = packing.mask(dtype)
+    if packing.rows == 1:
+        assert mask is None and not want["mask"].any()
+    elif packing.size == 1:
+        assert mask.dtype == dtype and mask.tobytes() == want["mask"].tobytes()
+    else:
+        width = mask.mask.shape[0]
+        seq, pos = np.divmod(mask.cells, width)
+        dense = np.where(seq[:, None] == seq, mask.mask[pos[:, None], pos], dtype(MASK_VALUE))
+        assert dense.dtype == dtype and dense.tobytes() == want["mask"].tobytes()
 
 
 def test_a_decode_of_three_patches_sees_the_cached_rows_and_the_new_rows_up_to_itself():
@@ -249,6 +286,16 @@ def _semantic(tokens, acoustic):
 def test_conditioning_requires_text():
     with pytest.raises(ValueError):
         conditioning(STATE, [], np.zeros((0, CFG.d_patch)))
+
+
+@pytest.mark.parametrize("ids,match", [
+    ([1.5, 2.0], "integers"), ([1.0], "integers"), ([True, False], "integers"),
+    ([[1, 2]], "non-empty"), (np.zeros(0, np.int64), "non-empty"), (3, "non-empty"),
+])
+def test_token_ids_must_be_a_nonempty_integer_sequence(ids, match):
+    # A float or bool id is rejected, not truncated to an integer id.
+    with pytest.raises(ValueError, match=match):
+        conditioning(STATE, ids, np.zeros((0, CFG.d_patch)))
 
 
 def test_semantic_first_patch_prediction_from_text_alone():
@@ -585,9 +632,9 @@ def test_prefill_records_the_ops_of_an_uncached_call_up_to_the_last_block(monkey
     # The same call with the stacks given no store, the residual one still
     # trimmed to its last row, returns the prefill's row bitwise: the store
     # does not change what the prefill computes.
-    def storeless(state, prefix, x, n_layers, mask, batch=1, past=None, last_only=False):
+    def storeless(state, prefix, x, mask, batch=1, past=None, last_only=False):
         assert past.shape[2] == x.data.shape[0]  # the prefill's view holds no cached row
-        return transformer_stack(state, prefix, x, n_layers, mask, batch, last_only=last_only)
+        return transformer_stack(state, prefix, x, mask, batch, last_only=last_only)
 
     with monkeypatch.context() as patched:
         patched.setattr("flowtts.model.transformer_stack", storeless)
@@ -651,8 +698,8 @@ def test_last_only_is_the_last_row_of_each_sequence_of_the_full_stack(batch, seq
             mask = Packing([2], [4]).mask(np.float64)
         elif mask == "packed":
             mask = block_mask([2, 3], [1, 2], np.float64)
-        full = transformer_stack(state, "vel", x, 2, mask, batch)
-        last = transformer_stack(state, "vel", x, 2, mask, batch, last_only=True)
+        full = transformer_stack(state, "vel", x, mask, batch)
+        last = transformer_stack(state, "vel", x, mask, batch, last_only=True)
     assert last.data.shape == (batch, CFG.d_model)
     np.testing.assert_allclose(last.data, full.data[seq - 1::seq], rtol=1e-12, atol=1e-14)
 
@@ -794,4 +841,4 @@ def test_cached_keys_need_a_single_sequence():
     x = constant(RNG.standard_normal((4, CFG.d_model)).astype(np.float32))
     store = np.zeros((1, 2, 2 + CFG.max_patches, CFG.d_model), dtype=np.float32)
     with pytest.raises(ShapeError, match="batch"):
-        transformer_stack(STATE, "sem", x, 1, None, batch=2, past=store)
+        transformer_stack(STATE, "sem", x, None, batch=2, past=store)

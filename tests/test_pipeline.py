@@ -625,6 +625,28 @@ def test_synthesize_requires_text():
         synthesize(STATE, [], rng=rng_stream(0, "synth"))
 
 
+@pytest.mark.parametrize("ids,match", [
+    ([1.5], "integers"), ([1.0, 2.0], "integers"), ([True], "integers"),
+    ([[1, 2]], "non-empty"), ([[1], [2]], "non-empty"), ((), "non-empty"),
+])
+def test_synthesize_rejects_token_ids_that_conditioning_rejects(monkeypatch, ids, match):
+    # One rule, checked once before the prefill: a float or bool id is not
+    # truncated to an integer one, and a 2-d prompt is a ValueError.
+    calls = []
+    monkeypatch.setattr(pipeline, "step_hiddens", lambda *a: calls.append(1))
+    with pytest.raises(ValueError, match=match):
+        synthesize(STATE, ids, rng=rng_stream(0, "synth"))
+    assert calls == []
+    with pytest.raises(ValueError, match=match):
+        conditioning(STATE, ids, np.zeros((0, CFG.d_patch)))
+
+
+def test_synthesize_takes_a_single_id_as_a_one_token_prompt():
+    one = synthesize(STATE, 3, rng=rng_stream(0, "synth"), max_patches=2)
+    assert one.tobytes() == synthesize(STATE, [3], rng=rng_stream(0, "synth"),
+                                       max_patches=2).tobytes()
+
+
 def _never_stopping_state(seed=17, dtype="float32"):
     with precision(dtype):
         state = init_model_state(CFG, seed=seed)
