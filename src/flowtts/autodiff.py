@@ -11,12 +11,15 @@ gradient checks, where float32 tolerances are meaningless.
 
 The active tape and the default dtype are context variables, so a recording
 or a ``precision`` block in one thread is invisible to every other thread.
+The cached constants tables (``_constants``) are shared; two threads that
+miss together may each build one, harmlessly: both are equal and read-only.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import hashlib
 import math
 from typing import Callable, Sequence
@@ -222,62 +225,41 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-_SCALARS: dict[tuple[float, np.dtype], np.ndarray] = {}
-
-
-def _scalar(value: float, dtype: np.dtype) -> np.ndarray:
-    """``value`` as a read-only 0-d array of ``dtype``, made once per pair.
-
-    numpy casts a Python number to the array's dtype before the arithmetic,
-    so this gives the same bits while skipping that per-call conversion,
-    which costs more than the arithmetic itself on the small rows used here.
-    Only the primitives' own constants come here (row widths, eps, 1, 0.5,
-    GELU's coefficients), so the table stays a few entries long.
-    """
-    key = (value, dtype)
-    s = _SCALARS.get(key)
-    if s is None:
-        s = np.asarray(value, dtype=dtype)
-        s.flags.writeable = False
-        s = _SCALARS.setdefault(key, s)
-    return s
-
-
 class _Constants:
-    """The ``_scalar`` constants that the forward helpers read, for rows of
-    one dtype and width split into ``heads`` attention heads.
-
-    A helper's caller looks them up once, for every op of the call, where
-    each op would otherwise look up its own: on the small rows used here the
-    lookups cost about as much as the ops that read them.
-    """
+    """The primitives' constants as read-only 0-d arrays of one dtype, for
+    rows of one width split into ``heads`` attention heads.  numpy casts a
+    Python number to the array's dtype before the arithmetic; a 0-d array
+    gives the same bits without that conversion, which costs more than the
+    arithmetic on the small rows used here.  A primitive call looks up one
+    table (``_constants``) and hands it to every helper it calls."""
 
     __slots__ = ("width", "eps", "one", "half", "clip_low", "clip_high", "gelu_k", "gelu_kc",
-                 "scale")
+                 "gelu_2k", "gelu_6kc", "scale")
 
     def __init__(self, dtype: np.dtype, width: int, heads: int):
-        self.width = _scalar(width, dtype)
-        self.eps = _scalar(_LAYER_NORM_EPS, dtype)
-        self.one = _scalar(1.0, dtype)
-        self.half = _scalar(0.5, dtype)
-        self.clip_low = _scalar(-_GELU_CLIP, dtype)
-        self.clip_high = _scalar(_GELU_CLIP, dtype)
-        self.gelu_k = _scalar(_GELU_K, dtype)
-        self.gelu_kc = _scalar(_GELU_K * _GELU_C, dtype)
-        self.scale = _scalar(1.0 / math.sqrt(width // heads), dtype)  # of q k^T
+        def scalar(value: float) -> np.ndarray:
+            s = np.asarray(value, dtype=dtype)
+            s.flags.writeable = False
+            return s
+
+        self.width = scalar(width)
+        self.eps = scalar(_LAYER_NORM_EPS)
+        self.one = scalar(1.0)
+        self.half = scalar(0.5)
+        self.clip_low = scalar(-_GELU_CLIP)
+        self.clip_high = scalar(_GELU_CLIP)
+        self.gelu_k = scalar(_GELU_K)
+        self.gelu_kc = scalar(_GELU_K * _GELU_C)
+        self.gelu_2k = scalar(2.0 * _GELU_K)
+        self.gelu_6kc = scalar(6.0 * _GELU_K * _GELU_C)
+        self.scale = scalar(1.0 / math.sqrt(width // heads))  # of q k^T
 
 
-_CONSTANTS: dict[tuple[np.dtype, int, int], _Constants] = {}
-
-
+@functools.cache
 def _constants(dtype: np.dtype, width: int, heads: int = 1) -> _Constants:
     """The ``_Constants`` of ``dtype``, ``width`` and ``heads``, made once
     per triple."""
-    key = (dtype, width, heads)
-    c = _CONSTANTS.get(key)
-    if c is None:
-        c = _CONSTANTS.setdefault(key, _Constants(dtype, width, heads))
-    return c
+    return _Constants(dtype, width, heads)
 
 
 # --------------------------------------------------------------------------
@@ -367,19 +349,20 @@ def gelu(x: Tensor) -> Tensor:
     cdf = 0.5 (1 + tanh).
     """
     xd = x.data
-    out, cdf = _gelu_forward(xd)
+    c = _constants(xd.dtype, xd.shape[-1])
+    out, cdf = _gelu_forward(xd, c)
 
     def adjoint(g: np.ndarray) -> None:
-        _accumulate(x, _gelu_adjoint(g, xd, cdf, np.empty_like(xd), np.empty_like(xd)))
+        _accumulate(x, _gelu_adjoint(g, xd, cdf, np.empty_like(xd), np.empty_like(xd), c))
 
     out = _from_array(out, x.requires_grad)
     push_op(out, adjoint)
     return out
 
 
-def _gelu_forward(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(gelu(x), cdf) of ``gelu``'s form; the adjoint reads the cdf."""
-    c = _constants(xd.dtype, xd.shape[-1])
+def _gelu_forward(xd: np.ndarray, c: _Constants) -> tuple[np.ndarray, np.ndarray]:
+    """(gelu(x), cdf) of ``gelu``'s form, with the constants ``c`` of x's
+    dtype (of any width); the adjoint reads the cdf."""
     # Two arrays in all: fresh ones cost page faults here, not just passes.
     cdf = _gelu_clip(xd, c)
     out = cdf * cdf  # scratch for the cubic, then the output
@@ -394,21 +377,19 @@ def _gelu_forward(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gelu_adjoint(g: np.ndarray, xd: np.ndarray, cdf: np.ndarray, out: np.ndarray,
-                  scratch: np.ndarray) -> np.ndarray:
+                  scratch: np.ndarray, c: _Constants) -> np.ndarray:
     """The gradient of ``gelu``'s input for the output gradient ``g``, formed
     in ``out`` (which may be ``xd``) with ``scratch``, both shaped like x:
-    no array is allocated."""
+    no array is allocated.  ``c`` is as for ``_gelu_forward``."""
     # With tanh = 2 cdf - 1 the slope is cdf (1 + (1 - cdf) s) for
     # s = u (2K + 6 K C u^2) and u = x clipped.  Where the clip bites,
     # cdf is exactly 0 or 1, so this is the clipped form's slope, and s
     # stays finite.  Each step is that expression's, in its order, with
     # the operands of a product or sum swapped where it runs in place.
-    dtype = xd.dtype
-    c = _constants(dtype, xd.shape[-1])
     u = _gelu_clip(xd, c, out)
     s = np.multiply(u, u, out=scratch)
-    s *= _scalar(6.0 * _GELU_K * _GELU_C, dtype)
-    s += _scalar(2.0 * _GELU_K, dtype)
+    s *= c.gelu_6kc
+    s += c.gelu_2k
     s *= u
     grad = np.subtract(c.one, cdf, out=out)
     grad *= s
@@ -428,7 +409,7 @@ def _normalize(x: np.ndarray, c: _Constants) -> tuple[np.ndarray, np.ndarray]:
     Row means as np.add.reduce(...) / d: bitwise what np.mean gives, without
     its Python-level wrapper, which dominates on the small rows used here.
     Each step writes into an array it made, and the constants are 0-d arrays
-    of x's dtype (``_scalar``): the same bits as (x - mean) / sqrt(var + eps)
+    of x's dtype: the same bits as (x - mean) / sqrt(var + eps)
     with fewer allocations and conversions.
     """
     width = c.width
@@ -444,10 +425,10 @@ def _normalize(x: np.ndarray, c: _Constants) -> tuple[np.ndarray, np.ndarray]:
     return centered, inv
 
 
-def _normalize_adjoint(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    d = xhat.shape[-1]
-    gm = np.add.reduce(g, axis=-1, keepdims=True) / d
-    gx = np.add.reduce(g * xhat, axis=-1, keepdims=True) / d
+def _normalize_adjoint(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                       c: _Constants) -> np.ndarray:
+    gm = np.add.reduce(g, axis=-1, keepdims=True) / c.width
+    gx = np.add.reduce(g * xhat, axis=-1, keepdims=True) / c.width
     return (inv * (g - gm - xhat * gx)).astype(xhat.dtype, copy=False)
 
 
@@ -478,14 +459,15 @@ def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
                          f"for rows of shape {d}")
     requires_grad = x.requires_grad | gain.requires_grad | bias.requires_grad
     taped = requires_grad and _ACTIVE_TAPE.get() is not None
-    xhat, inv = _normalize(xd, _constants(xd.dtype, d[0]))
+    c = _constants(xd.dtype, d[0])
+    xhat, inv = _normalize(xd, c)
     out = _from_array(_scale_shift(xhat, gain, bias, None if taped else xhat), requires_grad)
     if taped:
         def adjoint(g: np.ndarray) -> None:
             _accumulate(bias, _unbroadcast(g, d))
             _accumulate(gain, _unbroadcast(g * xhat, d))
             if x.requires_grad:
-                _accumulate(x, _normalize_adjoint(g * gd, xhat, inv))
+                _accumulate(x, _normalize_adjoint(g * gd, xhat, inv, c))
 
         push_op(out, adjoint)
     return out
@@ -668,7 +650,7 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int, mask=None
     out = _from_array(data, requires_grad)
     if taped:
         def adjoint(g: np.ndarray) -> None:
-            gy = _mlp_adjoint(g, params, mlp_saved)
+            gy = _mlp_adjoint(g, params, mlp_saved, c)
             # x's residual share, through the row selection if there is one,
             # then the layer norm's share: the composition's order.
             picked = attention_saved[-1]
@@ -678,7 +660,7 @@ def transformer_block(x: Tensor, params: Sequence[Tensor], heads: int, mask=None
                 _accumulate(x, full)
             else:
                 _accumulate(x, gy)
-            _accumulate(x, _attention_adjoint(gy, params, heads, batch, attention_saved))
+            _accumulate(x, _attention_adjoint(gy, params, heads, batch, attention_saved, c))
 
         push_op(out, adjoint)
     return out
@@ -746,12 +728,12 @@ def _attention_forward(xd, params, heads, mask, batch, past, last_only, keep, c)
 def _mlp_forward(y, params, keep, c):
     """y + the MLP half of ``transformer_block``, and with ``keep`` what
     ``_mlp_adjoint`` reads; ``c`` holds the constants of y's dtype and
-    width."""
+    width, which GELU reads too."""
     gain, bias, w1, b1, w2, b2 = params[6:]
     xhat, inv = _normalize(y, c)
     m = _scale_shift(xhat, gain, bias, None if keep else xhat) @ w1.data
     np.add(m, b1.data, out=m)
-    act, cdf = _gelu_forward(m)
+    act, cdf = _gelu_forward(m, c)
     saved = (xhat, inv, m, cdf) if keep else None
     del xhat, inv, m, cdf  # where nothing records, freed before the next product
     out = act @ w2.data
@@ -765,32 +747,34 @@ def _mlp_forward(y, params, keep, c):
 # and the GELU output are not kept but formed again, bitwise (the same ops on
 # the same operands), so the tape holds less.
 
-def _mlp_adjoint(g, params, saved) -> np.ndarray:
+def _mlp_adjoint(g, params, saved, c) -> np.ndarray:
     """The MLP half's adjoints in reverse tape order: the residual add, the
-    w2 map, GELU, the w1 map and the layer norm.  Accumulates the half's
-    parameter gradients and returns y's gradient."""
+    w2 map, GELU, the w1 map and the layer norm, with the forward's
+    constants ``c``.  Accumulates the half's parameter gradients and returns
+    y's gradient."""
     gain, bias, w1, b1, w2, b2 = params[6:]
     xhat, inv, m, cdf = saved
     _accumulate(b2, np.add.reduce(g, axis=0))
     act = np.multiply(m, cdf)
     _accumulate(w2, act.T @ g)
-    g_m = _gelu_adjoint(np.matmul(g, w2.data.T, out=act), m, cdf, m, np.empty_like(m))
+    g_m = _gelu_adjoint(np.matmul(g, w2.data.T, out=act), m, cdf, m, np.empty_like(m), c)
     _accumulate(b1, np.add.reduce(g_m, axis=0))
     h = _scale_shift(xhat, gain, bias)
     _accumulate(w1, h.T @ g_m)
     g_h = np.matmul(g_m, w1.data.T, out=h)
     _accumulate(bias, np.add.reduce(g_h, axis=0))
     _accumulate(gain, np.add.reduce(g_h * xhat, axis=0))
-    gy = _normalize_adjoint(g_h * gain.data, xhat, inv)
+    gy = _normalize_adjoint(g_h * gain.data, xhat, inv, c)
     gy += g  # the residual add's share, which y's gradient took first
     return gy
 
 
-def _attention_adjoint(gy, params, heads, batch, saved) -> np.ndarray:
+def _attention_adjoint(gy, params, heads, batch, saved, c) -> np.ndarray:
     """The attention half's adjoints in reverse tape order, for the gradient
     ``gy`` of its output: the wo map, attention, the row selections, the
-    q/k/v product and the layer norm.  Accumulates the half's parameter
-    gradients and returns the layer norm's share of x's gradient."""
+    q/k/v product and the layer norm, with the forward's constants ``c``.
+    Accumulates the half's parameter gradients and returns the layer norm's
+    share of x's gradient."""
     gain, bias, wqkv, bqkv, wo, bo = params[:6]
     xhat, inv, qkv, qh, kh, vh, p, attended, segments, cached, picked = saved
     _, rows, d = qkv.shape
@@ -808,7 +792,7 @@ def _attention_adjoint(gy, params, heads, batch, saved) -> np.ndarray:
     ds = go @ vh.swapaxes(-1, -2)  # dP, turned into dS in place
     ds -= np.add.reduce(ds * p, axis=-1, keepdims=True)
     ds *= p
-    ds *= _scalar(1.0 / math.sqrt(dh), xhat.dtype)
+    ds *= c.scale
     gq = (ds @ kh).transpose(0, 2, 1, 3).reshape(-1, d)
     gk = (qh.swapaxes(-1, -2) @ ds).swapaxes(-1, -2).transpose(0, 2, 1, 3).reshape(-1, d)
     gv = (p.swapaxes(-1, -2) @ go).transpose(0, 2, 1, 3).reshape(-1, d)
@@ -836,7 +820,7 @@ def _attention_adjoint(gy, params, heads, batch, saved) -> np.ndarray:
     _accumulate(wqkv, np.matmul(_scale_shift(xhat, gain, bias).T, g))
     _accumulate(bias, np.add.reduce(gh, axis=0))
     _accumulate(gain, np.add.reduce(gh * xhat, axis=0))
-    return _normalize_adjoint(gh * gain.data, xhat, inv)
+    return _normalize_adjoint(gh * gain.data, xhat, inv, c)
 
 
 def tensor_sum(x: Tensor) -> Tensor:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -261,19 +261,13 @@ def cfg_combine(v_cond: np.ndarray, v_uncond: np.ndarray, scale: float) -> np.nd
     return v_uncond + scale * (v_cond - v_uncond)
 
 
-_STEP_EMBEDDINGS: dict[tuple[int, int, np.dtype], np.ndarray] = {}
-
-
+@cache
 def _step_embeddings(steps: int, dim: int, dtype: np.dtype) -> np.ndarray:
     """``timestep_embedding`` of the sampler's step times 1 - k / steps,
     k = 0..steps-1, made once per (steps, dim, dtype) and read-only: every
     patch of every synthesis walks the same grid."""
-    key = (steps, dim, dtype)
-    emb = _STEP_EMBEDDINGS.get(key)
-    if emb is None:
-        emb = timestep_embedding(_step_times(steps), dim, dtype)
-        emb.flags.writeable = False
-        emb = _STEP_EMBEDDINGS.setdefault(key, emb)
+    emb = timestep_embedding(_step_times(steps), dim, dtype)
+    emb.flags.writeable = False
     return emb
 
 

@@ -84,6 +84,8 @@ class ModelConfig:
                      "d_patch", "vocab_size", "max_patches", "max_text_len", "frame_ms"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"ModelConfig.{name} must be positive")
+        if self.frame_ms > 2**32 - 1:  # the .jlat header's u32
+            raise ValueError("ModelConfig.frame_ms must be at most 2**32 - 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError("ModelConfig.d_model must be divisible by n_heads")
         if not (math.isfinite(self.fsq_delta) and self.fsq_delta > 0):
@@ -312,28 +314,26 @@ class Packing:
 
     def mask(self, dtype) -> np.ndarray | Segments | None:
         """The rule above as the stacks' ``mask``: None when it hides nothing
-        (one row); for one sequence its additive (rows, past_rows + rows)
-        mask, whose columns are positions 0, 1, ...; for several, their
-        ``autodiff.Segments``, so that attention runs within each sequence
-        and never scores a pair of two.  A row's cell is its position in
-        its sequence's grid row, and the one (T, T) causal mask of every
-        sequence hides from each row the cells after its own position, among
-        them every padding cell past the sequence's end.  Built at the first
-        call, it belongs to this packing, so both stacks share it."""
+        (one row), else one additive (T, T) causal table, T the longest
+        sequence, that hides from position i the columns after i.  One
+        sequence gets its rows' positions of it, a (rows, past_rows + rows)
+        view; several get it whole in their ``autodiff.Segments``, so that
+        attention runs within each sequence and never scores a pair of two.
+        A row's cell is its position in its sequence's grid row, so the table
+        hides from it every padding cell past its sequence's end.  Built at
+        the first call, it belongs to this packing, so both stacks share it."""
         if self._mask is None and self.rows > 1:
+            width = int(self.position.max()) + 1
+            t = np.arange(width)
+            causal = np.zeros((width, width), dtype=dtype)
+            causal[t > t[:, None]] = MASK_VALUE
             if self.size == 1:
-                columns = np.arange(self.past_rows + self.rows)
-                self._mask = np.zeros((self.rows, columns.size), dtype=dtype)
-                self._mask[columns > self.position[:, None]] = MASK_VALUE
+                self._mask = causal[self.past_rows:]
             else:
-                width = int(self.position.max()) + 1
                 cells = self.owner * width + self.position
                 grid = np.zeros(self.size * width, dtype=np.intp)
                 grid[cells] = np.arange(self.rows)
-                t = np.arange(width)
-                mask = np.zeros((width, width), dtype=dtype)
-                mask[t > t[:, None]] = MASK_VALUE
-                self._mask = Segments(grid, cells, mask)
+                self._mask = Segments(grid, cells, causal)
         return self._mask
 
 

@@ -21,7 +21,6 @@ from flowtts.autodiff import (
     Tensor,
     _accumulate,
     _from_array,
-    _scalar,
     add,
     gelu,
     layer_norm_affine,
@@ -288,7 +287,7 @@ def attention(q, k, v, heads, mask=None, batch=1):
     dh = d // heads
     if mask is not None and mask.shape != (seq, key_seq):
         raise ShapeError(f"attention: mask shape {mask.shape}, expected {(seq, key_seq)}")
-    scale = _scalar(1.0 / math.sqrt(dh), q.data.dtype)
+    scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.data.dtype)
 
     def split(x):
         # (batch * T, d) -> (batch, heads, T, d_h) view

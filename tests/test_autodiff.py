@@ -854,6 +854,27 @@ def test_transformer_block_records_one_entry_and_pushes_nothing_outside_a_record
     assert pushed == [out] and len(tape) == 1
 
 
+def test_a_primitive_call_looks_up_one_constants_table_forward_and_back(monkeypatch):
+    import flowtts.autodiff as autodiff
+
+    lookups = []
+    real_constants = autodiff._constants
+    monkeypatch.setattr(autodiff, "_constants", lambda *key: (lookups.append(key),
+                                                              real_constants(*key))[1])
+    rng = np.random.default_rng(9)
+    x = parameter(rng.standard_normal((6, 8)).astype(np.float32))
+    params = [parameter(rng.standard_normal(s).astype(np.float32)) for s in _block_shapes(8, 16)]
+    gain, bias = params[:2]
+    calls = {"transformer_block": lambda: transformer_block(x, params, 2, None, 3),
+             "gelu": lambda: gelu(x), "layer_norm_affine": lambda: layer_norm_affine(x, gain, bias)}
+    for name, call in calls.items():
+        lookups.clear()
+        with record() as tape:
+            out = tensor_sum(call())
+        tape.backward(out)
+        assert len(lookups) == 1, name
+
+
 def test_transformer_block_shape_errors():
     params = [constant(np.ones(s)) for s in _block_shapes(8, 16)]
     x = constant(np.ones((6, 8)))

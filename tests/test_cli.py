@@ -5,6 +5,7 @@ import csv
 import hashlib
 import importlib.util
 import io
+import json
 import os
 import struct
 import subprocess
@@ -232,6 +233,24 @@ def test_the_train_seed_is_the_flag_then_the_env_then_the_config_file(
 def test_a_negative_seed_in_the_config_file_is_a_config_error(tmp_path, capsys):
     code = _train(tmp_path, TINY_CONFIG + "seed=-1\n", "--steps", "0")
     _assert_rejected_as_config_error(code, capsys.readouterr().err)
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
+# A .jlat header stores frame_ms as u32.
+FRAME_MS_PAST_U32 = 2**32
+
+
+def test_model_config_bounds_frame_ms_by_the_latent_header():
+    assert ModelConfig(frame_ms=2**32 - 1).frame_ms == 2**32 - 1
+    with pytest.raises(ValueError, match="frame_ms"):
+        ModelConfig(frame_ms=FRAME_MS_PAST_U32)
+
+
+def test_train_with_a_frame_ms_past_the_latent_header_is_a_config_error(tmp_path, capsys):
+    code = _train(tmp_path, TINY_CONFIG + f"frame_ms={FRAME_MS_PAST_U32}\n", "--steps", "1")
+    captured = capsys.readouterr()
+    _assert_rejected_as_config_error(code, captured.err)
+    assert "frame_ms" in captured.err and captured.out == ""
     assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
 
 
@@ -533,6 +552,23 @@ def test_synth_unreadable_config_block_exits_with_model_code(tmp_path, tiny_chec
     assert len(errors) == 1 and "unreadable config block" in errors[0]
     assert not out.exists()
     assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
+
+
+def test_synth_from_a_checkpoint_with_a_frame_ms_past_the_latent_header_is_invalid(
+        tmp_path, tiny_checkpoint, capsys):
+    with open(tiny_checkpoint, "rb") as fh:
+        blob = fh.read()
+    (config_len,) = struct.unpack_from("<I", blob, 8)
+    config = json.loads(blob[12:12 + config_len])
+    config["frame_ms"] = FRAME_MS_PAST_U32
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_with_config_block(tiny_checkpoint, json.dumps(config).encode("utf-8")))
+    out = tmp_path / "x.jlat"
+    code = main(["synth", "--checkpoint", str(bad), "--tokens", "1",
+                 "--out", str(out), "--seed", "0"])
+    err = capsys.readouterr().err
+    _assert_model_error_and_no_output(code, err, tmp_path, out.name)
+    assert "invalid config" in err and "frame_ms" in err
 
 
 def test_synth_missing_checkpoint_is_io_error(tmp_path):

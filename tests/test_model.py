@@ -709,9 +709,9 @@ def test_the_prefill_runs_the_last_residual_mlp_for_one_row(monkeypatch):
     shapes = []
     real_gelu = autodiff._gelu_forward
 
-    def recording(x):
+    def recording(x, c):
         shapes.append(x.shape)
-        return real_gelu(x)
+        return real_gelu(x, c)
 
     monkeypatch.setattr(autodiff, "_gelu_forward", recording)
     rng = np.random.default_rng(47)

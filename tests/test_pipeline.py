@@ -13,6 +13,7 @@ import threading
 import numpy as np
 import pytest
 
+import flowtts.autodiff as autodiff
 import flowtts.flowmatch as flowmatch
 import flowtts.model as model
 from flowtts.autodiff import (
@@ -437,6 +438,47 @@ def _sampled_batch(cfg, size, seed):
     spec = default_synthetic_spec(cfg)
     return [synthetic_example(spec, cfg, *sample_prompt(TrainConfig(), cfg, data_rng))
             for _ in range(size)]
+
+
+def _step_then_synthesis(cfg):
+    """The bytes of a default training step's loss and gradients, then of a
+    short synthesis, each from a fresh state."""
+    state = init_model_state(cfg, seed=0)
+    with record() as tape:
+        loss, _ = total_loss(_sampled_batch(cfg, 8, seed=41), state, RngHub(5))
+    tape.backward(loss)
+    grads = [None if p.grad is None else p.grad.tobytes() for _, p in state.parameters()]
+    patches = synthesize(init_model_state(cfg, seed=1), [1, 2, 3], max_patches=6,
+                         rng=np.random.default_rng(2))
+    return loss.data.tobytes(), grads, patches.tobytes()
+
+
+def test_cold_constants_tables_give_the_bits_of_warm_ones(monkeypatch):
+    built, names = [], autodiff._Constants.__slots__
+
+    class Recorded(autodiff._Constants):
+        __slots__ = ()
+
+        def __init__(self, *key):
+            super().__init__(*key)
+            built.append(self)
+
+    monkeypatch.setattr(autodiff, "_Constants", Recorded)
+    cfg = ModelConfig()
+    autodiff._constants.cache_clear()
+    flowmatch._step_embeddings.cache_clear()
+    try:
+        cold = _step_then_synthesis(cfg)
+        cold_tables = len(built)
+        warm = _step_then_synthesis(cfg)
+    finally:
+        autodiff._constants.cache_clear()  # drop the Recorded tables
+    assert cold == warm and len(built) == cold_tables
+    assert built and all(getattr(table, name).ndim == 0
+                         and not getattr(table, name).flags.writeable
+                         for table in built for name in names)
+    grid = flowmatch._step_embeddings(flowmatch.DEFAULT_STEPS, cfg.d_model, np.dtype(np.float32))
+    assert flowmatch._step_embeddings.cache_info().misses == 1 and not grid.flags.writeable
 
 
 def test_packed_batch_loss_and_gradients_equal_the_mean_of_per_example_losses():
